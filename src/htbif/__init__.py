@@ -50,6 +50,7 @@ from .spectral import (
 )
 from .timemap import (
     ABReport,
+    PhasePlane,
     TimeMapSample,
     ab_certify,
     companion,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance, linstab, nodal, perturbed, spectral, timemap
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError, IntegrationError, NoSolutionError
 from .model import CoeffFn, ModelParams, w0_const
 
 __all__ = ["RunConfig", "build_parser", "emit_diagram", "main", "run"]
@@ -194,7 +194,7 @@ def _run_morse(p, opts, out):
                      spectral.tau0(m_const - 1, q.lam, q), spectral.tau0(m_const, q.lam, q)))
         try:
             lower, upper = nodal.nodal_pair(n, q, opts["n_points"])
-        except Exception:
+        except (NoSolutionError, ConvergenceError, IntegrationError):
             continue
         for sol in (lower, upper):
             spec = linstab.sturm_spectrum(linstab.nodal_potential(sol.profile, q), n + 1)

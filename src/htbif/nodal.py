@@ -20,11 +20,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import DomainError, IntegrationError, NoSolutionError, ConvergenceError
 from .model import ModelParams, Profile, kinetic_f, potential_F, w0_const
 from .spectral import lambda_roots, mu_threshold, tau0
-from .timemap import companion, homoclinic_extent, time_map, time_map_center
+from .timemap import PhasePlane, homoclinic_extent, time_map_center
 
 __all__ = [
     "LoopPoint",
@@ -44,6 +45,7 @@ _ENERGY_DRIFT_TOL = 1e-9
 _NEUMANN_TOL = 1e-8
 _SHIFT_BVP_TOL = 1e-7
 _SHOOT_TOL = 2e-13  # terminal-slope target of the shooting polish
+_AMPLITUDE_TOL = 1e-10  # |n T(w_-) - 1| bound of the amplitude solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,17 +90,24 @@ class SolutionSet:
         return out
 
 
-def solve_amplitude(n: int, p: ModelParams, tol: float = 1e-10) -> float:
-    """Unique starting value w_- in (0, w0) with n * T(w_-) = 1.
+def solve_amplitude(n: int, p: ModelParams, tol: float = _AMPLITUDE_TOL) -> float:
+    """Unique starting value w_- in (0, w0) with n * T(w_-) = 1, found by
+    Brent's method against one PhasePlane context of p.
 
     Raises NoSolutionError outside the existence window, reporting which
     precondition failed (mu at or below the mode threshold, or lam outside
     the open root window).
     """
+    n = _existing_mode(n, p)
+    return _invert_time_map(n, PhasePlane(p), tol)
+
+
+def _existing_mode(n, p: ModelParams) -> int:
+    """n as an int, once the n-crossing existence window is known to hold lam."""
     if int(n) != n or n < 1:
         raise DomainError(f"crossing count must be an integer >= 1, got {n!r}")
     n = int(n)
-    w0 = w0_const(p)
+    w0_const(p)  # validates the lam window
     if tau0(n, p.lam, p) >= 0.0:
         mu_n = mu_threshold(n, p)
         if p.mu <= mu_n:
@@ -114,12 +123,24 @@ def solve_amplitude(n: int, p: ModelParams, tol: float = 1e-10) -> float:
         raise NoSolutionError(
             f"no {n}-crossing solution: amplitude window is below numerical resolution at lam = {p.lam:g}"
         )
+    return n
 
+
+def _invert_time_map(n: int, plane: PhasePlane, tol: float) -> float:
+    """Brent's method for n * T(w_-) = 1 on [1e-10 w0, w0 (1 - 1e-10)].
+
+    T falls strictly from the saddle to its center value, and n T_c < 1 has
+    been checked, so the bracket holds the one sign change.
+    """
+    w0 = plane.w0
     delta = 1e-10 * w0
     lo, hi = delta, w0 * (1.0 - delta / w0)
+    values = {}
 
     def h(wm: float) -> float:
-        return n * time_map(wm, p).T - 1.0
+        if wm not in values:
+            values[wm] = n * plane.time_map(wm).T - 1.0
+        return values[wm]
 
     h_lo = h(lo)
     if h_lo <= 0.0:
@@ -127,21 +148,14 @@ def solve_amplitude(n: int, p: ModelParams, tol: float = 1e-10) -> float:
             f"amplitude bracket failed: n*T at the bracket floor is {h_lo + 1.0:g} <= 1 "
             "(orbit amplitude below representable range)"
         )
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = h(mid)
-        if abs(val) < 0.1 * tol:
-            return mid
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 2.0 * np.finfo(float).eps * w0:
-            break
-    if abs(h(mid)) >= tol:
-        raise ConvergenceError(f"amplitude bisection stalled with |n*T - 1| = {abs(h(mid)):g} >= {tol:g}")
-    return mid
+    root, info = brentq(
+        h, lo, hi, xtol=2.0 * np.finfo(float).eps * w0, rtol=4.0 * np.finfo(float).eps,
+        maxiter=200, full_output=True, disp=False,
+    )
+    residual = abs(h(root))
+    if not info.converged or residual >= tol:
+        raise ConvergenceError(f"amplitude bisection stalled with |n*T - 1| = {residual:g} >= {tol:g}")
+    return root
 
 
 def _integrate_wz(w_start: float, p: ModelParams, n_points: int):
@@ -281,9 +295,10 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolut
     function on the grid.  The shifted profile is verified independently
     against the second-order equation before being returned.
     """
-    n = int(n)
-    w_minus = solve_amplitude(n, p)
-    w0 = w0_const(p)
+    n = _existing_mode(n, p)
+    plane = PhasePlane(p)
+    w_minus = _invert_time_map(n, plane, _AMPLITUDE_TOL)
+    w0 = plane.w0
     ws, zs = _integrate_wz(w_minus, p, int(n_points))
     _check_energy_drift(ws, zs, w_minus, p)
 
@@ -303,7 +318,7 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolut
             z1 = float(zs[-1])
         _check_energy_drift(ws, zs, w_minus, p)
 
-    w_plus = companion(w_minus, p)
+    w_plus = plane.companion(w_minus)
     if (n_points - 1) % n == 0:
         w_up, z_up = _shift_upper(ws, zs, n)
     else:

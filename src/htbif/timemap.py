@@ -27,7 +27,7 @@ cancellation-free:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,13 +39,13 @@ from .model import (
     kinetic_df,
     kinetic_f,
     potential_F,
-    potential_gap,
     w0_const,
 )
 from .quadrature import adaptive_gauss
 
 __all__ = [
     "ABReport",
+    "PhasePlane",
     "TimeMapSample",
     "ab_certify",
     "companion",
@@ -61,6 +61,9 @@ CENTER_CUTOFF = 1e-8
 
 # Largest |Delta| / (1 + w0) handled by the center series route.
 _SERIES_RADIUS = 0.25
+
+# Stopping width of the turning-point bisections, relative to the offset.
+_BISECT_REL_WIDTH = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -96,122 +99,169 @@ def _require_window(p: ModelParams) -> float:
     return w0_const(p)
 
 
-def homoclinic_extent(p: ModelParams) -> float:
-    """Unique w_h > w0 with F(w_h) = 0, bounding the periodic family.
+@dataclass(frozen=True, eq=False)
+class PhasePlane:
+    """Phase-plane context of the limit problem at one parameter set.
 
-    Bracketed by geometric expansion from w0, then bisected to relative
-    machine width; bisection is used for its unconditional convergence on
-    the guaranteed sign change.
+    Built once per ModelParams, it holds the center w0, b mu/d,
+    q = 1/(1 + w0), the homoclinic extent w_h and the center limit T_c of
+    the time map, so that repeated companion and time-map evaluations at the
+    same parameters re-derive none of them.  Its bisections run on plain
+    floats.  The module-level homoclinic_extent, companion and time_map are
+    thin wrappers that build a context per call.
     """
-    w0 = _require_window(p)
-    target = -float(potential_F(w0, p))  # = |F(w0)| > 0
-    lo = 0.0
-    hi = max(w0, 1.0)
-    for _ in range(1024):
-        if float(potential_gap(hi, p)) > target:
-            break
-        lo = hi
-        hi *= 2.0
-    else:  # pragma: no cover - F grows without bound, cannot happen
-        raise DomainError("failed to bracket the homoclinic extent")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(potential_gap(mid, p)) < target:
-            lo = mid
+
+    p: ModelParams
+    w0: float = field(init=False)
+    bmu_d: float = field(init=False)
+    q: float = field(init=False)
+    w_h: float = field(init=False)
+    T_c: float = field(init=False)
+
+    def __post_init__(self):
+        w0 = _require_window(self.p)
+        for name, value in (
+            ("w0", w0),
+            ("bmu_d", self.p.bmu_over_d),
+            ("q", 1.0 / (1.0 + w0)),
+            ("T_c", time_map_center(self.p)),
+        ):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "w_h", w0 + self._homoclinic_offset())
+
+    def _gap(self, delta: float) -> float:
+        """Scalar form of potential_gap: F(w0 + delta) - F(w0), cancellation-free."""
+        lam = self.p.lam
+        return -lam * delta + 0.5 * lam * delta * delta + self.bmu_d * math.log1p(delta * self.q)
+
+    def _offset(self, target: float, lo: float, hi: float) -> float:
+        """Offset in [lo, hi] where the increasing gap reaches target.
+
+        Bisection to a relative width of 4 ulp, so small offsets keep full
+        relative precision; chosen for its unconditional convergence on the
+        guaranteed sign change.
+        """
+        gap = self._gap
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if gap(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= _BISECT_REL_WIDTH * hi:
+                break
+        return 0.5 * (lo + hi)
+
+    def _homoclinic_offset(self) -> float:
+        """w_h - w0, bracketed by geometric expansion, then bisected."""
+        target = -float(potential_F(self.w0, self.p))  # = |F(w0)| > 0
+        lo = 0.0
+        hi = max(self.w0, 1.0)
+        for _ in range(1024):
+            if self._gap(hi) > target:
+                break
+            lo = hi
+            hi *= 2.0
+        else:  # pragma: no cover - F grows without bound, cannot happen
+            raise DomainError("failed to bracket the homoclinic extent")
+        return self._offset(target, lo, hi)
+
+    def companion(self, w_minus: float) -> float:
+        """Turning point w_+ in (w0, w_h) on the same energy level as w_minus."""
+        w0 = self.w0
+        if not 0.0 < w_minus < w0:
+            raise DomainError(f"w_minus must lie in (0, w0) = (0, {w0:g}); got {w_minus!r}")
+        return w0 + self._offset(self._gap(w_minus - w0), 0.0, self.w_h - w0)
+
+    def time_map(self, w_minus: float) -> TimeMapSample:
+        """Half-period map at the left turning point w_minus in (0, w0)."""
+        w_plus = self.companion(w_minus)
+        level = float(potential_F(w_minus, self.p))
+        if self.w0 - w_minus < CENTER_CUTOFF * self.w0:
+            # quadrature loses significance this close to the center
+            return TimeMapSample(w_minus, w_plus, self.T_c, level)
+        t = self._half_orbit_time(w_minus) + self._half_orbit_time(w_plus)
+        return TimeMapSample(w_minus, w_plus, t, level)
+
+    def _center_series_factor(self, delta: float):
+        """Vectorized S(theta) with gap(theta) = delta^2 (1 - theta^2) S(theta).
+
+        S collects the Taylor coefficients of the shifted potential:
+        S = g2 + sum_{k>=3} g_k delta^{k-2} (1 + theta + ... + theta^{k-1})/(1+theta),
+        g2 = F''(w0)/2,  g_k = (b mu/d) (-1)^{k+1} / (k (1+w0)^k).
+        Converges geometrically for |delta| < (1 + w0).
+        """
+        bmu_d = self.bmu_d
+        q = self.q
+        g2 = 0.5 * (self.p.lam - bmu_d * q * q)
+
+        def S(theta: np.ndarray) -> np.ndarray:
+            acc = np.full_like(theta, g2)
+            sigma = 1.0 + theta + theta * theta  # sum of theta^j, j < 3
+            powt = theta * theta                 # theta^{k-1} at k = 3
+            dp = delta                           # delta^{k-2} at k = 3
+            sign = 1.0                           # (-1)^{k+1} at k = 3
+            qk = q ** 3
+            for k in range(3, 128):
+                gk = sign * bmu_d * qk / k
+                acc += gk * dp * sigma / (1.0 + theta)
+                powt = powt * theta
+                sigma = sigma + powt
+                dp = dp * delta
+                sign = -sign
+                qk = qk * q
+                if abs(gk * dp) * (k + 1) < 1e-20 * abs(g2):
+                    break
+            return acc
+
+        return S
+
+    def _half_orbit_time(self, w_end: float) -> float:
+        """Travel time from the center ordinate to the turning point w_end.
+
+        The series route needs the turning point well inside the series radius
+        and, on the left side, away from the saddle at 0 (approaching it makes
+        the factored series cancel to zero and lose relative accuracy); the
+        direct route is saddle-stable instead.  The direct route takes w_end
+        itself, not w0 + (w_end - w0): near the saddle that sum rounds the
+        turning point to an ulp of w0, a relative shift that the divergent
+        time map would amplify.
+        """
+        p = self.p
+        w0 = self.w0
+        delta = w_end - w0
+        series_ok = abs(delta) <= _SERIES_RADIUS * (1.0 + w0) and not (delta < 0.0 and w_end < 0.5 * w0)
+        if series_ok:
+            S = self._center_series_factor(delta)
+
+            def integrand(psi):
+                theta = np.cos(psi)
+                return np.cos(0.5 * psi) / np.sqrt((1.0 + theta) * S(theta))
+
         else:
-            hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
-            break
-    return w0 + 0.5 * (lo + hi)
+            pot_end = float(potential_F(w_end, p))
+
+            def integrand(psi):
+                half = np.sin(0.5 * psi)
+                w = w_end - delta * (2.0 * half * half)  # w0 + cos(psi) * delta, endpoint-stable
+                gap = np.maximum(pot_end - potential_F(w, p), 1e-300)
+                return abs(delta) * np.sin(psi) / np.sqrt(2.0 * gap)
+
+        return adaptive_gauss(integrand, 0.0, 0.5 * math.pi, rel_tol=1e-10, max_panels=2 ** 14)
+
+
+def homoclinic_extent(p: ModelParams) -> float:
+    """Unique w_h > w0 with F(w_h) = 0, bounding the periodic family."""
+    return PhasePlane(p).w_h
 
 
 def companion(w_minus: float, p: ModelParams) -> float:
     """Turning point w_+ in (w0, w_h) on the same energy level as w_-.
 
-    Solves F(w_+) = F(w_-) by bisection in the offset from w0, with a
-    relative-width stopping rule so small-amplitude offsets keep full
-    relative precision.
+    Solves F(w_+) = F(w_-) by bisection in the offset from w0 to a relative
+    width of 4 ulp.
     """
-    w0 = _require_window(p)
-    if not 0.0 < w_minus < w0:
-        raise DomainError(f"w_minus must lie in (0, w0) = (0, {w0:g}); got {w_minus!r}")
-    target = float(potential_gap(w_minus - w0, p))
-    lo = 0.0
-    hi = homoclinic_extent(p) - w0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(potential_gap(mid, p)) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(hi, 1e-300):
-            break
-    return w0 + 0.5 * (lo + hi)
-
-
-def _center_series_factor(p: ModelParams, w0: float, delta: float):
-    """Vectorized S(theta) with gap(theta) = delta^2 (1 - theta^2) S(theta).
-
-    S collects the Taylor coefficients of the shifted potential:
-    S = g2 + sum_{k>=3} g_k delta^{k-2} (1 + theta + ... + theta^{k-1})/(1+theta),
-    g2 = F''(w0)/2,  g_k = (b mu/d) (-1)^{k+1} / (k (1+w0)^k).
-    Converges geometrically for |delta| < (1 + w0).
-    """
-    bmu_d = p.bmu_over_d
-    q = 1.0 / (1.0 + w0)
-    g2 = 0.5 * (p.lam - bmu_d * q * q)
-
-    def S(theta: np.ndarray) -> np.ndarray:
-        acc = np.full_like(theta, g2)
-        sigma = 1.0 + theta + theta * theta  # sum of theta^j, j < 3
-        powt = theta * theta                 # theta^{k-1} at k = 3
-        dp = delta                           # delta^{k-2} at k = 3
-        sign = 1.0                           # (-1)^{k+1} at k = 3
-        qk = q ** 3
-        for k in range(3, 128):
-            gk = sign * bmu_d * qk / k
-            acc += gk * dp * sigma / (1.0 + theta)
-            powt = powt * theta
-            sigma = sigma + powt
-            dp = dp * delta
-            sign = -sign
-            qk = qk * q
-            if abs(gk * dp) * (k + 1) < 1e-20 * abs(g2):
-                break
-        return acc
-
-    return S
-
-
-def _half_orbit_time(p: ModelParams, w0: float, delta: float) -> float:
-    """Travel time from the center ordinate to the turning point w0 + delta.
-
-    The series route needs the turning point well inside the series radius
-    and, on the left side, away from the saddle at 0 (approaching it makes
-    the factored series cancel to zero and lose relative accuracy); the
-    direct route is saddle-stable instead.
-    """
-    series_ok = abs(delta) <= _SERIES_RADIUS * (1.0 + w0)
-    if delta < 0.0 and w0 + delta < 0.5 * w0:
-        series_ok = False
-    if series_ok:
-        S = _center_series_factor(p, w0, delta)
-
-        def integrand(psi):
-            theta = np.cos(psi)
-            return np.cos(0.5 * psi) / np.sqrt((1.0 + theta) * S(theta))
-
-    else:
-        w_end = w0 + delta
-        pot_end = float(potential_F(w_end, p))
-
-        def integrand(psi):
-            half = np.sin(0.5 * psi)
-            w = w_end - delta * (2.0 * half * half)  # w0 + cos(psi) * delta, endpoint-stable
-            gap = np.maximum(pot_end - potential_F(w, p), 1e-300)
-            return abs(delta) * np.sin(psi) / np.sqrt(2.0 * gap)
-
-    return adaptive_gauss(integrand, 0.0, 0.5 * math.pi, rel_tol=1e-10, max_panels=2 ** 14)
+    return PhasePlane(p).companion(w_minus)
 
 
 def time_map_center(p: ModelParams) -> float:
@@ -222,16 +272,7 @@ def time_map_center(p: ModelParams) -> float:
 
 def time_map(w_minus: float, p: ModelParams) -> TimeMapSample:
     """Half-period map evaluated at the left turning point w_minus in (0, w0)."""
-    w0 = _require_window(p)
-    if not 0.0 < w_minus < w0:
-        raise DomainError(f"w_minus must lie in (0, w0) = (0, {w0:g}); got {w_minus!r}")
-    level = float(potential_F(w_minus, p))
-    if w0 - w_minus < CENTER_CUTOFF * w0:
-        # quadrature loses significance this close to the center
-        return TimeMapSample(w_minus, companion(w_minus, p), time_map_center(p), level)
-    w_plus = companion(w_minus, p)
-    t = _half_orbit_time(p, w0, w_minus - w0) + _half_orbit_time(p, w0, w_plus - w0)
-    return TimeMapSample(w_minus, w_plus, t, level)
+    return PhasePlane(p).time_map(w_minus)
 
 
 def ab_certify(p: ModelParams, n_samples: int = 10_000) -> ABReport:

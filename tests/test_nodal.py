@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from htbif.nodal import (
     trace_loop,
 )
 from htbif.spectral import lambda_roots
-from htbif.timemap import companion, time_map, time_map_center
+from htbif.timemap import PhasePlane, companion, time_map, time_map_center
 
 # 60-digit reference for the 1-crossing amplitude at desk scale
 W_MINUS_REF = 0.3038014537941711793078
@@ -47,6 +49,29 @@ class TestSolveAmplitude:
     def test_rejects_bad_mode(self, desk):
         with pytest.raises(DomainError):
             solve_amplitude(0, desk)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_work_per_solve(self, n, monkeypatch):
+        # one phase-plane context per solve: w_h is found once, and Brent
+        # needs far fewer time maps than the ~37 of a bisection
+        counts = Counter()
+        for name in ("_homoclinic_offset", "time_map"):
+            original = getattr(PhasePlane, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(PhasePlane, name, counted)
+        p = ModelParams(mu=170.0)
+        root = lambda_roots(n, p)
+        for j in range(8):
+            q = p.with_lam(root.lambda_minus + (j + 0.5) * (root.lambda_plus - root.lambda_minus) / 8)
+            counts.clear()
+            wm = solve_amplitude(n, q)
+            assert counts["_homoclinic_offset"] == 1
+            assert counts["time_map"] <= 25
+            assert abs(n * time_map(wm, q).T - 1.0) <= 1e-12
 
 
 class TestIntegrateCauchy:

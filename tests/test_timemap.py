@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.optimize import brentq
 from htbif.errors import DomainError
 from htbif.model import ModelParams, potential_F, w0_const
 from htbif.timemap import (
+    PhasePlane,
     ab_certify,
     companion,
     homoclinic_extent,
@@ -106,9 +108,10 @@ class TestTimeMap:
 
     def test_saddle_law_points_frozen(self, desk):
         # criterion 4 fits the saddle slope 1/k to 1e-6 over these points;
-        # its slope differences need the map this accurate there
-        assert time_map(1e-8, desk).T == pytest.approx(T_SADDLE_1E8_REF, rel=1e-8)
-        assert time_map(1e-10, desk).T == pytest.approx(T_SADDLE_1E10_REF, rel=1e-8)
+        # its slope differences need the map this accurate there.  Rebuilding
+        # the left turning point as w0 + (w_- - w0) would miss by 2e-10..3e-9
+        assert time_map(1e-8, desk).T == pytest.approx(T_SADDLE_1E8_REF, rel=1e-12)
+        assert time_map(1e-10, desk).T == pytest.approx(T_SADDLE_1E10_REF, rel=1e-12)
 
     def test_center_limit(self, desk):
         w0 = w0_const(desk)
@@ -141,6 +144,32 @@ class TestTimeMap:
             w_end, z_end = _rk4_march(wm, desk, s.T, max(4000, int(s.T / 1e-4)))
             assert abs(w_end - s.w_plus) < 1e-6
             assert abs(z_end) < 1e-6
+
+
+class TestPhasePlane:
+    def test_wrappers_agree_with_context(self, desk):
+        plane = PhasePlane(desk)
+        assert plane.w_h == homoclinic_extent(desk)
+        assert plane.T_c == time_map_center(desk)
+        assert plane.companion(0.5) == companion(0.5, desk)
+        assert plane.time_map(0.5) == time_map(0.5, desk)
+
+    def test_window_required(self, desk):
+        with pytest.raises(DomainError):
+            PhasePlane(desk.with_lam(60.0))
+
+    def test_no_reference_cycles(self, desk):
+        # benchmarks pause the collector while operations run, so garbage
+        # cycles per call would show up as peak memory
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(1000):
+                time_map(0.5, desk)
+                companion(0.5, desk)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestABCertify:
