@@ -4,10 +4,10 @@ saturating predator-prey model on the unit interval.
 Modules
 -------
 model      parameters, coefficient functions, scalar kinetics and potential
-spectral   eigencurves at the constant state, root windows, Morse staircase
+spectral   eigencurves, mode windows, Morse staircase, expansion closed forms
 timemap    phase-plane half-period map, center limit, monotonicity certificate
 nodal      exact n-crossing solution pairs, solution loops, Cauchy profiles
-linstab    Sturm-Liouville spectra, Morse indices, branch expansion checks
+linstab    Neumann operator, Sturm spectra, Morse indices, expansion checks
 perturbed  coupled-system Newton solves, corrections, coexistence census
 cli        command-line front end (CSV/JSON/SVG emission)
 """
@@ -41,12 +41,14 @@ from .model import (
 from .spectral import (
     EigencurveRoot,
     MorseIndexTable,
+    eta2_closed_form,
     lambda_roots,
     morse_index_table,
     morse_index_w0,
     mu_threshold,
     tau0,
     tau0_dot,
+    y1_closed_form,
 )
 from .timemap import (
     ABReport,
@@ -75,11 +77,9 @@ from .linstab import (
     ExpansionCheck,
     Spectrum,
     detect_singular_set,
-    eta2_closed_form,
     fit_expansion,
     morse_index_nodal,
     sturm_spectrum,
-    y1_closed_form,
 )
 from .perturbed import (
     CensusResult,

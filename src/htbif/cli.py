@@ -18,7 +18,7 @@ import numpy as np
 
 from . import acceptance, linstab, nodal, perturbed, spectral, timemap
 from .errors import ConvergenceError, DomainError, IntegrationError, NoSolutionError
-from .model import CoeffFn, ModelParams, w0_const
+from .model import CoeffFn, ModelParams, Profile, w0_const
 
 __all__ = ["RunConfig", "build_parser", "emit_diagram", "main", "run"]
 
@@ -182,15 +182,11 @@ def _run_nodal(p, opts, out):
 
 def _run_morse(p, opts, out):
     n = opts["n"]
-    root = spectral.lambda_roots(n, p)
-    if not root.is_real:
-        raise DomainError(f"mode {n} has no real window at mu = {p.mu:g}")
     rows = []
-    for j in range(opts["n_lambda"]):
-        lam = root.lambda_minus + (j + 1) * (root.lambda_plus - root.lambda_minus) / (opts["n_lambda"] + 1.0)
-        q = p.with_lam(float(lam))
+    for lam in spectral.window_lambdas(n, p, opts["n_lambda"]):
+        q = p.with_lam(lam)
         m_const = spectral.morse_index_w0(q.lam, q)
-        rows.append((float(lam), "constant", m_const,
+        rows.append((lam, "constant", m_const,
                      spectral.tau0(m_const - 1, q.lam, q), spectral.tau0(m_const, q.lam, q)))
         try:
             lower, upper = nodal.nodal_pair(n, q, opts["n_points"])
@@ -198,7 +194,7 @@ def _run_morse(p, opts, out):
             continue
         for sol in (lower, upper):
             spec = linstab.sturm_spectrum(linstab.nodal_potential(sol.profile, q), n + 1)
-            rows.append((float(lam), f"nodal-{sol.branch}", spec.morse_index,
+            rows.append((lam, f"nodal-{sol.branch}", spec.morse_index,
                          float(spec.eigenvalues[n - 1]), float(spec.eigenvalues[n])))
     _write_csv(out, ["lambda", "branch", "morse_index", "tau_low", "tau_high"], rows)
 
@@ -227,16 +223,9 @@ def _state_payload(s):
 
 
 def _run_perturb(p, opts, out):
-    n = opts["n"]
     n_points = opts["n_points"]
-    from .model import Profile
-
     v_flat = Profile.constant(p.mu / p.d, n_points)
-    seeds = [("constant", Profile.constant(w0_const(p), n_points))]
-    for j in range(1, n + 1):
-        lower, upper = nodal.nodal_pair(j, p, n_points)
-        seeds.append((f"nodal({j},lower)", lower.profile))
-        seeds.append((f"nodal({j},upper)", upper.profile))
+    seeds = perturbed.limit_seeds(opts["n"], p, n_points)
     states = [perturbed.newton_solve(seed, v_flat, p, origin=origin) for origin, seed in seeds]
     _write_json(out, {
         "kind": "perturb",
@@ -324,14 +313,8 @@ def _run_diagram(p, opts, out):
     c0 = []
     for lam in np.linspace(lam_lo, p.bmu_over_d * (1.0 - 1e-9), 256):
         c0.append((float(lam), w0_const(p.with_lam(float(lam)))))
-    loops = []
-    ell = 1
-    while True:
-        root = spectral.lambda_roots(ell, p)
-        if not root.is_real or root.lambda_minus == root.lambda_plus:
-            break
-        loops.append((ell, nodal.trace_loop(ell, p, opts["n_lambda"])))
-        ell += 1
+    loops = [(root.ell, nodal.trace_loop(root.ell, p, opts["n_lambda"]))
+             for root in spectral.mode_windows(p)]
     emit_diagram(c0, loops, out, p, ceiling)
     csv_path = opts.get("points_csv") or str(Path(out).with_suffix(".csv"))
     rows = []

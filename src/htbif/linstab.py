@@ -14,8 +14,9 @@ Near a bifurcation point lam_n^(+/-) the branch admits the expansion
     u(s)   = s [cos(n pi x) + y1 s + O(s^2)],
 
 with eta1 = 0, closed-form y1, and eta2 from projecting the second-order
-terms onto the kernel mode.  fit_expansion recovers eta1, eta2 and y1 from
-computed solutions and compares them against the closed forms.
+terms onto the kernel mode (both closed forms live in spectral).
+fit_expansion recovers eta1, eta2 and y1 from computed solutions and
+compares them against the closed forms.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ConvergenceError,
-    DegenerateError,
     DegeneracyWarning,
     DomainError,
     InsufficientDataError,
@@ -38,21 +38,20 @@ from .errors import (
     NoSolutionError,
 )
 from .model import ModelParams, Profile, w0_const
-from .nodal import NodalSolution, nodal_pair, solve_amplitude
-from .spectral import lambda_roots, mu_threshold
+from .nodal import NodalSolution, integrate_cauchy, nodal_pair, solve_amplitude
+from .spectral import eta2_closed_form, lambda_roots, window_lambdas, y1_closed_form
 
 __all__ = [
     "ExpansionCheck",
     "Spectrum",
     "degeneracy_tolerance",
     "detect_singular_set",
-    "eta2_closed_form",
     "fit_expansion",
     "morse_index_nodal",
+    "neumann_tridiagonal",
     "nodal_potential",
     "sturm_count_below",
     "sturm_spectrum",
-    "y1_closed_form",
 ]
 
 
@@ -88,16 +87,18 @@ def degeneracy_tolerance(lam: float) -> float:
     return 1e-6 * (1.0 + abs(lam))
 
 
-def _neumann_tridiagonal(v_values: np.ndarray, h: float):
+def neumann_tridiagonal(V: Profile):
     """Symmetric tridiagonal (diag, offdiag) for -D^2 + V with mirror ghosts.
 
     The ghost closure doubles the boundary off-diagonal entries; the diagonal
     similarity with weights (1/sqrt 2, 1, ..., 1, 1/sqrt 2) symmetrizes them
-    to -sqrt(2)/h^2 without changing the spectrum.
+    to -sqrt(2)/h^2 without changing the spectrum.  A ghost-closure system
+    A x = r is therefore solved by scaling the end entries of r by 1/sqrt 2,
+    solving with this matrix, and scaling the end entries back by sqrt 2.
     """
-    n = v_values.size
-    inv_h2 = 1.0 / (h * h)
-    diag = 2.0 * inv_h2 + v_values
+    n = V.n_points
+    inv_h2 = 1.0 / (V.h * V.h)
+    diag = 2.0 * inv_h2 + V.values
     off = np.full(n - 1, -inv_h2)
     off[0] = -math.sqrt(2.0) * inv_h2
     off[-1] = -math.sqrt(2.0) * inv_h2
@@ -132,7 +133,7 @@ def sturm_spectrum(V: Profile, m: int) -> Spectrum:
     m = int(m)
     if m > V.n_points:
         raise DomainError(f"m = {m} exceeds the {V.n_points}-point discretization size")
-    diag, off = _neumann_tridiagonal(V.values, V.h)
+    diag, off = neumann_tridiagonal(V)
     try:
         vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - symmetric tridiagonal
@@ -184,22 +185,13 @@ def detect_singular_set(n: int, p: ModelParams, n_lambda: int = 80, n_points: in
     because its potential is the same even periodic extension sampled with a
     phase shift.  An empty list is a valid (and expected) outcome.
     """
-    root = lambda_roots(int(n), p)
-    if not root.is_real or root.lambda_minus == root.lambda_plus:
-        raise NoSolutionError(f"mode {n} has no real root window at mu = {p.mu:g}")
-    lam_lo, lam_hi = root.lambda_minus, root.lambda_plus
     lams: list[float] = []
     tau_pair: list[tuple[float, float]] = []
-    for j in range(n_lambda):
-        lam = lam_lo + (j + 1) * (lam_hi - lam_lo) / (n_lambda + 1)
+    for lam in window_lambdas(int(n), p, n_lambda):
         q = p.with_lam(lam)
         try:
-            w_minus = solve_amplitude(n, q)
-            from .nodal import _check_energy_drift, _integrate_wz  # local: avoid a public detour
-
-            ws, zs = _integrate_wz(w_minus, q, n_points)
-            _check_energy_drift(ws, zs, w_minus, q)
-            spec = sturm_spectrum(nodal_potential(Profile(ws), q), int(n) + 1)
+            w = integrate_cauchy(solve_amplitude(n, q), q, n_points)
+            spec = sturm_spectrum(nodal_potential(w, q), int(n) + 1)
         except (NoSolutionError, ConvergenceError, IntegrationError):
             continue
         lams.append(lam)
@@ -224,63 +216,13 @@ def detect_singular_set(n: int, p: ModelParams, n_lambda: int = 80, n_points: in
     if not found:
         return []
     found.sort()
-    resolution = (lam_hi - lam_lo) / (n_lambda + 1)
+    root = lambda_roots(int(n), p)
+    resolution = (root.lambda_plus - root.lambda_minus) / (n_lambda + 1)
     merged = [found[0]]
     for lam in found[1:]:
         if lam - merged[-1] > resolution:
             merged.append(lam)
     return merged
-
-
-def _side_root(n: int, side: str, p: ModelParams) -> tuple[float, float]:
-    """(lam_n^side, d tau/d lam there); the derivative is +/- sqrt(disc)."""
-    if side not in ("minus", "plus"):
-        raise DomainError(f"side must be 'minus' or 'plus', got {side!r}")
-    if int(n) != n or n < 1:
-        raise DomainError(f"mode must be an integer >= 1, got {n!r}")
-    root = lambda_roots(int(n), p)
-    if not root.is_real:
-        raise DomainError(f"mode {n} roots are complex at mu = {p.mu:g} (below the threshold)")
-    disc = 1.0 - 4.0 * p.d * (int(n) * math.pi) ** 2 / (p.b * p.mu)
-    s = math.sqrt(max(disc, 0.0))
-    if side == "minus":
-        return root.lambda_minus, -s
-    return root.lambda_plus, s
-
-
-def y1_closed_form(n: int, side: str, p: ModelParams, n_points: int = 2001) -> Profile:
-    """First profile correction of the branch expansion,
-    (lam/2) (d lam/(n pi b mu))^2 [cos(2 n pi x)/3 - 1] at lam = lam_n^side.
-
-    Orthogonal to the kernel mode cos(n pi x) by construction.
-    """
-    lam, _ = _side_root(n, side, p)
-    x = np.linspace(0.0, 1.0, int(n_points))
-    coef = 0.5 * lam * (p.d * lam / (int(n) * math.pi * p.b * p.mu)) ** 2
-    return Profile(coef * (np.cos(2.0 * int(n) * math.pi * x) / 3.0 - 1.0))
-
-
-def eta2_closed_form(n: int, side: str, p: ModelParams) -> float:
-    """Quadratic coefficient of lam(s) at lam_n^side, from the kernel projection.
-
-    With r = d lam/(b mu) and the two exact integrals
-    int cos^2(n pi x) y1 = -(5 lam/24)(r/(n pi))^2 and int cos^4 = 3/8,
-
-        eta2 = 2 [2 lam r^2 int(cos^2 y1) - (3/8) lam r^3] / tau0_dot(lam).
-
-    The sign is opposite to the side: positive at the minus root, negative at
-    the plus root (branches open into the window).  Degenerate exactly at the
-    mode threshold, where the root is double and the derivative vanishes.
-    """
-    lam, taudot = _side_root(n, side, p)
-    if taudot == 0.0:
-        raise DegenerateError(
-            f"eta2 undefined at mu = mu_{n} = {mu_threshold(int(n), p):g}: double root, zero transversality"
-        )
-    r = p.d * lam / (p.b * p.mu)
-    int_phi2_y1 = -(5.0 * lam / 24.0) * (r / (int(n) * math.pi)) ** 2
-    rhs = 2.0 * lam * r * r * int_phi2_y1 - lam * r ** 3 * (3.0 / 8.0)
-    return 2.0 * rhs / taudot
 
 
 _DEFAULT_LADDER = tuple(0.005 * k for k in range(1, 11))
@@ -306,9 +248,9 @@ def fit_expansion(
     remainder cancels.
     """
     n = int(n)
-    lam_side, _ = _side_root(n, side, p)
-    eta2_cf = eta2_closed_form(n, side, p)
+    eta2_cf = eta2_closed_form(n, side, p)  # validates n and side
     root = lambda_roots(n, p)
+    lam_side = root.lambda_minus if side == "minus" else root.lambda_plus
 
     x = np.linspace(0.0, 1.0, int(n_points))
     phi = np.cos(n * math.pi * x)

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, IntegrationError, NoSolutionError, ConvergenceError
 from .model import ModelParams, Profile, kinetic_f, potential_F, w0_const
-from .spectral import lambda_roots, mu_threshold, tau0
+from .spectral import eta2_closed_form, lambda_roots, mu_threshold, tau0, window_lambdas
 from .timemap import PhasePlane, homoclinic_extent, time_map_center
 
 __all__ = [
@@ -201,11 +201,9 @@ def integrate_cauchy(w_start: float, p: ModelParams, n_points: int = 2001) -> Pr
     The energy z^2/2 + F(w) is conserved along exact orbits; its drift is the
     integration accuracy watchdog.
     """
-    w0 = w0_const(p)
     w_h = homoclinic_extent(p)
     if not 0.0 < w_start < w_h:
         raise DomainError(f"w_start must lie in (0, w_h) = (0, {w_h:g}); got {w_start!r}")
-    del w0
     ws, zs = _integrate_wz(w_start, p, int(n_points))
     _check_energy_drift(ws, zs, w_start, p)
     return Profile(ws)
@@ -375,16 +373,12 @@ def trace_loop(n: int, p: ModelParams, n_lambda: int = 41) -> list[LoopPoint]:
     if int(n) != n or n < 1:
         raise DomainError(f"crossing count must be an integer >= 1, got {n!r}")
     n = int(n)
-    root = lambda_roots(n, p)
-    if not root.is_real or root.lambda_minus == root.lambda_plus:
-        raise NoSolutionError(f"mode {n} has no real root window at mu = {p.mu:g}")
-    from .linstab import eta2_closed_form  # deferred: linstab depends on this module
-
+    lams = window_lambdas(n, p, n_lambda)
     eta2 = {side: eta2_closed_form(n, side, p) for side in ("minus", "plus")}
+    root = lambda_roots(n, p)
     lam_lo, lam_hi = root.lambda_minus, root.lambda_plus
     points: list[LoopPoint] = []
-    for j in range(n_lambda):
-        lam = lam_lo + (j + 1) * (lam_hi - lam_lo) / (n_lambda + 1)
+    for lam in lams:
         q = p.with_lam(lam)
         w0 = w0_const(q)
         s_pred = min(

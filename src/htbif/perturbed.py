@@ -28,6 +28,7 @@ residual can be re-evaluated from the state alone.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -41,10 +42,10 @@ from .errors import (
     GridMismatchError,
     PositivityError,
 )
-from .linstab import _neumann_tridiagonal, degeneracy_tolerance, sturm_count_below
+from .linstab import degeneracy_tolerance, neumann_tridiagonal, nodal_potential, sturm_count_below
 from .model import ModelParams, Profile, w0_const
 from .nodal import NodalSolution, nodal_pair
-from .spectral import lambda_roots, mu_threshold
+from .spectral import lambda_roots, mode_windows, mu_threshold
 
 __all__ = [
     "CensusResult",
@@ -55,6 +56,7 @@ __all__ = [
     "continue_in_eps",
     "first_order_corrections",
     "jacobian_banded",
+    "limit_seeds",
     "newton_solve",
     "residual",
     "residual_fine",
@@ -127,12 +129,6 @@ def _second_difference(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residual_arrays(w, v, p, a_vals, c_vals, inv_h2):
-    g1 = -inv_h2 * _second_difference(w) - p.lam * w + p.eps * a_vals * w * w + p.b * w * v / (1.0 + w)
-    g2 = -inv_h2 * _second_difference(v) - p.mu * v + p.d * v * v - p.eps * c_vals * w * v / (1.0 + w)
-    return g1, g2
-
-
 def residual(w: Profile, v: Profile, p: ModelParams) -> tuple[Profile, Profile]:
     """Both components of the coupled residual on the shared grid."""
     if w.n_points != v.n_points:
@@ -141,7 +137,8 @@ def residual(w: Profile, v: Profile, p: ModelParams) -> tuple[Profile, Profile]:
         raise DomainError("w must satisfy w > -1 at every node")
     a_vals, c_vals = _coeff_samples(p, w.n_points)
     inv_h2 = 1.0 / (w.h * w.h)
-    g1, g2 = _residual_arrays(w.values, v.values, p, a_vals, c_vals, inv_h2)
+    zero = np.zeros(w.n_points)
+    g1, g2, _, _ = _two_part_residual(w.values, zero, v.values, zero, p, a_vals, c_vals, inv_h2)
     return Profile(g1), Profile(g2)
 
 
@@ -313,16 +310,10 @@ def residual_fine(state: CoexistenceState, p: ModelParams) -> float:
     return max(float(np.max(np.abs(g1))), float(np.max(np.abs(g2))))
 
 
-def _w_block_tridiagonal(w: np.ndarray, p: ModelParams, h: float):
-    """Limit w-block potential: -D^2 - lam + (b mu/d)/(1+w)^2."""
-    v_pot = -p.lam + p.bmu_over_d / (1.0 + w) ** 2
-    return _neumann_tridiagonal(v_pot, h)
-
-
 def assert_nondegenerate(w: Profile, p: ModelParams, label: str = "state") -> None:
     """Raise DegenerateError when the limit w-block has an eigenvalue within
     the degeneracy tolerance of zero (Sturm counts straddling +/- tol)."""
-    diag, off = _w_block_tridiagonal(w.values, p, w.h)
+    diag, off = neumann_tridiagonal(nodal_potential(w, p))
     tol = degeneracy_tolerance(p.lam)
     if sturm_count_below(diag, off, tol) != sturm_count_below(diag, off, -tol):
         raise DegenerateError(
@@ -330,17 +321,20 @@ def assert_nondegenerate(w: Profile, p: ModelParams, label: str = "state") -> No
         )
 
 
-def _solve_neumann_system(diag: np.ndarray, off_unsym: float, rhs: np.ndarray, inv_h2: float):
-    """Solve the (non-symmetrized) tridiagonal ghost-closure system."""
-    n = diag.size
-    ab = np.zeros((3, n))
+def _solve_neumann(V: Profile, rhs: np.ndarray) -> np.ndarray:
+    """Solve (-D^2 + V) x = rhs with mirror ghosts through the symmetrized
+    tridiagonal: the end entries are scaled by 1/sqrt 2 going in and by
+    sqrt 2 coming out."""
+    diag, off = neumann_tridiagonal(V)
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = off
     ab[1, :] = diag
-    ab[0, 1:] = -inv_h2
-    ab[0, 1] = -2.0 * inv_h2
-    ab[2, :-1] = -inv_h2
-    ab[2, -2] = -2.0 * inv_h2
-    del off_unsym
-    return solve_banded((1, 1), ab, rhs)
+    ab[2, :-1] = off
+    scaled = np.array(rhs, dtype=float)
+    scaled[[0, -1]] /= math.sqrt(2.0)
+    x = solve_banded((1, 1), ab, scaled)
+    x[[0, -1]] *= math.sqrt(2.0)
+    return x
 
 
 def first_order_corrections(sol0, p: ModelParams) -> tuple[Profile, Profile]:
@@ -359,21 +353,13 @@ def first_order_corrections(sol0, p: ModelParams) -> tuple[Profile, Profile]:
     assert_nondegenerate(w, p, label="first_order_corrections")
 
     n_points = w.n_points
-    inv_h2 = (n_points - 1.0) ** 2
     a_vals, c_vals = _coeff_samples(p, n_points)
     ratio = w.values / (1.0 + w.values)
 
-    diag_v = 2.0 * inv_h2 + p.mu * np.ones(n_points)
-    psi = _solve_neumann_system(diag_v, -inv_h2, (p.mu / p.d) * c_vals * ratio, inv_h2)
-
-    diag_w = 2.0 * inv_h2 + (-p.lam + p.bmu_over_d / (1.0 + w.values) ** 2)
+    psi = _solve_neumann(Profile.constant(p.mu, n_points), (p.mu / p.d) * c_vals * ratio)
     rhs_w = -a_vals * w.values ** 2 - p.b * ratio * psi
-    phi = _solve_neumann_system(diag_w, -inv_h2, rhs_w, inv_h2)
+    phi = _solve_neumann(nodal_potential(w, p), rhs_w)
     return Profile(phi), Profile(psi)
-
-
-def _window_contains(root, lam: float) -> bool:
-    return root.is_real and root.lambda_minus < lam < root.lambda_plus
 
 
 def admissible_lambda(n: int, p: ModelParams, margin: float | None = None) -> None:
@@ -384,33 +370,40 @@ def admissible_lambda(n: int, p: ModelParams, margin: float | None = None) -> No
     per-seed degeneracy gate (the local singular-set test) runs in census
     itself.
     """
-    hi = p.bmu_over_d
     if margin is None:
-        margin = 1e-4 * hi
-    root_n = lambda_roots(int(n), p)
-    if not _window_contains(root_n, p.lam):
+        margin = 1e-4 * p.bmu_over_d
+    windows = mode_windows(p)
+    holding = [root.ell for root in windows if root.lambda_minus < p.lam < root.lambda_plus]
+    if int(n) not in holding:
+        root_n = lambda_roots(int(n), p)
         raise DomainError(
             f"lam = {p.lam:g} is outside the mode-{n} window "
             f"({root_n.lambda_minus:g}, {root_n.lambda_plus:g})"
         )
-    root_next = lambda_roots(int(n) + 1, p)
-    if _window_contains(root_next, p.lam):
+    if int(n) + 1 in holding:
         raise DomainError(
             f"lam = {p.lam:g} lies inside the mode-{int(n) + 1} window; "
             "the census count claim needs lam outside it"
         )
-    ell = 1
-    while True:
-        root = lambda_roots(ell, p)
-        if not root.is_real:
-            break
+    for root in windows:
         for lam_root in (root.lambda_minus, root.lambda_plus):
             if abs(p.lam - lam_root) < margin:
                 raise DomainError(
                     f"lam = {p.lam:g} is within {margin:g} of the bifurcation value "
-                    f"lam_{ell} = {lam_root:g}"
+                    f"lam_{root.ell} = {lam_root:g}"
                 )
-        ell += 1
+
+
+def limit_seeds(n: int, p: ModelParams, n_points: int) -> list[tuple[str, Profile]]:
+    """The 2n+1 limit seeds of the census with their origin labels: the
+    constant w0, then the lower and upper member of every j-crossing pair,
+    j = 1..n."""
+    seeds = [("constant", Profile.constant(w0_const(p), n_points))]
+    for j in range(1, n + 1):
+        lower, upper = nodal_pair(j, p, n_points)
+        seeds.append((f"nodal({j},lower)", lower.profile))
+        seeds.append((f"nodal({j},upper)", upper.profile))
+    return seeds
 
 
 def census(n: int, p: ModelParams, n_points: int = 2001, margin: float | None = None) -> CensusResult:
@@ -425,10 +418,8 @@ def census(n: int, p: ModelParams, n_points: int = 2001, margin: float | None = 
     if int(n) != n or n < 1:
         raise DomainError(f"census needs an integer n >= 1, got {n!r}")
     n = int(n)
-    kappa = 0
-    while p.mu > mu_threshold(kappa + 1, p):
-        kappa += 1
-    if kappa < 1 or not mu_threshold(kappa, p) < p.mu < mu_threshold(kappa + 1, p):
+    kappa = len(mode_windows(p))
+    if kappa < 1 or not p.mu < mu_threshold(kappa + 1, p):
         raise DomainError(
             f"census requires mu strictly between consecutive mode thresholds; mu = {p.mu:g}"
         )
@@ -437,11 +428,7 @@ def census(n: int, p: ModelParams, n_points: int = 2001, margin: float | None = 
     admissible_lambda(n, p, margin=margin)
 
     v_flat = Profile.constant(p.mu / p.d, n_points)
-    seeds: list[tuple[str, Profile]] = [("constant", Profile.constant(w0_const(p), n_points))]
-    for j in range(1, n + 1):
-        lower, upper = nodal_pair(j, p, n_points)
-        seeds.append((f"nodal({j},lower)", lower.profile))
-        seeds.append((f"nodal({j},upper)", upper.profile))
+    seeds = limit_seeds(n, p, n_points)
     for origin, seed_w in seeds:
         assert_nondegenerate(seed_w, p, label=f"census seed {origin}")
 

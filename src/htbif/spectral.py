@@ -1,5 +1,6 @@
 """Eigencurves of the linearization at the constant state, their real roots,
-mode thresholds in mu, and the Morse index of the constant state.
+mode thresholds in mu, the mode windows, the Morse index of the constant
+state, and the closed forms of the branch expansion at the window ends.
 
 The linearization at w0 has the explicit eigenvalue curves
 
@@ -7,7 +8,9 @@ The linearization at w0 has the explicit eigenvalue curves
 
 quadratics in lam whose real roots lam_ell^- <= lam_ell^+ open the existence
 windows of ell-crossing solutions.  Roots are real exactly when mu reaches
-the threshold mu_ell = (d/b)(2 ell pi)^2.
+the threshold mu_ell = (d/b)(2 ell pi)^2; the window is open once mu exceeds
+it.  mode_windows and window_lambdas are the one place that decides which
+windows are open and how a window is swept.
 """
 
 from __future__ import annotations
@@ -17,19 +20,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .model import ModelParams
+from .errors import DegenerateError, DomainError, NoSolutionError
+from .model import ModelParams, Profile
 
 __all__ = [
     "EigencurveRoot",
     "MorseIndexTable",
     "eigencurve_table",
+    "eta2_closed_form",
     "lambda_roots",
+    "mode_windows",
     "morse_index_table",
     "morse_index_w0",
     "mu_threshold",
     "tau0",
     "tau0_dot",
+    "window_lambdas",
+    "y1_closed_form",
 ]
 
 
@@ -108,6 +115,37 @@ def lambda_roots(ell: int, p: ModelParams) -> EigencurveRoot:
     return EigencurveRoot(ell, p.mu, lam_minus, lam_plus, True)
 
 
+def _open_window(ell: int, p: ModelParams) -> EigencurveRoot | None:
+    """The mode-ell root pair if its window is open: mu exceeds mu_ell and the
+    pair is simple (at mu = mu_ell it is a double root and holds no lam)."""
+    if not p.mu > mu_threshold(ell, p):
+        return None
+    root = lambda_roots(ell, p)
+    if not root.is_real or root.lambda_minus == root.lambda_plus:
+        return None
+    return root
+
+
+def mode_windows(p: ModelParams) -> list[EigencurveRoot]:
+    """Open root windows (lam_n^-, lam_n^+) of modes n = 1, 2, ... at p.mu."""
+    windows: list[EigencurveRoot] = []
+    root = _open_window(1, p)
+    while root is not None:
+        windows.append(root)
+        root = _open_window(root.ell + 1, p)
+    return windows
+
+
+def window_lambdas(n: int, p: ModelParams, count: int) -> list[float]:
+    """count interior points lam_j = lo + (j+1)(hi-lo)/(count+1) of the mode-n
+    window (lo, hi); NoSolutionError when that window is closed."""
+    root = _open_window(n, p)
+    if root is None:
+        raise NoSolutionError(f"mode {n} has no real root window at mu = {p.mu:g}")
+    lo, hi = root.lambda_minus, root.lambda_plus
+    return [lo + (j + 1) * (hi - lo) / (count + 1) for j in range(count)]
+
+
 def default_ell_max(p: ModelParams) -> int:
     """Smallest safe mode cutoff: tau0 is positive for all modes beyond it."""
     return int(math.ceil(math.sqrt(p.bmu_over_d) / math.pi)) + 2
@@ -127,17 +165,10 @@ def morse_index_table(p: ModelParams) -> MorseIndexTable:
     """Breakpoints and per-cell Morse indices of the constant state over (0, b*mu/d)."""
     if not p.mu > 0.0:
         raise DomainError(f"Morse table requires mu > 0, got mu = {p.mu!r}")
-    minus: list[float] = []
-    plus: list[float] = []
-    ell = 1
-    while p.mu > mu_threshold(ell, p):
-        root = lambda_roots(ell, p)
-        if not root.is_real or root.lambda_minus == root.lambda_plus:
-            break
-        minus.append(root.lambda_minus)
-        plus.append(root.lambda_plus)
-        ell += 1
-    breakpoints = np.asarray(minus + plus[::-1], dtype=float)
+    windows = mode_windows(p)
+    minus = [root.lambda_minus for root in windows]
+    plus = [root.lambda_plus for root in reversed(windows)]
+    breakpoints = np.asarray(minus + plus, dtype=float)
     edges = np.concatenate(([0.0], breakpoints, [p.bmu_over_d]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     indices = np.asarray([morse_index_w0(m, p) for m in mids], dtype=int)
@@ -149,3 +180,54 @@ def eigencurve_table(p: ModelParams, ell_max: int | None = None) -> list[Eigencu
     if ell_max is None:
         ell_max = default_ell_max(p)
     return [lambda_roots(ell, p) for ell in range(_check_mode(ell_max) + 1)]
+
+
+def _side_root(n: int, side: str, p: ModelParams) -> tuple[float, float]:
+    """(lam_n^side, d tau/d lam there); the derivative is +/- sqrt(disc)."""
+    if side not in ("minus", "plus"):
+        raise DomainError(f"side must be 'minus' or 'plus', got {side!r}")
+    if int(n) != n or n < 1:
+        raise DomainError(f"mode must be an integer >= 1, got {n!r}")
+    root = lambda_roots(int(n), p)
+    if not root.is_real:
+        raise DomainError(f"mode {n} roots are complex at mu = {p.mu:g} (below the threshold)")
+    disc = 1.0 - 4.0 * p.d * (int(n) * math.pi) ** 2 / (p.b * p.mu)
+    s = math.sqrt(max(disc, 0.0))
+    if side == "minus":
+        return root.lambda_minus, -s
+    return root.lambda_plus, s
+
+
+def y1_closed_form(n: int, side: str, p: ModelParams, n_points: int = 2001) -> Profile:
+    """First profile correction of the branch expansion,
+    (lam/2) (d lam/(n pi b mu))^2 [cos(2 n pi x)/3 - 1] at lam = lam_n^side.
+
+    Orthogonal to the kernel mode cos(n pi x) by construction.
+    """
+    lam, _ = _side_root(n, side, p)
+    x = np.linspace(0.0, 1.0, int(n_points))
+    coef = 0.5 * lam * (p.d * lam / (int(n) * math.pi * p.b * p.mu)) ** 2
+    return Profile(coef * (np.cos(2.0 * int(n) * math.pi * x) / 3.0 - 1.0))
+
+
+def eta2_closed_form(n: int, side: str, p: ModelParams) -> float:
+    """Quadratic coefficient of lam(s) at lam_n^side, from the kernel projection.
+
+    With r = d lam/(b mu) and the two exact integrals
+    int cos^2(n pi x) y1 = -(5 lam/24)(r/(n pi))^2 and int cos^4 = 3/8,
+
+        eta2 = 2 [2 lam r^2 int(cos^2 y1) - (3/8) lam r^3] / tau0_dot(lam).
+
+    The sign is opposite to the side: positive at the minus root, negative at
+    the plus root (branches open into the window).  Degenerate exactly at the
+    mode threshold, where the root is double and the derivative vanishes.
+    """
+    lam, taudot = _side_root(n, side, p)
+    if taudot == 0.0:
+        raise DegenerateError(
+            f"eta2 undefined at mu = mu_{n} = {mu_threshold(int(n), p):g}: double root, zero transversality"
+        )
+    r = p.d * lam / (p.b * p.mu)
+    int_phi2_y1 = -(5.0 * lam / 24.0) * (r / (int(n) * math.pi)) ** 2
+    rhs = 2.0 * lam * r * r * int_phi2_y1 - lam * r ** 3 * (3.0 / 8.0)
+    return 2.0 * rhs / taudot

@@ -81,6 +81,14 @@ class TestMorseCSV:
                 assert cells[2] == "1"
 
 
+    def test_threshold_mu_has_no_window(self, tmp_path, capsys):
+        # at mu = mu_1 the mode-1 root pair is a double root: no window, no rows
+        out = tmp_path / "morse.csv"
+        assert run_cli(["morse", "--mu", repr(4.0 * math.pi ** 2), "--n", "1", "-o", str(out)]) == 1
+        assert "NoSolutionError: mode 1 has no real root window" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBifdirJSON:
     def test_schema_and_content(self, tmp_path):
         out = tmp_path / "bd.json"

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from htbif.errors import DomainError
+from htbif.errors import DomainError, NoSolutionError
 from htbif.model import ModelParams
 from htbif.spectral import (
     eigencurve_table,
     lambda_roots,
+    mode_windows,
     morse_index_table,
     morse_index_w0,
     mu_threshold,
     tau0,
     tau0_dot,
+    window_lambdas,
 )
 
 
@@ -152,3 +154,39 @@ def test_eigencurve_table_covers_modes(desk):
     assert table[0].lambda_minus == 0.0
     assert table[0].lambda_plus == pytest.approx(desk.bmu_over_d)
     assert table[1].is_real and not table[2].is_real
+
+
+class TestModeWindows:
+    @pytest.mark.parametrize("mu", [170.0, 360.0])
+    def test_window_lambdas_match_the_inline_sweep(self, mu):
+        p = ModelParams(mu=mu)
+        for root in mode_windows(p):
+            lo, hi = root.lambda_minus, root.lambda_plus
+            inline = [lo + (j + 1) * (hi - lo) / (61 + 1) for j in range(61)]
+            assert window_lambdas(root.ell, p, 61) == inline
+
+    def test_window_count_across_thresholds(self, desk):
+        mu_1 = mu_threshold(1, desk)
+        mu_2 = mu_threshold(2, desk)
+        assert mode_windows(ModelParams(mu=0.5 * mu_1)) == []
+        assert mode_windows(ModelParams(mu=mu_1)) == []
+        above = mode_windows(ModelParams(mu=mu_2 * (1.0 + 1e-9)))
+        assert [root.ell for root in above] == [1, 2]
+        assert above[1].lambda_minus < above[1].lambda_plus
+        assert [root.ell for root in mode_windows(ModelParams(mu=mu_2))] == [1]
+
+    def test_window_lambdas_refuses_a_closed_window(self, desk):
+        with pytest.raises(NoSolutionError, match="mode 2 has no real root window"):
+            window_lambdas(2, desk, 5)
+        with pytest.raises(NoSolutionError, match="mode 1 has no real root window"):
+            window_lambdas(1, ModelParams(mu=mu_threshold(1, desk)), 5)
+
+    def test_threshold_is_closed_even_when_rounding_splits_the_root(self):
+        # at mu = mu_2 for these b, d the float roots differ by about 2e-6
+        base = ModelParams(b=1.7, d=1.3)
+        p = ModelParams(b=1.7, d=1.3, mu=mu_threshold(2, base))
+        root = lambda_roots(2, p)
+        assert root.is_real and root.lambda_minus < root.lambda_plus
+        assert [w.ell for w in mode_windows(p)] == [1]
+        with pytest.raises(NoSolutionError):
+            window_lambdas(2, p, 5)
