@@ -97,12 +97,13 @@ def criterion_04_monotone_divergence() -> CriterionResult:
     1e-9) is below the time map's near-saddle error.
     """
     p = DESK
-    w0 = w0_const(p)
+    plane = timemap.PhasePlane(p)
+    w0 = plane.w0
     grid = w0 * (np.arange(1, 201) / 201.0)
     decreasing = timemap.monotone_check(p, grid)
     k = math.sqrt(p.b * p.mu / p.d - p.lam)
     scales = (1e-8, 1e-9, 1e-10)
-    near = [timemap.time_map(s * w0, p).T for s in scales]
+    near = [plane.time_map(s * w0).T for s in scales]
     slope_errs = [
         abs(k * (near[i + 1] - near[i]) / math.log(scales[i] / scales[i + 1]) - 1.0)
         for i in range(len(scales) - 1)
@@ -110,9 +111,9 @@ def criterion_04_monotone_divergence() -> CriterionResult:
     law_ok = all(err < 1e-6 for err in slope_errs)
     growing = all(a < b for a, b in zip(near, near[1:]))
     # with the grid decreasing (which `ok` also requires) its largest T is at grid[0]
-    t_grid_max = timemap.time_map(float(grid[0]), p).T
+    t_grid_max = plane.time_map(float(grid[0])).T
     above_grid = near[-1] > t_grid_max
-    ratio = timemap.time_map(1e-6 * w0, p).T / timemap.time_map_center(p)
+    ratio = plane.time_map(1e-6 * w0).T / plane.T_c
     ok = decreasing and law_ok and growing and above_grid
     return _result(
         4, "time-map monotonicity and divergence", ok,
@@ -181,10 +182,11 @@ def _rk4_march(w_start: float, p: ModelParams, duration: float, n_steps: int):
 
 def criterion_07_cross_oracle() -> CriterionResult:
     p = DESK
-    w0 = w0_const(p)
+    plane = timemap.PhasePlane(p)
+    w0 = plane.w0
     worst = 0.0
     for frac in np.linspace(0.05, 0.95, 20):
-        sample = timemap.time_map(w0 * float(frac), p)
+        sample = plane.time_map(w0 * float(frac))
         n_steps = max(2000, int(math.ceil(sample.T / 2e-4)))
         w_end, z_end = _rk4_march(sample.w_minus, p, sample.T, n_steps)
         worst = max(worst, abs(w_end - sample.w_plus), abs(z_end))

@@ -166,9 +166,10 @@ def _run_timemap(p, opts, out):
     if samples < 1:
         raise DomainError("--samples must be >= 1")
     w0 = w0_const(p)
+    plane = timemap.PhasePlane(p)
     rows = []
     for j in range(1, samples + 1):
-        s = timemap.time_map(w0 * j / (samples + 1.0), p)
+        s = plane.time_map(w0 * j / (samples + 1.0))
         rows.append((s.w_minus, s.w_plus, s.T, s.energy_level))
     _write_csv(out, ["w_minus", "w_plus", "T", "energy_level"], rows)
 

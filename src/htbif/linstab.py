@@ -185,13 +185,16 @@ def detect_singular_set(n: int, p: ModelParams, n_lambda: int = 80, n_points: in
     because its potential is the same even periodic extension sampled with a
     phase shift.  An empty list is a valid (and expected) outcome.
     """
+    if int(n) != n or n < 1:
+        raise DomainError(f"crossing count must be an integer >= 1, got {n!r}")
+    n = int(n)
     lams: list[float] = []
     tau_pair: list[tuple[float, float]] = []
-    for lam in window_lambdas(int(n), p, n_lambda):
+    for lam in window_lambdas(n, p, n_lambda):
         q = p.with_lam(lam)
         try:
             w = integrate_cauchy(solve_amplitude(n, q), q, n_points)
-            spec = sturm_spectrum(nodal_potential(w, q), int(n) + 1)
+            spec = sturm_spectrum(nodal_potential(w, q), n + 1)
         except (NoSolutionError, ConvergenceError, IntegrationError):
             continue
         lams.append(lam)
@@ -216,7 +219,7 @@ def detect_singular_set(n: int, p: ModelParams, n_lambda: int = 80, n_points: in
     if not found:
         return []
     found.sort()
-    root = lambda_roots(int(n), p)
+    root = lambda_roots(n, p)
     resolution = (root.lambda_plus - root.lambda_minus) / (n_lambda + 1)
     merged = [found[0]]
     for lam in found[1:]:

@@ -314,7 +314,8 @@ def ab_certify(p: ModelParams, n_samples: int = 10_000) -> ABReport:
 
 def monotone_check(p: ModelParams, grid) -> bool:
     """True iff T strictly decreases along the ascending grid in (0, w0)."""
-    w0 = _require_window(p)
+    plane = PhasePlane(p)
+    w0 = plane.w0
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise DomainError("grid must be a 1-d array with at least two points")
@@ -322,5 +323,5 @@ def monotone_check(p: ModelParams, grid) -> bool:
         raise DomainError("grid must ascend strictly")
     if not (grid[0] > 0.0 and grid[-1] < w0):
         raise DomainError(f"grid must lie inside (0, w0) = (0, {w0:g})")
-    times = np.asarray([time_map(w, p).T for w in grid])
+    times = np.asarray([plane.time_map(w).T for w in grid])
     return bool(np.all(np.diff(times) < 0.0))

@@ -149,6 +149,14 @@ class TestDetectSingularSet:
         with pytest.raises(NoSolutionError):
             detect_singular_set(2, desk, n_lambda=10)
 
+    def test_integral_float_mode_matches_int(self, desk):
+        assert detect_singular_set(1.0, desk, n_lambda=3) == detect_singular_set(1, desk, n_lambda=3)
+
+    @pytest.mark.parametrize("n", [1.5, 0])
+    def test_rejects_non_mode(self, desk, n):
+        with pytest.raises(DomainError):
+            detect_singular_set(n, desk, n_lambda=3)
+
 
 class TestY1ClosedForm:
     def test_orthogonal_to_kernel_mode(self, desk):

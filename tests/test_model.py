@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htbif.errors import DomainError
 from htbif.model import (
@@ -18,6 +21,7 @@ from htbif.model import (
     potential_gap,
     w0_const,
 )
+from htbif.model import _w_minus_log1p
 
 
 class TestCoeffFn:
@@ -197,3 +201,79 @@ class TestEnergy:
 
     def test_direct_value(self, desk):
         assert energy(PhaseState(1.0, 2.0), desk) == pytest.approx(2.0 - 2.8426409720027345, rel=1e-13)
+
+
+def _digits_lost(w: float) -> int:
+    """Extra working digits for w - log1p(w) ~ w^2/2: the subtraction cancels
+    about log10(1/|w|) digits, and twice that leaves a margin."""
+    return 2 * max(0, -math.floor(math.log10(abs(w)))) if w else 0
+
+
+def _w_minus_log1p_ref(w: float):
+    """w - log1p(w) to 50 significant digits."""
+    with mpmath.workdps(50 + _digits_lost(w)):
+        W = mpmath.mpf(w)
+        return +(W - mpmath.log1p(W))
+
+
+def _small_w():
+    # w^2/2 leaves the normal range near |w| = 2e-154, where an ulp stops
+    # being a relative measure, so the draws stop at 1e-150
+    uniform = st.floats(-0.25, 0.25).filter(lambda w: w == 0.0 or abs(w) >= 1e-150)
+    tiny = st.builds(
+        lambda e, sign: sign * 10.0 ** e,
+        st.floats(-150.0, math.log10(0.25)),
+        st.sampled_from((-1.0, 1.0)),
+    )
+    return st.one_of(uniform, tiny)
+
+
+class TestPotentialKernel:
+    """The cancellation-free w - log1p(w) inside potential_F."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=_small_w())
+    def test_matches_50_digit_reference(self, w):
+        p = ModelParams()
+        g = _w_minus_log1p_ref(w)
+        with mpmath.workdps(60 + _digits_lost(w)):
+            exact = mpmath.mpf(p.lam) / 2 * mpmath.mpf(w) ** 2 - mpmath.mpf(p.bmu_over_d) * g
+            err = abs(mpmath.mpf(float(potential_F(w, p))) - exact)
+        assert err <= 4.0 * np.spacing(float(p.bmu_over_d * g))
+
+    def test_branches_agree_across_quarter(self):
+        # |w| <= 1/4 takes the atanh form, |w| > 1/4 takes w - log1p(w), which
+        # loses about 3 bits to cancellation there; both stay within 5 ulp of
+        # the reference on 200 ulp either side, so they agree to 10 ulp
+        for edge in (0.25, -0.25):
+            pts = [edge]
+            for toward in (0.0, 2.0 * edge):
+                w = edge
+                for _ in range(200):
+                    w = np.nextafter(w, toward)
+                    pts.append(w)
+            pts = np.array(pts)
+            assert np.count_nonzero(np.abs(pts) <= 0.25) == 201
+            for w, v in zip(pts, _w_minus_log1p(pts)):
+                ref = _w_minus_log1p_ref(float(w))
+                assert abs(mpmath.mpf(float(v)) - ref) <= 5.0 * np.spacing(float(ref))
+
+    def test_pointwise(self, desk):
+        rng = np.random.default_rng(3)
+        w = np.concatenate([rng.uniform(-0.25, 0.25, 9), rng.uniform(-0.9, 6.0, 8), [0.25, -0.25, 1e-200]])
+        rng.shuffle(w)
+        whole = potential_F(w, desk)
+        for x, v in zip(w, whole):
+            assert potential_F(float(x), desk) == v
+        assert np.array_equal(potential_F(w[:5], desk), whole[:5])
+
+    @pytest.mark.parametrize("bad", [-1.0, -1.5, math.nan, math.inf, -math.inf])
+    def test_domain_rejects(self, desk, bad):
+        with pytest.raises(DomainError):
+            potential_F(bad, desk)
+        with pytest.raises(DomainError):
+            kinetic_f(np.array([0.5, bad, 2.0]), desk)
+
+    def test_empty_array_accepted(self, desk):
+        assert potential_F(np.array([]), desk).shape == (0,)
+        assert kinetic_f(np.empty((0, 3)), desk).shape == (0, 3)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from htbif.errors import DomainError
@@ -172,6 +174,23 @@ class TestPhasePlane:
             gc.enable()
 
 
+class TestTimeMapAcrossParameters:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        log_b=st.floats(-1.0, 1.0),
+        log_d=st.floats(-1.0, 1.0),
+        log_mu=st.floats(0.0, 3.0),
+        lam_frac=st.floats(0.05, 0.95),
+    )
+    def test_decreasing_and_above_center(self, log_b, log_d, log_mu, lam_frac):
+        b, d, mu = 10.0 ** log_b, 10.0 ** log_d, 10.0 ** log_mu
+        p = ModelParams(b=b, d=d, mu=mu, lam=lam_frac * b * mu / d)
+        plane = PhasePlane(p)
+        times = [plane.time_map(s * plane.w0).T for s in (1e-8, 1e-4, 0.1, 0.5, 0.9)]
+        assert all(t1 > t2 for t1, t2 in zip(times, times[1:])), times
+        assert times[-1] > time_map_center(p)
+
+
 class TestABCertify:
     def test_desk_certificate(self, desk):
         report = ab_certify(desk, n_samples=10_000)
@@ -221,6 +240,16 @@ class TestMonotoneCheck:
         grid = np.array([1e-6, 0.2 * w0, 0.6 * w0, 0.95 * w0])
         ts = [time_map(float(w), desk).T for w in grid]
         assert ts[0] == max(ts)
+
+    @pytest.mark.parametrize(
+        "fracs, verdict",
+        [((1e-8, 0.3, 0.7, 0.99), True), ((1.0 - 1e-9, 1.0 - 5e-10), False)],  # 2nd: both at T_c
+    )
+    def test_verdict_matches_wrapper_calls(self, desk, fracs, verdict):
+        grid = w0_const(desk) * np.asarray(fracs)
+        times = [time_map(w, desk).T for w in grid]
+        assert all(a > b for a, b in zip(times, times[1:])) == verdict
+        assert monotone_check(desk, grid) == verdict
 
     def test_grid_validation(self, desk):
         with pytest.raises(DomainError):
