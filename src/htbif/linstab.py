@@ -6,7 +6,9 @@ The linearization at a solution w of the limit problem is the Neumann
 operator -D^2 + V with potential V(x) = -lam + (b mu/d)/(1 + w(x))^2.  It is
 discretized by centered second differences with mirror ghost nodes; a
 half-weight diagonal similarity restores symmetry, so the discrete operator
-is a symmetric tridiagonal matrix with O(h^2) eigenvalue error.
+is a symmetric tridiagonal matrix.  Its O(h^2) eigenvalue error grows like
+(k pi)^4 h^2/12 with the mode k; sturm_spectrum adds back the V-free part
+(Paine, de Hoog & Anderssen), so Morse counts hold near window ends.
 
 Near a bifurcation point lam_n^(+/-) the branch admits the expansion
 
@@ -59,9 +61,10 @@ __all__ = [
 class Spectrum:
     """Lowest eigenvalues of -D^2 + V(x) with no-flux conditions.
 
+    ``eigenvalues`` carry the asymptotic correction of sturm_spectrum;
     ``eigenfunctions`` holds the corresponding discrete eigenvectors
     (columns, sup-normalized); ``morse_index`` counts every negative
-    eigenvalue of the full discrete operator, not only the computed ones.
+    corrected eigenvalue, not only the computed ones.
     """
 
     eigenvalues: np.ndarray
@@ -127,26 +130,35 @@ def sturm_count_below(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
 
 
 def sturm_spectrum(V: Profile, m: int) -> Spectrum:
-    """Lowest m eigenvalues and eigenfunctions of -D^2 + V(x), Neumann."""
+    """Lowest m corrected eigenvalues and eigenfunctions of -D^2 + V(x), Neumann.
+
+    The k-th (0-based) eigenvalue gains (k pi)^2 - (4/h^2) sin^2(k pi h/2),
+    its exact-minus-discrete value at V = 0 (Paine, de Hoog & Anderssen).  The
+    correction is never negative, so the Morse index counts the negative
+    values among the lowest (raw Sturm count) corrected eigenvalues.
+    """
     if int(m) != m or m < 1:
         raise DomainError(f"need m >= 1 eigenvalues, got {m!r}")
     m = int(m)
     if m > V.n_points:
         raise DomainError(f"m = {m} exceeds the {V.n_points}-point discretization size")
     diag, off = neumann_tridiagonal(V)
+    raw = sturm_count_below(diag, off, 0.0)
     try:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1))
+        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, max(m, raw) - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - symmetric tridiagonal
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    k_pi = math.pi * np.arange(vals.size)
+    vals = vals + (k_pi ** 2 - (4.0 / V.h ** 2) * np.sin(0.5 * V.h * k_pi) ** 2)
+    morse = int(np.count_nonzero(vals[:raw] < 0.0))
     # undo the symmetrizing similarity, then sup-normalize with positive start
-    vecs = vecs.copy()
+    vecs = vecs[:, :m].copy()
     vecs[0, :] *= math.sqrt(2.0)
     vecs[-1, :] *= math.sqrt(2.0)
     peaks = np.max(np.abs(vecs), axis=0)
     signs = np.where(vecs[0, :] >= 0.0, 1.0, -1.0)
     vecs = vecs * (signs / peaks)
-    morse = sturm_count_below(diag, off, 0.0)
-    return Spectrum(vals, V, V.n_points, morse, vecs)
+    return Spectrum(vals[:m], V, V.n_points, morse, vecs)
 
 
 def nodal_potential(w: Profile, p: ModelParams) -> Profile:

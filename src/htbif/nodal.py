@@ -5,12 +5,13 @@ window.
 
 An n-crossing solution exists iff n * T(w0) < 1; its starting amplitude is
 the unique w_- in (0, w0) with n * T(w_-) = 1 (the time map is strictly
-decreasing).  Integrating the Cauchy problem from (w_-, 0) over [0, 1] then
-satisfies the right Neumann condition automatically because x = 1 is the
-n-th turning time.  The second solution of the pair is the half-period shift
-of the first: extend the profile evenly about x = 1 and shift by 1/n, which
-is the same function as the Cauchy solution started at the companion turning
-point (w_+, 0).
+decreasing), solved in ln w_- on a bracket that the saddle law guarantees.
+Integrating the Cauchy problem from (w_-, 0) over [0, 1] then satisfies the
+right Neumann condition because x = 1 is the n-th turning time; one Newton
+step on the time map's own slope polishes what the solve leaves.  The second
+solution of the pair is the half-period shift of the first: extend the
+profile evenly about x = 1 and shift by 1/n, which is the same function as
+the Cauchy solution started at the companion turning point (w_+, 0).
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class SolutionSet:
 
 
 def solve_amplitude(n: int, p: ModelParams, tol: float = _AMPLITUDE_TOL) -> float:
-    """Unique starting value w_- in (0, w0) with n * T(w_-) = 1, found by
-    Brent's method against one PhasePlane context of p.
+    """Unique starting value w_- in (0, w0) with n * T(w_-) = 1 to within
+    tol, found by Brent's method in ln w_- against one PhasePlane context of p.
 
     Raises NoSolutionError outside the existence window, reporting which
     precondition failed (mu at or below the mode threshold, or lam outside
@@ -127,35 +128,36 @@ def _existing_mode(n, p: ModelParams) -> int:
 
 
 def _invert_time_map(n: int, plane: PhasePlane, tol: float) -> float:
-    """Brent's method for n * T(w_-) = 1 on [1e-10 w0, w0 (1 - 1e-10)].
+    """Brent's method for n T(e^s) = 1 in s = ln w_- on the bracket
+    [ln w0 - k/n - 1, ln w0 + log1p(-1e-10)], k = sqrt(b mu/d - lam).
 
-    T falls strictly from the saddle to its center value, and n T_c < 1 has
-    been checked, so the bracket holds the one sign change.
+    The top lies inside the center cutoff, where n T = n T_c < 1.  The floor
+    cannot miss: w - log1p(w) <= w^2/2 on (0, w0) gives F(w) >= -k^2 w^2/2,
+    and F(w_-) < 0, so T(w_-) > ln(w0/w_-)/k and n T > 1 + n/k there.  Near
+    the saddle T is almost linear in s (slope -1/k), so the root keeps full
+    relative precision however small w_- is.
     """
-    w0 = plane.w0
-    delta = 1e-10 * w0
-    lo, hi = delta, w0 * (1.0 - delta / w0)
+    k = math.sqrt(plane.bmu_d - plane.p.lam)
+    log_w0 = math.log(plane.w0)
+    lo, hi = log_w0 - k / n - 1.0, log_w0 + math.log1p(-1e-10)
     values = {}
 
-    def h(wm: float) -> float:
-        if wm not in values:
-            values[wm] = n * plane.time_map(wm).T - 1.0
-        return values[wm]
+    def h(s: float) -> float:
+        if s not in values:
+            values[s] = n * plane.time_map(math.exp(s)).T - 1.0
+        return values[s]
 
     h_lo = h(lo)
     if h_lo <= 0.0:
-        raise ConvergenceError(
-            f"amplitude bracket failed: n*T at the bracket floor is {h_lo + 1.0:g} <= 1 "
-            "(orbit amplitude below representable range)"
-        )
+        raise ConvergenceError(f"amplitude bracket failed: n*T = {h_lo + 1.0:g} <= 1 at the saddle-law floor")
     root, info = brentq(
-        h, lo, hi, xtol=2.0 * np.finfo(float).eps * w0, rtol=4.0 * np.finfo(float).eps,
+        h, lo, hi, xtol=2.0 * np.finfo(float).eps, rtol=4.0 * np.finfo(float).eps,
         maxiter=200, full_output=True, disp=False,
     )
     residual = abs(h(root))
     if not info.converged or residual >= tol:
-        raise ConvergenceError(f"amplitude bisection stalled with |n*T - 1| = {residual:g} >= {tol:g}")
-    return root
+        raise ConvergenceError(f"amplitude solve stalled with |n*T - 1| = {residual:g} >= {tol:g}")
+    return math.exp(root)
 
 
 def _integrate_wz(w_start: float, p: ModelParams, n_points: int):
@@ -298,23 +300,19 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolut
     w_minus = _invert_time_map(n, plane, _AMPLITUDE_TOL)
     w0 = plane.w0
     ws, zs = _integrate_wz(w_minus, p, int(n_points))
-    _check_energy_drift(ws, zs, w_minus, p)
 
-    # shooting polish: the quadrature inversion leaves a terminal slope of
-    # order 1e-11, which the even-extension shift would turn into a junction
-    # kink; a secant step on z(1) drives it to the integrator floor
+    # shooting polish: z(1) = -f(w_end) (1 - n T(w_-)) to first order, w_end being
+    # w_+ for odd n and w_- for even n, so one Newton step on the time map's
+    # central-difference slope takes z(1) to the integrator floor
     z1 = float(zs[-1])
     if abs(z1) > _SHOOT_TOL:
-        probe = min(1e-6 * w0, 0.5 * (w0 - w_minus))
-        ws2, zs2 = _integrate_wz(w_minus + probe, p, int(n_points))
-        slope = (float(zs2[-1]) - z1) / probe
-        for _ in range(3):
-            if abs(z1) <= _SHOOT_TOL or slope == 0.0:
-                break
-            w_minus = w_minus - z1 / slope
+        step = 1e-4 * min(w_minus, w0 - w_minus)
+        dT = (plane.time_map(w_minus + step).T - plane.time_map(w_minus - step).T) / (2.0 * step)
+        slope = float(kinetic_f(plane.companion(w_minus) if n % 2 else w_minus, p)) * n * dT
+        if slope != 0.0:
+            w_minus -= z1 / slope
             ws, zs = _integrate_wz(w_minus, p, int(n_points))
-            z1 = float(zs[-1])
-        _check_energy_drift(ws, zs, w_minus, p)
+    _check_energy_drift(ws, zs, w_minus, p)
 
     w_plus = plane.companion(w_minus)
     if (n_points - 1) % n == 0:

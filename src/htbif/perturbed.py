@@ -42,7 +42,7 @@ from .errors import (
     GridMismatchError,
     PositivityError,
 )
-from .linstab import degeneracy_tolerance, neumann_tridiagonal, nodal_potential, sturm_count_below
+from .linstab import degeneracy_tolerance, neumann_tridiagonal, nodal_potential, sturm_count_below, sturm_spectrum
 from .model import ModelParams, Profile, w0_const
 from .nodal import NodalSolution, nodal_pair
 from .spectral import lambda_roots, mode_windows, mu_threshold
@@ -311,11 +311,13 @@ def residual_fine(state: CoexistenceState, p: ModelParams) -> float:
 
 
 def assert_nondegenerate(w: Profile, p: ModelParams, label: str = "state") -> None:
-    """Raise DegenerateError when the limit w-block has an eigenvalue within
-    the degeneracy tolerance of zero (Sturm counts straddling +/- tol)."""
-    diag, off = neumann_tridiagonal(nodal_potential(w, p))
+    """Raise DegenerateError when the limit w-block has a corrected eigenvalue
+    within the degeneracy tolerance of zero; the correction is never negative,
+    so only eigenvalues whose raw value lies below +tol can qualify."""
+    V = nodal_potential(w, p)
     tol = degeneracy_tolerance(p.lam)
-    if sturm_count_below(diag, off, tol) != sturm_count_below(diag, off, -tol):
+    below = sturm_count_below(*neumann_tridiagonal(V), tol)
+    if below and np.any(np.abs(sturm_spectrum(V, below).eigenvalues) < tol):
         raise DegenerateError(
             f"{label}: linearization has an eigenvalue within {tol:g} of zero at lam = {p.lam:g}"
         )

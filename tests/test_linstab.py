@@ -118,6 +118,24 @@ class TestMorseIndexNodal:
         assert morse_index_nodal(lower, q) == 1
         assert morse_index_nodal(upper, q) == 1
 
+    def test_mode_three_next_to_window_end(self):
+        # 7.0e-6 above lam_3^-: the 3-point operator's (3 pi)^4 h^2/12 bias
+        # (1.6e-4) exceeds the true near-zero eigenvalue of about +1.6e-6
+        p = ModelParams(mu=360.0, lam=159.445646369774)
+        for sol in nodal_pair(3, p):
+            spec = sturm_spectrum(nodal_potential(sol.profile, p), 5)
+            assert spec.morse_index == 3
+            assert 1.55e-6 <= spec.eigenvalues[3] <= 1.65e-6
+
+    @pytest.mark.parametrize("mu, kappa", [(800.0, 4), (1200.0, 5), (1700.0, 6)])
+    def test_top_mode_next_to_window_end(self, mu, kappa):
+        # the raw Sturm count reads kappa + 1 here
+        p = ModelParams(mu=mu)
+        root = lambda_roots(kappa, p)
+        q = p.with_lam(root.lambda_minus + 1e-6 * (root.lambda_plus - root.lambda_minus))
+        for sol in nodal_pair(kappa, q):
+            assert morse_index_nodal(sol, q) == kappa
+
     def test_one_below_constant_index(self, desk):
         from htbif.spectral import morse_index_w0
 

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from htbif import nodal
 from htbif.errors import DomainError, NoSolutionError
 from htbif.model import ModelParams, PhaseState, energy, w0_const
 from htbif.nodal import (
@@ -21,6 +22,11 @@ from htbif.timemap import PhasePlane, companion, time_map, time_map_center
 # 60-digit reference for the 1-crossing amplitude at desk scale
 W_MINUS_REF = 0.3038014537941711793078
 W_PLUS_REF = 1.536889570703870077344
+
+# 1-crossing roots within 1e-8 w0 of the saddle (about 6.4e-9, 5.5e-9,
+# 7.9e-10, 1.7e-11 and 2.7e-11 w0); a solve in w_- with an absolute width
+# loses their relative precision
+NEAR_SADDLE = [(800.0, 88.0), (800.0, 244.0), (1200.0, 600.0), (1200.0, 128.0), (1200.0, 364.0)]
 
 
 class TestSolveAmplitude:
@@ -72,6 +78,13 @@ class TestSolveAmplitude:
             assert counts["_homoclinic_offset"] == 1
             assert counts["time_map"] <= 25
             assert abs(n * time_map(wm, q).T - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("mu, lam", NEAR_SADDLE)
+    def test_near_saddle_root_keeps_precision(self, mu, lam):
+        p = ModelParams(mu=mu, lam=lam)
+        wm = solve_amplitude(1, p)
+        assert wm < 1e-8 * w0_const(p)
+        assert abs(time_map(wm, p).T - 1.0) <= 1e-12
 
 
 class TestIntegrateCauchy:
@@ -156,6 +169,40 @@ class TestNodalPair:
         lower, upper = nodal_pair(3, p, 2001)
         assert lower.crossings == upper.crossings == 3
         assert upper.profile.values[0] > w0_const(p) > lower.profile.values[0]
+
+    def test_near_saddle_pair(self):
+        p = ModelParams(mu=800.0, lam=88.0)
+        lower, upper = nodal_pair(1, p)
+        assert lower.boundary_residual <= 2e-13 and upper.boundary_residual <= 2e-13
+
+    def test_fixed_integration_count(self, monkeypatch):
+        # one RK4 integration per pair, one more only when the polish fires
+        # (|z(1)| > 2e-13) and one more only when 1/n is not a whole number of
+        # grid cells
+        terminal_slopes = []
+        original = nodal._integrate_wz
+
+        def counted(w_start, p, n_points):
+            ws, zs = original(w_start, p, n_points)
+            terminal_slopes.append(float(zs[-1]))
+            return ws, zs
+
+        monkeypatch.setattr(nodal, "_integrate_wz", counted)
+        p = ModelParams(mu=170.0)
+        cases = [(3, ModelParams(mu=360.0, lam=180.0))]
+        for n in (1, 2):
+            root = lambda_roots(n, p)
+            for j in range(8):
+                lam = root.lambda_minus + (j + 0.5) * (root.lambda_plus - root.lambda_minus) / 8
+                cases.append((n, p.with_lam(lam)))
+        polished = 0
+        for n, q in cases:
+            terminal_slopes.clear()
+            nodal_pair(n, q)
+            polish = abs(terminal_slopes[0]) > 2e-13
+            polished += polish
+            assert len(terminal_slopes) == 1 + polish + (2000 % n != 0)
+        assert 0 < polished < len(cases)
 
     def test_window_exactness_both_ways(self, desk):
         root = lambda_roots(1, desk)

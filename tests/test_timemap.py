@@ -190,6 +190,24 @@ class TestTimeMapAcrossParameters:
         assert all(t1 > t2 for t1, t2 in zip(times, times[1:])), times
         assert times[-1] > time_map_center(p)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        log_b=st.floats(-1.0, 1.0),
+        log_d=st.floats(-1.0, 1.0),
+        log_mu=st.floats(0.0, math.log10(1500.0)),
+        lam_frac=st.floats(0.05, 0.95),
+        log_ratio=st.floats(-12.0, math.log10(0.9)),
+    )
+    def test_above_saddle_law_floor(self, log_b, log_d, log_mu, lam_frac, log_ratio):
+        # the amplitude solve's bracket floor rests on T(w_-) > ln(w0/w_-)/k,
+        # k = sqrt(b mu/d - lam), from F(w) >= -k^2 w^2/2 on (0, w0)
+        b, d, mu = 10.0 ** log_b, 10.0 ** log_d, 10.0 ** log_mu
+        p = ModelParams(b=b, d=d, mu=mu, lam=lam_frac * b * mu / d)
+        plane = PhasePlane(p)
+        wm = 10.0 ** log_ratio * plane.w0
+        k = math.sqrt(p.bmu_over_d - p.lam)
+        assert plane.time_map(wm).T > math.log(plane.w0 / wm) / k
+
 
 class TestABCertify:
     def test_desk_certificate(self, desk):
