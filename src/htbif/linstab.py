@@ -41,7 +41,7 @@ from .errors import (
 )
 from .model import ModelParams, Profile, w0_const
 from .nodal import NodalSolution, integrate_cauchy, nodal_pair, solve_amplitude
-from .spectral import eta2_closed_form, lambda_roots, window_lambdas, y1_closed_form
+from .spectral import eta2_closed_form, lambda_roots, window_holds, window_lambdas, y1_closed_form
 
 __all__ = [
     "ExpansionCheck",
@@ -100,7 +100,7 @@ def neumann_tridiagonal(V: Profile):
     solving with this matrix, and scaling the end entries back by sqrt 2.
     """
     n = V.n_points
-    inv_h2 = 1.0 / (V.h * V.h)
+    inv_h2 = (n - 1.0) ** 2
     diag = 2.0 * inv_h2 + V.values
     off = np.full(n - 1, -inv_h2)
     off[0] = -math.sqrt(2.0) * inv_h2
@@ -149,7 +149,7 @@ def sturm_spectrum(V: Profile, m: int) -> Spectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - symmetric tridiagonal
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
     k_pi = math.pi * np.arange(vals.size)
-    vals = vals + (k_pi ** 2 - (4.0 / V.h ** 2) * np.sin(0.5 * V.h * k_pi) ** 2)
+    vals = vals + (k_pi ** 2 - 4.0 * (V.n_points - 1.0) ** 2 * np.sin(0.5 * V.h * k_pi) ** 2)
     morse = int(np.count_nonzero(vals[:raw] < 0.0))
     # undo the symmetrizing similarity, then sup-normalize with positive start
     vecs = vecs[:, :m].copy()
@@ -171,10 +171,13 @@ def morse_index_nodal(sol: NodalSolution, p: ModelParams, m: int | None = None) 
 
     Warns (DegeneracyWarning) when either of the eigenvalues flanking zero,
     tau_{n,n-1} or tau_{n,n}, sits within the degeneracy tolerance: such lam
-    are candidates for the finite singular set inside the window.
+    are candidates for the finite singular set inside the window.  m
+    eigenvalues are computed (default n + 3); DomainError unless m > n.
     """
     if m is None:
         m = sol.n + 3
+    if m <= sol.n:
+        raise DomainError(f"m = {m!r} eigenvalues cannot reach tau_(n,n); need m > n = {sol.n}")
     spec = sturm_spectrum(nodal_potential(sol.profile, p), m)
     tol = degeneracy_tolerance(p.lam)
     lo = float(spec.eigenvalues[sol.n - 1])
@@ -197,12 +200,11 @@ def detect_singular_set(n: int, p: ModelParams, n_lambda: int = 80, n_points: in
     because its potential is the same even periodic extension sampled with a
     phase shift.  An empty list is a valid (and expected) outcome.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"crossing count must be an integer >= 1, got {n!r}")
+    window = window_lambdas(n, p, n_lambda)  # validates n
     n = int(n)
     lams: list[float] = []
     tau_pair: list[tuple[float, float]] = []
-    for lam in window_lambdas(n, p, n_lambda):
+    for lam in window:
         q = p.with_lam(lam)
         try:
             w = integrate_cauchy(solve_amplitude(n, q), q, n_points)
@@ -262,8 +264,8 @@ def fit_expansion(
     nearest s = 0.02, averaged over the two signed branches so the O(s)
     remainder cancels.
     """
-    n = int(n)
     eta2_cf = eta2_closed_form(n, side, p)  # validates n and side
+    n = int(n)
     root = lambda_roots(n, p)
     lam_side = root.lambda_minus if side == "minus" else root.lambda_plus
 
@@ -276,10 +278,9 @@ def fit_expansion(
     remainders: dict[float, np.ndarray] = {}
     converged_points = 0
     for s in s_ladder:
-        lam = lam_side + eta2_cf * s * s
-        if not root.lambda_minus < lam < root.lambda_plus:
+        q = p.with_lam(lam_side + eta2_cf * s * s)
+        if not window_holds(n, q):
             continue
-        q = p.with_lam(lam)
         try:
             lower, upper = nodal_pair(n, q, int(n_points))
         except (NoSolutionError, ConvergenceError, IntegrationError):
@@ -291,7 +292,7 @@ def fit_expansion(
             u = sol.profile.values - w0
             s_est = 2.0 * float(simpson(u * phi, x=x))
             s_values.append(s_est)
-            lam_values.append(lam)
+            lam_values.append(q.lam)
             rem_pair.append((u - s_est * phi) / (s_est * s_est))
         remainders[s] = 0.5 * (rem_pair[0] + rem_pair[1])
 

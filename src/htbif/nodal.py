@@ -25,8 +25,8 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, IntegrationError, NoSolutionError, ConvergenceError
 from .model import ModelParams, Profile, kinetic_f, potential_F, w0_const
-from .spectral import eta2_closed_form, lambda_roots, mu_threshold, tau0, window_lambdas
-from .timemap import PhasePlane, homoclinic_extent, time_map_center
+from .spectral import eta2_closed_form, lambda_roots, mu_threshold, window_holds, window_lambdas
+from .timemap import PhasePlane, homoclinic_extent
 
 __all__ = [
     "LoopPoint",
@@ -99,17 +99,16 @@ def solve_amplitude(n: int, p: ModelParams, tol: float = _AMPLITUDE_TOL) -> floa
     precondition failed (mu at or below the mode threshold, or lam outside
     the open root window).
     """
-    n = _existing_mode(n, p)
-    return _invert_time_map(n, PhasePlane(p), tol)
+    plane = PhasePlane(p)
+    return _invert_time_map(_existing_mode(n, plane), plane, tol)
 
 
-def _existing_mode(n, p: ModelParams) -> int:
+def _existing_mode(n, plane: PhasePlane) -> int:
     """n as an int, once the n-crossing existence window is known to hold lam."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"crossing count must be an integer >= 1, got {n!r}")
+    p = plane.p
+    holds = window_holds(n, p)  # validates n
     n = int(n)
-    w0_const(p)  # validates the lam window
-    if tau0(n, p.lam, p) >= 0.0:
+    if not holds:
         mu_n = mu_threshold(n, p)
         if p.mu <= mu_n:
             raise NoSolutionError(
@@ -120,7 +119,7 @@ def _existing_mode(n, p: ModelParams) -> int:
             f"no {n}-crossing solution: lam = {p.lam:g} outside the window "
             f"({root.lambda_minus:g}, {root.lambda_plus:g})"
         )
-    if n * time_map_center(p) >= 1.0:
+    if n * plane.T_c >= 1.0:
         raise NoSolutionError(
             f"no {n}-crossing solution: amplitude window is below numerical resolution at lam = {p.lam:g}"
         )
@@ -295,8 +294,8 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolut
     function on the grid.  The shifted profile is verified independently
     against the second-order equation before being returned.
     """
-    n = _existing_mode(n, p)
     plane = PhasePlane(p)
+    n = _existing_mode(n, plane)
     w_minus = _invert_time_map(n, plane, _AMPLITUDE_TOL)
     w0 = plane.w0
     ws, zs = _integrate_wz(w_minus, p, int(n_points))
@@ -348,7 +347,7 @@ def max_crossing_number(p: ModelParams) -> int:
     """Largest n whose existence window contains lam (0 when only w0 exists)."""
     w0_const(p)  # validates the window
     n = 0
-    while tau0(n + 1, p.lam, p) < 0.0:
+    while window_holds(n + 1, p):
         n += 1
     return n
 
@@ -368,10 +367,7 @@ def trace_loop(n: int, p: ModelParams, n_lambda: int = 41) -> list[LoopPoint]:
     point (lam, w0) is reported instead of running the ill-conditioned
     solve.  Failures at individual points are warned about and skipped.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"crossing count must be an integer >= 1, got {n!r}")
-    n = int(n)
-    lams = window_lambdas(n, p, n_lambda)
+    lams = window_lambdas(n, p, n_lambda)  # validates n
     eta2 = {side: eta2_closed_form(n, side, p) for side in ("minus", "plus")}
     root = lambda_roots(n, p)
     lam_lo, lam_hi = root.lambda_minus, root.lambda_plus

@@ -45,7 +45,7 @@ from .errors import (
 from .linstab import degeneracy_tolerance, neumann_tridiagonal, nodal_potential, sturm_count_below, sturm_spectrum
 from .model import ModelParams, Profile, w0_const
 from .nodal import NodalSolution, nodal_pair
-from .spectral import lambda_roots, mode_windows, mu_threshold
+from .spectral import mode_windows, mu_threshold, window_holds
 
 __all__ = [
     "CensusResult",
@@ -114,9 +114,21 @@ class ContinuationResult:
         return self.states[-1].eps
 
 
-def _coeff_samples(p: ModelParams, n_points: int):
+def _grid_terms(p: ModelParams, n_points: int):
+    """(a(x), c(x), 1/h^2) on the closed n_points grid, 1/h^2 = (n_points - 1)^2."""
     x = np.linspace(0.0, 1.0, n_points)
-    return p.coeff_a(x), p.coeff_c(x)
+    return p.coeff_a(x), p.coeff_c(x), (n_points - 1.0) ** 2
+
+
+def _check_pair(w: Profile, v: Profile) -> None:
+    if w.n_points != v.n_points:
+        raise GridMismatchError(f"grids differ: {w.n_points} vs {v.n_points} points")
+    if np.any(w.values <= -1.0):
+        raise DomainError("w must satisfy w > -1 at every node")
+
+
+def _sup(g1: np.ndarray, g2: np.ndarray) -> float:
+    return max(float(np.max(np.abs(g1))), float(np.max(np.abs(g2))))
 
 
 def _second_difference(u: np.ndarray) -> np.ndarray:
@@ -131,14 +143,9 @@ def _second_difference(u: np.ndarray) -> np.ndarray:
 
 def residual(w: Profile, v: Profile, p: ModelParams) -> tuple[Profile, Profile]:
     """Both components of the coupled residual on the shared grid."""
-    if w.n_points != v.n_points:
-        raise GridMismatchError(f"grids differ: {w.n_points} vs {v.n_points} points")
-    if np.any(w.values <= -1.0):
-        raise DomainError("w must satisfy w > -1 at every node")
-    a_vals, c_vals = _coeff_samples(p, w.n_points)
-    inv_h2 = 1.0 / (w.h * w.h)
+    _check_pair(w, v)
     zero = np.zeros(w.n_points)
-    g1, g2, _, _ = _two_part_residual(w.values, zero, v.values, zero, p, a_vals, c_vals, inv_h2)
+    g1, g2, _, _ = _two_part_residual(w.values, zero, v.values, zero, p, _grid_terms(p, w.n_points))
     return Profile(g1), Profile(g2)
 
 
@@ -194,14 +201,15 @@ def _two_sum(base: np.ndarray, add: np.ndarray):
     return s, err
 
 
-def _two_part_residual(wb, wf, vb, vf, p, a_vals, c_vals, inv_h2):
+def _two_part_residual(wb, wf, vb, vf, p, terms):
     """Residual of the pair carried as base + fine, plus collapsed values.
 
     The Laplacian is applied to base and fine separately (differences of the
     frozen base are exact, the fine part is far below one ulp of the base);
     reaction terms see only the collapsed values, whose ulp-level error is
-    orders below the residual contract.
+    orders below the residual contract.  terms is _grid_terms' triple.
     """
+    a_vals, c_vals, inv_h2 = terms
     w = wb + wf
     v = vb + vf
     lap_w = -inv_h2 * (_second_difference(wb) + _second_difference(wf))
@@ -229,21 +237,17 @@ def newton_solve(
     PositivityError carrying the limit.  When a list is passed as
     ``residual_history`` the sup residual of every iterate is appended to it.
     """
-    if w0.n_points != v0.n_points:
-        raise GridMismatchError(f"grids differ: {w0.n_points} vs {v0.n_points} points")
-    if np.any(w0.values <= -1.0):
-        raise DomainError("initial w must satisfy w > -1 nodewise")
+    _check_pair(w0, v0)
     n_points = w0.n_points
-    a_vals, c_vals = _coeff_samples(p, n_points)
-    inv_h2 = (n_points - 1.0) ** 2
+    terms = _grid_terms(p, n_points)
 
     wb = w0.values.copy()
     vb = v0.values.copy()
     wf = np.zeros(n_points) if w_fine is None else w_fine.copy()
     vf = np.zeros(n_points) if v_fine is None else v_fine.copy()
 
-    g1, g2, w, v = _two_part_residual(wb, wf, vb, vf, p, a_vals, c_vals, inv_h2)
-    res_sup = max(float(np.max(np.abs(g1))), float(np.max(np.abs(g2))))
+    g1, g2, w, v = _two_part_residual(wb, wf, vb, vf, p, terms)
+    res_sup = _sup(g1, g2)
     res_sq = float(np.dot(g1, g1) + np.dot(g2, g2))
     if residual_history is not None:
         residual_history.append(res_sup)
@@ -263,7 +267,7 @@ def newton_solve(
             )
         if iteration == MAX_NEWTON_ITERS:
             break
-        ab = jacobian_banded(w, v, p, a_vals, c_vals, inv_h2)
+        ab = jacobian_banded(w, v, p, *terms)
         step = solve_banded((2, 2), ab, -_interleave(g1, g2))
         dw = step[0::2]
         dv = step[1::2]
@@ -272,9 +276,7 @@ def newton_solve(
             wf_new = wf + t * dw
             vf_new = vf + t * dv
             if float(np.min(wb + wf_new)) > -1.0:
-                g1_new, g2_new, w_new, v_new = _two_part_residual(
-                    wb, wf_new, vb, vf_new, p, a_vals, c_vals, inv_h2
-                )
+                g1_new, g2_new, w_new, v_new = _two_part_residual(wb, wf_new, vb, vf_new, p, terms)
                 sq_new = float(np.dot(g1_new, g1_new) + np.dot(g2_new, g2_new))
                 if sq_new < res_sq:
                     break
@@ -286,7 +288,7 @@ def newton_solve(
             )
         wf, vf, w, v = wf_new, vf_new, w_new, v_new
         g1, g2, res_sq = g1_new, g2_new, sq_new
-        res_sup = max(float(np.max(np.abs(g1))), float(np.max(np.abs(g2))))
+        res_sup = _sup(g1, g2)
         if residual_history is not None:
             residual_history.append(res_sup)
         if float(np.max(np.abs(wf))) > 0.25 or float(np.max(np.abs(vf))) > 0.25:
@@ -301,13 +303,11 @@ def newton_solve(
 
 def residual_fine(state: CoexistenceState, p: ModelParams) -> float:
     """Re-evaluate the certified sup-norm residual of a stored state."""
-    n_points = state.w.n_points
-    a_vals, c_vals = _coeff_samples(p, n_points)
-    inv_h2 = (n_points - 1.0) ** 2
-    wf = state.w_fine if state.w_fine is not None else np.zeros(n_points)
-    vf = state.v_fine if state.v_fine is not None else np.zeros(n_points)
-    g1, g2, _, _ = _two_part_residual(state.w.values, wf, state.v.values, vf, p, a_vals, c_vals, inv_h2)
-    return max(float(np.max(np.abs(g1))), float(np.max(np.abs(g2))))
+    zero = np.zeros(state.w.n_points)
+    wf = zero if state.w_fine is None else state.w_fine
+    vf = zero if state.v_fine is None else state.v_fine
+    g1, g2, _, _ = _two_part_residual(state.w.values, wf, state.v.values, vf, p, _grid_terms(p, zero.size))
+    return _sup(g1, g2)
 
 
 def assert_nondegenerate(w: Profile, p: ModelParams, label: str = "state") -> None:
@@ -355,7 +355,7 @@ def first_order_corrections(sol0, p: ModelParams) -> tuple[Profile, Profile]:
     assert_nondegenerate(w, p, label="first_order_corrections")
 
     n_points = w.n_points
-    a_vals, c_vals = _coeff_samples(p, n_points)
+    a_vals, c_vals, _ = _grid_terms(p, n_points)
     ratio = w.values / (1.0 + w.values)
 
     psi = _solve_neumann(Profile.constant(p.mu, n_points), (p.mu / p.d) * c_vals * ratio)
@@ -375,16 +375,18 @@ def admissible_lambda(n: int, p: ModelParams, margin: float | None = None) -> No
     if margin is None:
         margin = 1e-4 * p.bmu_over_d
     windows = mode_windows(p)
-    holding = [root.ell for root in windows if root.lambda_minus < p.lam < root.lambda_plus]
-    if int(n) not in holding:
-        root_n = lambda_roots(int(n), p)
+    holds = window_holds(n, p)  # validates n
+    n = int(n)
+    if not holds:
+        if n > len(windows):
+            raise DomainError(f"the mode-{n} window is closed at mu = {p.mu:g} (kappa = {len(windows)})")
         raise DomainError(
             f"lam = {p.lam:g} is outside the mode-{n} window "
-            f"({root_n.lambda_minus:g}, {root_n.lambda_plus:g})"
+            f"({windows[n - 1].lambda_minus:g}, {windows[n - 1].lambda_plus:g})"
         )
-    if int(n) + 1 in holding:
+    if window_holds(n + 1, p):
         raise DomainError(
-            f"lam = {p.lam:g} lies inside the mode-{int(n) + 1} window; "
+            f"lam = {p.lam:g} lies inside the mode-{n + 1} window; "
             "the census count claim needs lam outside it"
         )
     for root in windows:
@@ -417,17 +419,13 @@ def census(n: int, p: ModelParams, n_points: int = 2001, margin: float | None = 
     set when fewer than 2n+1 distinct states survive (the usual sign that
     eps is outside the perturbation neighborhood).
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"census needs an integer n >= 1, got {n!r}")
-    n = int(n)
     kappa = len(mode_windows(p))
     if kappa < 1 or not p.mu < mu_threshold(kappa + 1, p):
         raise DomainError(
             f"census requires mu strictly between consecutive mode thresholds; mu = {p.mu:g}"
         )
-    if n > kappa:
-        raise DomainError(f"census n = {n} exceeds kappa = {kappa} at mu = {p.mu:g}")
-    admissible_lambda(n, p, margin=margin)
+    admissible_lambda(n, p, margin=margin)  # validates n; the mode-n window holds lam, so n <= kappa
+    n = int(n)
 
     v_flat = Profile.constant(p.mu / p.d, n_points)
     seeds = limit_seeds(n, p, n_points)

@@ -9,8 +9,9 @@ The linearization at w0 has the explicit eigenvalue curves
 quadratics in lam whose real roots lam_ell^- <= lam_ell^+ open the existence
 windows of ell-crossing solutions.  Roots are real exactly when mu reaches
 the threshold mu_ell = (d/b)(2 ell pi)^2; the window is open once mu exceeds
-it.  mode_windows and window_lambdas are the one place that decides which
-windows are open and how a window is swept.
+it.  This module is the one place that decides whether n is a crossing
+count, which windows are open (mode_windows), whether a window holds a lam
+(window_holds) and how a window is swept (window_lambdas).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "mu_threshold",
     "tau0",
     "tau0_dot",
+    "window_holds",
     "window_lambdas",
     "y1_closed_form",
 ]
@@ -65,30 +67,36 @@ class MorseIndexTable:
     indices: np.ndarray
 
 
-def _check_mode(ell: int) -> int:
-    if int(ell) != ell or ell < 0:
-        raise DomainError(f"mode number must be an integer >= 0, got {ell!r}")
-    return int(ell)
+def _whole(n, lowest: int) -> int:
+    """n as an int, once it is known to be an integer >= lowest: a mode
+    number (lowest 0) or a crossing count (lowest 1)."""
+    if not lowest <= n < math.inf or int(n) != n:
+        what = "crossing count" if lowest else "mode number"
+        raise DomainError(f"{what} must be an integer >= {lowest}, got {n!r}")
+    return int(n)
+
+
+def _require_mu(p: ModelParams) -> None:
+    if not p.mu > 0.0:
+        raise DomainError(f"eigencurves require mu > 0, got mu = {p.mu!r}")
 
 
 def tau0(ell: int, lam: float, p: ModelParams) -> float:
     """Eigencurve value (d/(b*mu)) lam^2 - lam + (ell*pi)^2."""
-    ell = _check_mode(ell)
-    if not p.mu > 0.0:
-        raise DomainError(f"eigencurves require mu > 0, got mu = {p.mu!r}")
+    ell = _whole(ell, 0)
+    _require_mu(p)
     return (p.d / (p.b * p.mu)) * lam * lam - lam + (ell * math.pi) ** 2
 
 
 def tau0_dot(lam: float, p: ModelParams) -> float:
     """d tau0 / d lam = 2 d lam/(b mu) - 1 (mode independent)."""
-    if not p.mu > 0.0:
-        raise DomainError(f"eigencurves require mu > 0, got mu = {p.mu!r}")
+    _require_mu(p)
     return 2.0 * p.d * lam / (p.b * p.mu) - 1.0
 
 
 def mu_threshold(kappa: int, p: ModelParams) -> float:
     """Threshold mu_kappa = (d/b)(2 kappa pi)^2 where the kappa-th root pair turns real."""
-    kappa = _check_mode(kappa)
+    kappa = _whole(kappa, 0)
     return (p.d / p.b) * (2.0 * kappa * math.pi) ** 2
 
 
@@ -99,9 +107,8 @@ def lambda_roots(ell: int, p: ModelParams) -> EigencurveRoot:
     to avoid cancellation for large mu; Vieta then gives
     sum = b*mu/d and product = (b*mu/d)(ell*pi)^2.
     """
-    ell = _check_mode(ell)
-    if not p.mu > 0.0:
-        raise DomainError(f"eigencurve roots require mu > 0, got mu = {p.mu!r}")
+    ell = _whole(ell, 0)
+    _require_mu(p)
     bmu_d = p.bmu_over_d
     disc = 1.0 - 4.0 * (ell * math.pi) ** 2 / bmu_d
     if disc < 0.0:
@@ -136,9 +143,19 @@ def mode_windows(p: ModelParams) -> list[EigencurveRoot]:
     return windows
 
 
+def window_holds(n: int, p: ModelParams) -> bool:
+    """True when the open mode-n window holds p.lam: lam_n^- < lam < lam_n^+
+    on a window that mode_windows lists.  DomainError unless n is a
+    crossing count, an integer >= 1."""
+    root = _open_window(_whole(n, 1), p)
+    return root is not None and root.lambda_minus < p.lam < root.lambda_plus
+
+
 def window_lambdas(n: int, p: ModelParams, count: int) -> list[float]:
     """count interior points lam_j = lo + (j+1)(hi-lo)/(count+1) of the mode-n
-    window (lo, hi); NoSolutionError when that window is closed."""
+    window (lo, hi); DomainError unless n is an integer >= 1, NoSolutionError
+    when that window is closed."""
+    n = _whole(n, 1)
     root = _open_window(n, p)
     if root is None:
         raise NoSolutionError(f"mode {n} has no real root window at mu = {p.mu:g}")
@@ -151,20 +168,17 @@ def default_ell_max(p: ModelParams) -> int:
     return int(math.ceil(math.sqrt(p.bmu_over_d) / math.pi)) + 2
 
 
-def morse_index_w0(lam: float, p: ModelParams, ell_max: int | None = None) -> int:
+def morse_index_w0(lam: float, p: ModelParams) -> int:
     """Number of negative eigenvalues of the linearization at the constant state."""
+    _require_mu(p)
     hi = p.bmu_over_d
-    if not (p.mu > 0.0 and 0.0 < lam < hi):
-        raise DomainError(f"Morse index of w0 needs lam in (0, {hi:g}) and mu > 0; got lam = {lam!r}")
-    if ell_max is None:
-        ell_max = default_ell_max(p)
-    return sum(1 for ell in range(ell_max + 1) if tau0(ell, lam, p) < 0.0)
+    if not 0.0 < lam < hi:
+        raise DomainError(f"Morse index of w0 needs lam in (0, {hi:g}); got lam = {lam!r}")
+    return sum(1 for ell in range(default_ell_max(p) + 1) if tau0(ell, lam, p) < 0.0)
 
 
 def morse_index_table(p: ModelParams) -> MorseIndexTable:
     """Breakpoints and per-cell Morse indices of the constant state over (0, b*mu/d)."""
-    if not p.mu > 0.0:
-        raise DomainError(f"Morse table requires mu > 0, got mu = {p.mu!r}")
     windows = mode_windows(p)
     minus = [root.lambda_minus for root in windows]
     plus = [root.lambda_plus for root in reversed(windows)]
@@ -179,23 +193,22 @@ def eigencurve_table(p: ModelParams, ell_max: int | None = None) -> list[Eigencu
     """Root pairs for modes 0..ell_max (export helper)."""
     if ell_max is None:
         ell_max = default_ell_max(p)
-    return [lambda_roots(ell, p) for ell in range(_check_mode(ell_max) + 1)]
+    return [lambda_roots(ell, p) for ell in range(_whole(ell_max, 0) + 1)]
 
 
-def _side_root(n: int, side: str, p: ModelParams) -> tuple[float, float]:
-    """(lam_n^side, d tau/d lam there); the derivative is +/- sqrt(disc)."""
+def _side_root(n: int, side: str, p: ModelParams) -> tuple[int, float, float]:
+    """(n, lam_n^side, d tau/d lam there); the derivative is +/- sqrt(disc)."""
     if side not in ("minus", "plus"):
         raise DomainError(f"side must be 'minus' or 'plus', got {side!r}")
-    if int(n) != n or n < 1:
-        raise DomainError(f"mode must be an integer >= 1, got {n!r}")
-    root = lambda_roots(int(n), p)
+    n = _whole(n, 1)
+    root = lambda_roots(n, p)
     if not root.is_real:
         raise DomainError(f"mode {n} roots are complex at mu = {p.mu:g} (below the threshold)")
-    disc = 1.0 - 4.0 * p.d * (int(n) * math.pi) ** 2 / (p.b * p.mu)
+    disc = 1.0 - 4.0 * p.d * (n * math.pi) ** 2 / (p.b * p.mu)
     s = math.sqrt(max(disc, 0.0))
     if side == "minus":
-        return root.lambda_minus, -s
-    return root.lambda_plus, s
+        return n, root.lambda_minus, -s
+    return n, root.lambda_plus, s
 
 
 def y1_closed_form(n: int, side: str, p: ModelParams, n_points: int = 2001) -> Profile:
@@ -204,10 +217,10 @@ def y1_closed_form(n: int, side: str, p: ModelParams, n_points: int = 2001) -> P
 
     Orthogonal to the kernel mode cos(n pi x) by construction.
     """
-    lam, _ = _side_root(n, side, p)
+    n, lam, _ = _side_root(n, side, p)
     x = np.linspace(0.0, 1.0, int(n_points))
-    coef = 0.5 * lam * (p.d * lam / (int(n) * math.pi * p.b * p.mu)) ** 2
-    return Profile(coef * (np.cos(2.0 * int(n) * math.pi * x) / 3.0 - 1.0))
+    coef = 0.5 * lam * (p.d * lam / (n * math.pi * p.b * p.mu)) ** 2
+    return Profile(coef * (np.cos(2.0 * n * math.pi * x) / 3.0 - 1.0))
 
 
 def eta2_closed_form(n: int, side: str, p: ModelParams) -> float:
@@ -222,12 +235,12 @@ def eta2_closed_form(n: int, side: str, p: ModelParams) -> float:
     the plus root (branches open into the window).  Degenerate exactly at the
     mode threshold, where the root is double and the derivative vanishes.
     """
-    lam, taudot = _side_root(n, side, p)
+    n, lam, taudot = _side_root(n, side, p)
     if taudot == 0.0:
         raise DegenerateError(
-            f"eta2 undefined at mu = mu_{n} = {mu_threshold(int(n), p):g}: double root, zero transversality"
+            f"eta2 undefined at mu = mu_{n} = {mu_threshold(n, p):g}: double root, zero transversality"
         )
     r = p.d * lam / (p.b * p.mu)
-    int_phi2_y1 = -(5.0 * lam / 24.0) * (r / (int(n) * math.pi)) ** 2
+    int_phi2_y1 = -(5.0 * lam / 24.0) * (r / (n * math.pi)) ** 2
     rhs = 2.0 * lam * r * r * int_phi2_y1 - lam * r ** 3 * (3.0 / 8.0)
     return 2.0 * rhs / taudot

@@ -92,13 +92,6 @@ class ABReport:
     fprime_simple_zero_ok: bool
 
 
-def _require_window(p: ModelParams) -> float:
-    hi = p.bmu_over_d
-    if not (p.mu > 0.0 and 0.0 < p.lam < hi):
-        raise DomainError(f"phase-plane analysis needs mu > 0 and lam in (0, {hi:g}); got lam = {p.lam!r}")
-    return w0_const(p)
-
-
 @dataclass(frozen=True, eq=False)
 class PhasePlane:
     """Phase-plane context of the limit problem at one parameter set.
@@ -119,7 +112,7 @@ class PhasePlane:
     T_c: float = field(init=False)
 
     def __post_init__(self):
-        w0 = _require_window(self.p)
+        w0 = w0_const(self.p)
         for name, value in (
             ("w0", w0),
             ("bmu_d", self.p.bmu_over_d),
@@ -266,7 +259,7 @@ def companion(w_minus: float, p: ModelParams) -> float:
 
 def time_map_center(p: ModelParams) -> float:
     """Center limit pi / sqrt(lam (1 - d lam/(b mu))) of the half-period map."""
-    _require_window(p)
+    w0_const(p)  # validates the phase-plane domain
     return math.pi / math.sqrt(p.lam * (1.0 - p.d * p.lam / (p.b * p.mu)))
 
 
@@ -283,11 +276,10 @@ def ab_certify(p: ModelParams, n_samples: int = 10_000) -> ABReport:
     f f'' - 3 f'^2 <= 0 up to alpha; also that f' has only the simple zero
     alpha in (0, w_h).  Violations are reported, never raised.
     """
-    _require_window(p)
+    w_h = homoclinic_extent(p)  # validates the phase-plane domain
     if n_samples < 16:
         raise DomainError("need at least 16 samples")
     alpha = math.sqrt(p.b * p.mu / (p.d * p.lam)) - 1.0
-    w_h = homoclinic_extent(p)
     grid = np.linspace(0.0, w_h, n_samples)
 
     fp = kinetic_df(grid, p)

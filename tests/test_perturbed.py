@@ -235,6 +235,25 @@ class TestContinueInEps:
             assert out.states[-1].residual_sup < 1e-9
 
 
+    def test_census_and_continuation_with_sampled_coefficients(self):
+        x = np.linspace(0.0, 1.0, 33)
+        p = ModelParams(
+            eps=1e-3,
+            coeff_a=CoeffFn.sampled(x, 1.0 + 0.5 * np.sin(2.0 * np.pi * x)),
+            coeff_c=CoeffFn.sampled(x, 1.0 + 0.5 * np.cos(3.0 * np.pi * x)),
+        )
+        result = census(1, p)
+        assert result.distinct_count == 3 and not result.shortfall
+        for state in result.states:
+            assert residual_fine(state, p) < 1e-9
+            out = continue_in_eps(state, p, 1e-2, steps=4)
+            assert out.breakdown is None and len(out.states) == 5
+            assert out.last_good_eps == pytest.approx(1e-2)
+            for s in out.states[1:]:
+                assert residual_fine(s, p.with_eps(s.eps)) < 1e-9
+                assert float(np.min(s.w.values)) > 0.0 and float(np.min(s.v.values)) > 0.0
+
+
 class TestConstantStates:
     def test_limit_case(self, desk):
         states = constant_states(desk)

@@ -1,0 +1,54 @@
+"""Every public entry point that takes a crossing count n rejects a non-count
+with DomainError, and accepts an integral float as the integer it equals."""
+
+import numpy as np
+import pytest
+
+from htbif.errors import DomainError
+from htbif.linstab import detect_singular_set, fit_expansion
+from htbif.model import ModelParams
+from htbif.nodal import nodal_pair, solve_amplitude, trace_loop
+from htbif.perturbed import census
+from htbif.spectral import eta2_closed_form, window_lambdas, y1_closed_form
+
+DESK = ModelParams()
+TWO_MODES = ModelParams(mu=170.0, lam=30.0)
+
+CALLS = {
+    "solve_amplitude": lambda n: solve_amplitude(n, DESK),
+    "nodal_pair": lambda n: nodal_pair(n, DESK),
+    "trace_loop": lambda n: trace_loop(n, DESK, n_lambda=5),
+    "window_lambdas": lambda n: window_lambdas(n, TWO_MODES, 3),
+    "detect_singular_set": lambda n: detect_singular_set(n, DESK, n_lambda=4, n_points=401),
+    "fit_expansion": lambda n: fit_expansion(n, "minus", DESK, n_points=501),
+    "census": lambda n: census(n, DESK.with_eps(1e-3), n_points=501),
+    "eta2_closed_form": lambda n: eta2_closed_form(n, "minus", DESK),
+    "y1_closed_form": lambda n: y1_closed_form(n, "minus", DESK),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5])
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_non_count_is_a_domain_error(name, n):
+    with pytest.raises(DomainError):
+        CALLS[name](n)
+
+
+def _same(a, b):
+    """Equal results, comparing profiles and arrays by value."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if hasattr(a, "values"):  # Profile
+        return np.array_equal(a.values, b.values)
+    if hasattr(a, "__dataclass_fields__"):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__
+        )
+    return a == b and type(a) is type(b)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_integral_float_is_the_integer(name):
+    assert _same(CALLS[name](1.0), CALLS[name](1))
