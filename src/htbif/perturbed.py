@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded
 
 from .errors import (
     ConvergenceError,
@@ -66,6 +66,8 @@ NEWTON_TOL = 1e-9
 MAX_NEWTON_ITERS = 50
 MAX_BACKTRACKS = 20
 DISTINCT_TOL = 1e-6
+
+_GBSV = get_lapack_funcs("gbsv", dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +122,12 @@ def _grid_terms(p: ModelParams, n_points: int):
     return p.coeff_a(x), p.coeff_c(x), (n_points - 1.0) ** 2
 
 
-def _check_pair(w: Profile, v: Profile) -> None:
+def _check_pair(w: Profile, v: Profile, w_fine: np.ndarray | None = None) -> None:
+    """Same grid for both components, and w > -1 at every node of the pair
+    carried as w + w_fine."""
     if w.n_points != v.n_points:
         raise GridMismatchError(f"grids differ: {w.n_points} vs {v.n_points} points")
-    if np.any(w.values <= -1.0):
+    if np.any((w.values if w_fine is None else w.values + w_fine) <= -1.0):
         raise DomainError("w must satisfy w > -1 at every node")
 
 
@@ -186,6 +190,23 @@ def jacobian_banded(w: np.ndarray, v: np.ndarray, p: ModelParams, a_vals, c_vals
     return ab
 
 
+def _banded_step(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the (l=u=2) banded system of ``jacobian_banded`` by one LAPACK
+    dgbsv call: the same work, layout and checks as solve_banded((2, 2), ab,
+    rhs) without its per-call shape checks, batch dispatch and LAPACK lookup.
+    dgbsv wants kl = 2 extra rows above the band for the pivoting fill-in."""
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    work = np.zeros((7, ab.shape[1]))
+    work[2:] = ab
+    _, _, x, info = _GBSV(2, 2, work, rhs, overwrite_ab=True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+    return x
+
+
 def _interleave(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     out = np.empty(g1.size * 2)
     out[0::2] = g1
@@ -237,7 +258,7 @@ def newton_solve(
     PositivityError carrying the limit.  When a list is passed as
     ``residual_history`` the sup residual of every iterate is appended to it.
     """
-    _check_pair(w0, v0)
+    _check_pair(w0, v0, w_fine)
     n_points = w0.n_points
     terms = _grid_terms(p, n_points)
 
@@ -268,7 +289,7 @@ def newton_solve(
         if iteration == MAX_NEWTON_ITERS:
             break
         ab = jacobian_banded(w, v, p, *terms)
-        step = solve_banded((2, 2), ab, -_interleave(g1, g2))
+        step = _banded_step(ab, -_interleave(g1, g2))
         dw = step[0::2]
         dv = step[1::2]
         t = 1.0
@@ -301,12 +322,19 @@ def newton_solve(
     )
 
 
+def _fine_parts(state: CoexistenceState) -> tuple[np.ndarray, np.ndarray]:
+    """The stored collapse leftovers of a state, zeros where there are none."""
+    zero = np.zeros(state.w.n_points)
+    return (
+        zero if state.w_fine is None else state.w_fine,
+        zero if state.v_fine is None else state.v_fine,
+    )
+
+
 def residual_fine(state: CoexistenceState, p: ModelParams) -> float:
     """Re-evaluate the certified sup-norm residual of a stored state."""
-    zero = np.zeros(state.w.n_points)
-    wf = zero if state.w_fine is None else state.w_fine
-    vf = zero if state.v_fine is None else state.v_fine
-    g1, g2, _, _ = _two_part_residual(state.w.values, wf, state.v.values, vf, p, _grid_terms(p, zero.size))
+    wf, vf = _fine_parts(state)
+    g1, g2, _, _ = _two_part_residual(state.w.values, wf, state.v.values, vf, p, _grid_terms(p, wf.size))
     return _sup(g1, g2)
 
 
@@ -460,15 +488,19 @@ def continue_in_eps(
 ) -> ContinuationResult:
     """Natural continuation of a converged state along a linear eps ladder.
 
-    Each rung warm-starts from the previous state.  On Newton failure or
-    positivity loss the ladder stops early; the breakdown record and the
-    states accepted so far give an empirical lower bound for the
+    The first rung warm-starts from ``start``; every later rung starts from
+    the secant prediction prev + s (prev - older), s = (eps - prev.eps) /
+    (prev.eps - older.eps), through the last two accepted states (the
+    Euler-Newton predictor of Allgower & Georg in its secant form).  The
+    predicted step goes into the fine parts of the two-part carrier.  A
+    prediction that would leave w > -1 falls back to prev.  On Newton
+    failure or positivity loss the ladder stops early; the breakdown record
+    and the states accepted so far give an empirical lower bound for the
     perturbation range.
     """
     if int(steps) != steps or steps < 1:
         raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
-    if eps_target < 0.0:
-        raise DomainError("eps_target must be >= 0")
+    eps_target = p.with_eps(eps_target).eps  # validates eps_target
     accepted = [start]
     if eps_target == start.eps:
         return ContinuationResult((start,), None)
@@ -477,12 +509,18 @@ def continue_in_eps(
     for eps in ladder:
         q = p.with_eps(float(eps))
         prev = accepted[-1]
+        w_fine, v_fine = _fine_parts(prev)
+        if len(accepted) > 1 and accepted[-2].eps != prev.eps:
+            older = accepted[-2]
+            s = (q.eps - prev.eps) / (prev.eps - older.eps)
+            older_w_fine, older_v_fine = _fine_parts(older)
+            w_pred = w_fine + s * ((prev.w.values - older.w.values) + (w_fine - older_w_fine))
+            if float(np.min(prev.w.values + w_pred)) > -1.0:
+                w_fine = w_pred
+                v_fine = v_fine + s * ((prev.v.values - older.v.values) + (v_fine - older_v_fine))
         try:
             accepted.append(
-                newton_solve(
-                    prev.w, prev.v, q, origin="continued",
-                    w_fine=prev.w_fine, v_fine=prev.v_fine,
-                )
+                newton_solve(prev.w, prev.v, q, origin="continued", w_fine=w_fine, v_fine=v_fine)
             )
         except (ConvergenceError, PositivityError) as exc:
             breakdown = f"eps = {eps:g}: {type(exc).__name__}: {exc} (last good eps = {prev.eps:g})"
