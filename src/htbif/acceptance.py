@@ -125,7 +125,7 @@ def criterion_04_monotone_divergence() -> CriterionResult:
 
 
 def criterion_05_ab_certification() -> CriterionResult:
-    report = timemap.ab_certify(DESK, n_samples=10_000)
+    report = timemap.ab_certify(DESK)
     ok = report.a_condition_ok and report.b_condition_ok and report.worst_margin < 0.0
     return _result(
         5, "A-B certification", ok,
@@ -295,7 +295,7 @@ def criterion_12_perturbed_census() -> CriterionResult:
     lower, _ = nodal.nodal_pair(1, p0)
     v_flat = Profile.constant(p0.mu / p0.d, 2001)
     base = perturbed.newton_solve(lower.profile, v_flat, p0, origin="nodal(1,lower)")
-    phi, _ = perturbed.first_order_corrections(base, p0)
+    phi, _ = perturbed.first_order_corrections(base.w, p0)
     rates = []
     gaps = []
     for eps in (1e-2, 5e-3, 2.5e-3):
@@ -317,7 +317,7 @@ def criterion_12_perturbed_census() -> CriterionResult:
 def criterion_13_correction_positivity() -> CriterionResult:
     p = ModelParams(eps=0.0)
     lower, _ = nodal.nodal_pair(1, p)
-    _, psi = perturbed.first_order_corrections(lower, p)
+    _, psi = perturbed.first_order_corrections(lower.profile, p)
     m = float(np.min(psi.values))
     return _result(13, "correction positivity", m > 0.0, f"min psi = {m:.6e}")
 

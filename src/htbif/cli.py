@@ -154,17 +154,12 @@ def _run_eigencurves(p, opts, out):
 
 
 def _run_critical(p, opts, out):
-    kmax = opts["kappa_max"]
-    if kmax < 0:
-        raise DomainError("--kappa-max must be >= 0")
     _write_csv(out, ["kappa", "mu_kappa"],
-               [(k, spectral.mu_threshold(k, p)) for k in range(kmax + 1)])
+               [(k, spectral.mu_threshold(k, p)) for k in range(opts["kappa_max"] + 1)])
 
 
 def _run_timemap(p, opts, out):
     samples = opts["samples"]
-    if samples < 1:
-        raise DomainError("--samples must be >= 1")
     w0 = w0_const(p)
     plane = timemap.PhasePlane(p)
     rows = []

@@ -95,9 +95,7 @@ def neumann_tridiagonal(V: Profile):
 
     The ghost closure doubles the boundary off-diagonal entries; the diagonal
     similarity with weights (1/sqrt 2, 1, ..., 1, 1/sqrt 2) symmetrizes them
-    to -sqrt(2)/h^2 without changing the spectrum.  A ghost-closure system
-    A x = r is therefore solved by scaling the end entries of r by 1/sqrt 2,
-    solving with this matrix, and scaling the end entries back by sqrt 2.
+    to -sqrt(2)/h^2 without changing the spectrum.
     """
     n = V.n_points
     inv_h2 = (n - 1.0) ** 2
@@ -166,19 +164,14 @@ def nodal_potential(w: Profile, p: ModelParams) -> Profile:
     return Profile(-p.lam + p.bmu_over_d / (1.0 + w.values) ** 2)
 
 
-def morse_index_nodal(sol: NodalSolution, p: ModelParams, m: int | None = None) -> int:
+def morse_index_nodal(sol: NodalSolution, p: ModelParams) -> int:
     """Negative-eigenvalue count of the linearization at an n-crossing solution.
 
     Warns (DegeneracyWarning) when either of the eigenvalues flanking zero,
     tau_{n,n-1} or tau_{n,n}, sits within the degeneracy tolerance: such lam
-    are candidates for the finite singular set inside the window.  m
-    eigenvalues are computed (default n + 3); DomainError unless m > n.
+    are candidates for the finite singular set inside the window.
     """
-    if m is None:
-        m = sol.n + 3
-    if m <= sol.n:
-        raise DomainError(f"m = {m!r} eigenvalues cannot reach tau_(n,n); need m > n = {sol.n}")
-    spec = sturm_spectrum(nodal_potential(sol.profile, p), m)
+    spec = sturm_spectrum(nodal_potential(sol.profile, p), sol.n + 1)
     tol = degeneracy_tolerance(p.lam)
     lo = float(spec.eigenvalues[sol.n - 1])
     hi = float(spec.eigenvalues[sol.n])
@@ -242,22 +235,14 @@ def detect_singular_set(n: int, p: ModelParams, n_lambda: int = 80, n_points: in
     return merged
 
 
-_DEFAULT_LADDER = tuple(0.005 * k for k in range(1, 11))
-
-
-def fit_expansion(
-    n: int,
-    side: str,
-    p: ModelParams,
-    n_points: int = 2001,
-    s_ladder: tuple = _DEFAULT_LADDER,
-) -> ExpansionCheck:
+def fit_expansion(n: int, side: str, p: ModelParams, n_points: int = 2001) -> ExpansionCheck:
     """Recover eta1, eta2 and y1 from computed solutions near lam_n^side.
 
-    For each target amplitude s the window point lam = lam_side + eta2 s^2 is
-    solved for its solution pair; the signed amplitude is then re-estimated
-    by projection, s_est = 2 int (w - w0) cos(n pi x) dx, which is exact to
-    O(s^4) because every correction term is orthogonal to the kernel mode.
+    For each target amplitude s = 0.005, 0.010, ..., 0.050 the window point
+    lam = lam_side + eta2 s^2 is solved for its solution pair; the signed
+    amplitude is then re-estimated by projection,
+    s_est = 2 int (w - w0) cos(n pi x) dx, which is exact to O(s^4) because
+    every correction term is orthogonal to the kernel mode.
     A least-squares fit of lam(s_est) (intercept pinned at lam_side, cubic
     term as nuisance) yields the eta estimates; the y1 mismatch is the
     relative L2 error of the second-order remainder at the ladder point
@@ -277,7 +262,7 @@ def fit_expansion(
     lam_values: list[float] = []
     remainders: dict[float, np.ndarray] = {}
     converged_points = 0
-    for s in s_ladder:
+    for s in (0.005 * k for k in range(1, 11)):
         q = p.with_lam(lam_side + eta2_cf * s * s)
         if not window_holds(n, q):
             continue

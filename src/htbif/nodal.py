@@ -91,16 +91,16 @@ class SolutionSet:
         return out
 
 
-def solve_amplitude(n: int, p: ModelParams, tol: float = _AMPLITUDE_TOL) -> float:
+def solve_amplitude(n: int, p: ModelParams) -> float:
     """Unique starting value w_- in (0, w0) with n * T(w_-) = 1 to within
-    tol, found by Brent's method in ln w_- against one PhasePlane context of p.
+    1e-10, found by Brent's method in ln w_- against one PhasePlane context of p.
 
     Raises NoSolutionError outside the existence window, reporting which
     precondition failed (mu at or below the mode threshold, or lam outside
     the open root window).
     """
     plane = PhasePlane(p)
-    return _invert_time_map(_existing_mode(n, plane), plane, tol)
+    return _invert_time_map(_existing_mode(n, plane), plane)
 
 
 def _existing_mode(n, plane: PhasePlane) -> int:
@@ -126,7 +126,7 @@ def _existing_mode(n, plane: PhasePlane) -> int:
     return n
 
 
-def _invert_time_map(n: int, plane: PhasePlane, tol: float) -> float:
+def _invert_time_map(n: int, plane: PhasePlane) -> float:
     """Brent's method for n T(e^s) = 1 in s = ln w_- on the bracket
     [ln w0 - k/n - 1, ln w0 + log1p(-1e-10)], k = sqrt(b mu/d - lam).
 
@@ -154,8 +154,8 @@ def _invert_time_map(n: int, plane: PhasePlane, tol: float) -> float:
         maxiter=200, full_output=True, disp=False,
     )
     residual = abs(h(root))
-    if not info.converged or residual >= tol:
-        raise ConvergenceError(f"amplitude solve stalled with |n*T - 1| = {residual:g} >= {tol:g}")
+    if not info.converged or residual >= _AMPLITUDE_TOL:
+        raise ConvergenceError(f"amplitude solve stalled with |n*T - 1| = {residual:g} >= {_AMPLITUDE_TOL:g}")
     return math.exp(root)
 
 
@@ -296,7 +296,7 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolut
     """
     plane = PhasePlane(p)
     n = _existing_mode(n, plane)
-    w_minus = _invert_time_map(n, plane, _AMPLITUDE_TOL)
+    w_minus = _invert_time_map(n, plane)
     w0 = plane.w0
     ws, zs = _integrate_wz(w_minus, p, int(n_points))
 

@@ -28,12 +28,11 @@ residual can be re-evaluated from the state alone.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import (
     ConvergenceError,
@@ -44,7 +43,7 @@ from .errors import (
 )
 from .linstab import degeneracy_tolerance, neumann_tridiagonal, nodal_potential, sturm_count_below, sturm_spectrum
 from .model import ModelParams, Profile, w0_const
-from .nodal import NodalSolution, nodal_pair
+from .nodal import nodal_pair
 from .spectral import mode_windows, mu_threshold, window_holds
 
 __all__ = [
@@ -66,6 +65,7 @@ NEWTON_TOL = 1e-9
 MAX_NEWTON_ITERS = 50
 MAX_BACKTRACKS = 20
 DISTINCT_TOL = 1e-6
+_POLISH_TOL = 1e-12  # residual of the polished constant states
 
 _GBSV = get_lapack_funcs("gbsv", dtype=np.float64)
 
@@ -88,8 +88,8 @@ class CoexistenceState:
     residual_sup: float
     newton_iters: int
     origin: str  # "constant", "nodal(n,branch)", or "continued"
-    w_fine: np.ndarray | None = None
-    v_fine: np.ndarray | None = None
+    w_fine: np.ndarray
+    v_fine: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +122,18 @@ def _grid_terms(p: ModelParams, n_points: int):
     return p.coeff_a(x), p.coeff_c(x), (n_points - 1.0) ** 2
 
 
-def _check_pair(w: Profile, v: Profile, w_fine: np.ndarray | None = None) -> None:
-    """Same grid for both components, and w > -1 at every node of the pair
-    carried as w + w_fine."""
+def _check_pair(w: Profile, v: Profile, w_fine: np.ndarray | None = None, v_fine: np.ndarray | None = None) -> None:
+    """Same grid for both components and both fine parts, finite fine parts,
+    and w > -1 at every node of the pair carried as w + w_fine."""
     if w.n_points != v.n_points:
         raise GridMismatchError(f"grids differ: {w.n_points} vs {v.n_points} points")
+    for name, fine in (("w_fine", w_fine), ("v_fine", v_fine)):
+        if fine is None:
+            continue
+        if np.shape(fine) != (w.n_points,):
+            raise GridMismatchError(f"{name} has shape {np.shape(fine)}, the grid has {w.n_points} points")
+        if not np.isfinite(fine).all():
+            raise DomainError(f"{name} must be finite at every node")
     if np.any((w.values if w_fine is None else w.values + w_fine) <= -1.0):
         raise DomainError("w must satisfy w > -1 at every node")
 
@@ -258,7 +265,7 @@ def newton_solve(
     PositivityError carrying the limit.  When a list is passed as
     ``residual_history`` the sup residual of every iterate is appended to it.
     """
-    _check_pair(w0, v0, w_fine)
+    _check_pair(w0, v0, w_fine, v_fine)
     n_points = w0.n_points
     terms = _grid_terms(p, n_points)
 
@@ -322,19 +329,11 @@ def newton_solve(
     )
 
 
-def _fine_parts(state: CoexistenceState) -> tuple[np.ndarray, np.ndarray]:
-    """The stored collapse leftovers of a state, zeros where there are none."""
-    zero = np.zeros(state.w.n_points)
-    return (
-        zero if state.w_fine is None else state.w_fine,
-        zero if state.v_fine is None else state.v_fine,
-    )
-
-
 def residual_fine(state: CoexistenceState, p: ModelParams) -> float:
     """Re-evaluate the certified sup-norm residual of a stored state."""
-    wf, vf = _fine_parts(state)
-    g1, g2, _, _ = _two_part_residual(state.w.values, wf, state.v.values, vf, p, _grid_terms(p, wf.size))
+    g1, g2, _, _ = _two_part_residual(
+        state.w.values, state.w_fine, state.v.values, state.v_fine, p, _grid_terms(p, state.w.n_points)
+    )
     return _sup(g1, g2)
 
 
@@ -351,45 +350,28 @@ def assert_nondegenerate(w: Profile, p: ModelParams, label: str = "state") -> No
         )
 
 
-def _solve_neumann(V: Profile, rhs: np.ndarray) -> np.ndarray:
-    """Solve (-D^2 + V) x = rhs with mirror ghosts through the symmetrized
-    tridiagonal: the end entries are scaled by 1/sqrt 2 going in and by
-    sqrt 2 coming out."""
-    diag, off = neumann_tridiagonal(V)
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
-    scaled = np.array(rhs, dtype=float)
-    scaled[[0, -1]] /= math.sqrt(2.0)
-    x = solve_banded((1, 1), ab, scaled)
-    x[[0, -1]] *= math.sqrt(2.0)
-    return x
-
-
-def first_order_corrections(sol0, p: ModelParams) -> tuple[Profile, Profile]:
+def first_order_corrections(w: Profile, p: ModelParams) -> tuple[Profile, Profile]:
     """First eps-derivatives (phi, psi) of the continued state at eps = 0.
 
-    psi solves (-D^2 + mu) psi = (mu/d) c(x) w/(1+w); it is strictly positive
-    whenever c is nonzero.  phi then solves the limit w-block system with
-    right side -a(x) w^2 - b w/(1+w) psi.  Refuses (DegenerateError) when the
+    By the implicit function theorem they solve J (phi, psi) = -dG/deps with
+    J the Newton Jacobian at (w, mu/d) and eps = 0.  Its v-block decouples:
+    psi solves (-D^2 + mu) psi = (mu/d) c(x) w/(1+w) and is strictly positive
+    whenever c is nonzero; phi solves the limit w-block system with right
+    side -a(x) w^2 - b w/(1+w) psi.  Refuses (DegenerateError) when the
     w-block is within the degeneracy tolerance of singular.
     """
-    w = sol0.profile if isinstance(sol0, NodalSolution) else getattr(sol0, "w", sol0)
     if not isinstance(w, Profile):
-        raise DomainError("sol0 must be a NodalSolution, CoexistenceState, or Profile")
+        raise DomainError(f"w must be a Profile, got {type(w).__name__}")
     if not p.mu > 0.0:
         raise DomainError("corrections require mu > 0")
     assert_nondegenerate(w, p, label="first_order_corrections")
 
-    n_points = w.n_points
-    a_vals, c_vals, _ = _grid_terms(p, n_points)
-    ratio = w.values / (1.0 + w.values)
-
-    psi = _solve_neumann(Profile.constant(p.mu, n_points), (p.mu / p.d) * c_vals * ratio)
-    rhs_w = -a_vals * w.values ** 2 - p.b * ratio * psi
-    phi = _solve_neumann(nodal_potential(w, p), rhs_w)
-    return Profile(phi), Profile(psi)
+    terms = _grid_terms(p, w.n_points)
+    a_vals, c_vals, _ = terms
+    v = np.full(w.n_points, p.mu / p.d)
+    rhs = _interleave(-a_vals * w.values ** 2, (p.mu / p.d) * c_vals * (w.values / (1.0 + w.values)))
+    step = _banded_step(jacobian_banded(w.values, v, p.with_eps(0.0), *terms), rhs)
+    return Profile(step[0::2]), Profile(step[1::2])
 
 
 def admissible_lambda(n: int, p: ModelParams, margin: float | None = None) -> None:
@@ -429,16 +411,17 @@ def admissible_lambda(n: int, p: ModelParams, margin: float | None = None) -> No
 def limit_seeds(n: int, p: ModelParams, n_points: int) -> list[tuple[str, Profile]]:
     """The 2n+1 limit seeds of the census with their origin labels: the
     constant w0, then the lower and upper member of every j-crossing pair,
-    j = 1..n."""
+    j = 1..n.  DomainError unless n is an integer >= 1."""
+    window_holds(n, p)  # validates n
     seeds = [("constant", Profile.constant(w0_const(p), n_points))]
-    for j in range(1, n + 1):
+    for j in range(1, int(n) + 1):
         lower, upper = nodal_pair(j, p, n_points)
         seeds.append((f"nodal({j},lower)", lower.profile))
         seeds.append((f"nodal({j},upper)", upper.profile))
     return seeds
 
 
-def census(n: int, p: ModelParams, n_points: int = 2001, margin: float | None = None) -> CensusResult:
+def census(n: int, p: ModelParams, n_points: int = 2001) -> CensusResult:
     """Newton solves at eps = p.eps from the 2n+1 limit seeds.
 
     Seeds are the constant pair (w0, mu/d) and both members of every
@@ -452,7 +435,7 @@ def census(n: int, p: ModelParams, n_points: int = 2001, margin: float | None = 
         raise DomainError(
             f"census requires mu strictly between consecutive mode thresholds; mu = {p.mu:g}"
         )
-    admissible_lambda(n, p, margin=margin)  # validates n; the mode-n window holds lam, so n <= kappa
+    admissible_lambda(n, p)  # validates n; the mode-n window holds lam, so n <= kappa
     n = int(n)
 
     v_flat = Profile.constant(p.mu / p.d, n_points)
@@ -509,15 +492,14 @@ def continue_in_eps(
     for eps in ladder:
         q = p.with_eps(float(eps))
         prev = accepted[-1]
-        w_fine, v_fine = _fine_parts(prev)
+        w_fine, v_fine = prev.w_fine, prev.v_fine
         if len(accepted) > 1 and accepted[-2].eps != prev.eps:
             older = accepted[-2]
             s = (q.eps - prev.eps) / (prev.eps - older.eps)
-            older_w_fine, older_v_fine = _fine_parts(older)
-            w_pred = w_fine + s * ((prev.w.values - older.w.values) + (w_fine - older_w_fine))
+            w_pred = w_fine + s * ((prev.w.values - older.w.values) + (w_fine - older.w_fine))
             if float(np.min(prev.w.values + w_pred)) > -1.0:
                 w_fine = w_pred
-                v_fine = v_fine + s * ((prev.v.values - older.v.values) + (v_fine - older_v_fine))
+                v_fine = v_fine + s * ((prev.v.values - older.v.values) + (v_fine - older.v_fine))
         try:
             accepted.append(
                 newton_solve(prev.w, prev.v, q, origin="continued", w_fine=w_fine, v_fine=v_fine)
@@ -528,12 +510,12 @@ def continue_in_eps(
     return ContinuationResult(tuple(accepted), breakdown)
 
 
-def constant_states(p: ModelParams, polish_tol: float = 1e-12) -> list[tuple[float, float]]:
+def constant_states(p: ModelParams) -> list[tuple[float, float]]:
     """All spatially constant coexistence pairs for constant coefficients.
 
     Eliminating v reduces the algebraic system to a cubic in w (quadratic at
     eps = 0); real positive roots are polished in the original 2x2 system
-    and verified to the stated tolerance.
+    and verified to residual 1e-12.
     """
     if not (p.coeff_a.is_constant and p.coeff_c.is_constant):
         raise DomainError("constant_states requires constant coefficients")
@@ -568,7 +550,7 @@ def constant_states(p: ModelParams, polish_tol: float = 1e-12) -> list[tuple[flo
         # polish in the 2x2 system
         for _ in range(40):
             r1, r2 = system(w, v)
-            if max(abs(r1), abs(r2)) < polish_tol:
+            if max(abs(r1), abs(r2)) < _POLISH_TOL:
                 break
             j11 = -eps * a + b * v / (1.0 + w) ** 2
             j12 = -b / (1.0 + w)
@@ -580,7 +562,7 @@ def constant_states(p: ModelParams, polish_tol: float = 1e-12) -> list[tuple[flo
             w -= (r1 * j22 - r2 * j12) / det
             v -= (j11 * r2 - j21 * r1) / det
         r1, r2 = system(w, v)
-        if max(abs(r1), abs(r2)) >= polish_tol or w <= 0.0 or v <= 0.0:
+        if max(abs(r1), abs(r2)) >= _POLISH_TOL or w <= 0.0 or v <= 0.0:
             continue
         if any(abs(w - wo) <= 1e-9 * (1.0 + abs(w)) for wo, _ in out):
             continue

@@ -15,6 +15,8 @@ from .errors import QuadratureError
 __all__ = ["adaptive_gauss", "gauss_panel"]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+_REL_TOL = 1e-10
+_MAX_PANELS = 2 ** 14
 
 
 def gauss_panel(f, a: float, b: float) -> float:
@@ -24,14 +26,14 @@ def gauss_panel(f, a: float, b: float) -> float:
     return half * float(np.dot(_WEIGHTS, f(mid + half * _NODES)))
 
 
-def adaptive_gauss(f, a: float, b: float, rel_tol: float = 1e-10, max_panels: int = 2 ** 14) -> float:
-    """Integrate the vectorized integrand f over [a, b] to relative tolerance.
+def adaptive_gauss(f, a: float, b: float) -> float:
+    """Integrate the vectorized integrand f over [a, b] to relative tolerance 1e-10.
 
-    Raises QuadratureError if the panel budget is exhausted before every
-    panel meets tolerance.
+    Raises QuadratureError if the budget of 2^14 panels is exhausted before
+    every panel meets tolerance.
     """
     whole = gauss_panel(f, a, b)
-    floor = abs(whole) * rel_tol / 256.0
+    floor = abs(whole) * _REL_TOL / 256.0
     stack = [(a, b, whole)]
     total = 0.0
     used = 1
@@ -41,13 +43,13 @@ def adaptive_gauss(f, a: float, b: float, rel_tol: float = 1e-10, max_panels: in
         left = gauss_panel(f, a0, mid)
         right = gauss_panel(f, mid, b0)
         refined = left + right
-        if abs(refined - coarse) <= max(rel_tol * abs(refined), floor):
+        if abs(refined - coarse) <= max(_REL_TOL * abs(refined), floor):
             total += refined
         else:
             used += 2
-            if used > max_panels:
+            if used > _MAX_PANELS:
                 raise QuadratureError(
-                    f"adaptive quadrature exceeded {max_panels} panels on [{a:g}, {b:g}]"
+                    f"adaptive quadrature exceeded {_MAX_PANELS} panels on [{a:g}, {b:g}]"
                 )
             stack.append((a0, mid, left))
             stack.append((mid, b0, right))

@@ -160,6 +160,16 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert "DomainError" in err
 
+    @pytest.mark.parametrize("args, flag", [
+        (["timemap", "--mu", "50", "--lambda", "25", "--samples", "0"], "--samples must be >= 1"),
+        (["critical", "--kappa-max", "-1"], "--kappa-max must be >= 0"),
+    ])
+    def test_out_of_range_count_flag_names_it(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "x.csv"
+        assert run_cli(args + ["-o", str(out)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_output_directory(self, tmp_path, capsys):
         code = run_cli(["critical", "-o", str(tmp_path / "missing" / "x.csv")])
         assert code == 1

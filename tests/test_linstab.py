@@ -142,13 +142,6 @@ class TestMorseIndexNodal:
         lower, _ = nodal_pair(1, desk)
         assert morse_index_nodal(lower, desk) == morse_index_w0(desk.lam, desk) - 1 == 1
 
-    @pytest.mark.parametrize("m", [0, 1])
-    def test_too_few_eigenvalues_names_m_and_n(self, desk, m):
-        # tau_(n,n) is the (n+1)-th eigenvalue, so m must exceed n
-        lower, _ = nodal_pair(1, desk)
-        with pytest.raises(DomainError, match=f"m = {m}\\b.*n = 1"):
-            morse_index_nodal(lower, desk, m)
-
     def test_sign_sandwich_interior_sample(self, desk):
         root = lambda_roots(1, desk)
         for frac in (0.2, 0.5, 0.8):

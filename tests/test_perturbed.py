@@ -11,6 +11,7 @@ from htbif.errors import (
     GridMismatchError,
     PositivityError,
 )
+from htbif.linstab import neumann_tridiagonal, nodal_potential
 from htbif.model import CoeffFn, ModelParams, Profile, w0_const
 from htbif.nodal import crossing_count, nodal_pair
 from htbif.perturbed import (
@@ -125,6 +126,19 @@ class TestNewtonSolve:
         with pytest.raises(DomainError, match="w > -1"):
             newton_solve(Profile.constant(0.5, 2001), flat_v, desk, w_fine=np.full(2001, -2.0))
 
+    @pytest.mark.parametrize("field", ["w_fine", "v_fine"])
+    def test_fine_part_off_the_grid_is_a_grid_mismatch(self, desk, flat_v, field):
+        with pytest.raises(GridMismatchError, match=f"{field}.*2001 points"):
+            newton_solve(Profile.constant(1.0, 2001), flat_v, desk, **{field: np.zeros(501)})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["w_fine", "v_fine"])
+    def test_non_finite_fine_part_is_a_domain_error(self, desk, flat_v, field, bad):
+        fine = np.zeros(2001)
+        fine[17] = bad
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            newton_solve(Profile.constant(1.0, 2001), flat_v, desk, **{field: fine})
+
 
 def _random_jacobian(n_points: int, rng) -> np.ndarray:
     # the random states of acceptance criterion 14
@@ -167,14 +181,14 @@ class TestBandedStep:
 class TestFirstOrderCorrections:
     def test_predator_correction_positive(self, desk):
         lower, _ = nodal_pair(1, desk)
-        phi, psi = first_order_corrections(lower, desk)
+        phi, psi = first_order_corrections(lower.profile, desk)
         assert float(np.min(psi.values)) > 0.0
         assert phi.n_points == 2001
 
     def test_zero_conversion_kills_psi(self, desk):
         p = ModelParams(coeff_c=CoeffFn.constant(0.0))
         lower, _ = nodal_pair(1, p)
-        phi, psi = first_order_corrections(lower, p)
+        phi, psi = first_order_corrections(lower.profile, p)
         assert float(np.max(np.abs(psi.values))) == 0.0
         assert float(np.max(np.abs(phi.values))) > 0.0
 
@@ -183,7 +197,7 @@ class TestFirstOrderCorrections:
         q = desk.with_lam(root.lambda_minus + 2e-7)
         lower, _ = nodal_pair(1, q)
         with pytest.raises(DegenerateError):
-            first_order_corrections(lower, q)
+            first_order_corrections(lower.profile, q)
 
     def test_constant_state_corrections_match_algebraic_path(self, desk):
         # dual route: at the constant state the corrections have closed forms
@@ -198,10 +212,54 @@ class TestFirstOrderCorrections:
         assert np.allclose(phi.values, (w_eps - w0) / eps, atol=1e-5)
         assert np.allclose(psi.values, (v_eps - desk.mu / desk.d) / eps, atol=1e-5)
 
+    def test_rejects_a_non_profile(self, desk, flat_v):
+        lower, _ = nodal_pair(1, desk)
+        state = newton_solve(lower.profile, flat_v, desk)
+        for not_a_profile in (lower, state, lower.profile.values):
+            with pytest.raises(DomainError, match="Profile"):
+                first_order_corrections(not_a_profile, desk)
+
+    @pytest.mark.parametrize("where", ["desk", "sampled", "mu170"])
+    def test_matches_the_tridiagonal_oracle(self, where):
+        # the corrections' former route: each block solved on its own through
+        # the symmetrized Neumann tridiagonal, ends scaled by 1/sqrt 2 going
+        # in and by sqrt 2 coming out
+        x = np.linspace(0.0, 1.0, 33)
+        p = {
+            "desk": ModelParams(),
+            "sampled": ModelParams(
+                coeff_a=CoeffFn.sampled(x, 1.0 + 0.5 * np.sin(2.0 * np.pi * x)),
+                coeff_c=CoeffFn.sampled(x, 1.0 + 0.5 * np.cos(3.0 * np.pi * x)),
+            ),
+            "mu170": ModelParams(mu=170.0, lam=60.0),
+        }[where]
+
+        def solve_neumann(V, rhs):
+            diag, off = neumann_tridiagonal(V)
+            ab = np.zeros((3, diag.size))
+            ab[0, 1:] = off
+            ab[1, :] = diag
+            ab[2, :-1] = off
+            scaled = np.array(rhs, dtype=float)
+            scaled[[0, -1]] /= math.sqrt(2.0)
+            out = solve_banded((1, 1), ab, scaled)
+            out[[0, -1]] *= math.sqrt(2.0)
+            return out
+
+        grid = np.linspace(0.0, 1.0, 2001)
+        for sol in nodal_pair(1, p):
+            w = sol.profile
+            ratio = w.values / (1.0 + w.values)
+            psi = solve_neumann(Profile.constant(p.mu, 2001), (p.mu / p.d) * p.coeff_c(grid) * ratio)
+            phi = solve_neumann(nodal_potential(w, p), -p.coeff_a(grid) * w.values ** 2 - p.b * ratio * psi)
+            got_phi, got_psi = first_order_corrections(w, p)
+            for got, ref in ((got_phi, phi), (got_psi, psi)):
+                assert np.max(np.abs(got.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
     def test_richardson_first_order(self, desk, flat_v):
         lower, _ = nodal_pair(1, desk)
         base = newton_solve(lower.profile, flat_v, desk, origin="nodal(1,lower)")
-        phi, _ = first_order_corrections(base, desk)
+        phi, _ = first_order_corrections(base.w, desk)
         gaps = []
         for eps in (1e-2, 5e-3, 2.5e-3):
             st = newton_solve(base.w, flat_v, desk.with_eps(eps))

@@ -8,7 +8,7 @@ from htbif.errors import DomainError
 from htbif.linstab import detect_singular_set, fit_expansion
 from htbif.model import ModelParams
 from htbif.nodal import nodal_pair, solve_amplitude, trace_loop
-from htbif.perturbed import census
+from htbif.perturbed import admissible_lambda, census, limit_seeds
 from htbif.spectral import eta2_closed_form, window_lambdas, y1_closed_form
 
 DESK = ModelParams()
@@ -22,6 +22,8 @@ CALLS = {
     "detect_singular_set": lambda n: detect_singular_set(n, DESK, n_lambda=4, n_points=401),
     "fit_expansion": lambda n: fit_expansion(n, "minus", DESK, n_points=501),
     "census": lambda n: census(n, DESK.with_eps(1e-3), n_points=501),
+    "limit_seeds": lambda n: limit_seeds(n, DESK, 501),
+    "admissible_lambda": lambda n: admissible_lambda(n, DESK),
     "eta2_closed_form": lambda n: eta2_closed_form(n, "minus", DESK),
     "y1_closed_form": lambda n: y1_closed_form(n, "minus", DESK),
 }

@@ -29,5 +29,7 @@ def test_needs_panels_for_sharp_feature():
 
 
 def test_panel_budget_enforced():
-    with pytest.raises(QuadratureError):
-        adaptive_gauss(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300), 0.0, 1.0, max_panels=64)
+    # about 3,200 jumps on [0, 1]: bisecting toward every one of them needs
+    # more than the 2^14-panel budget
+    with pytest.raises(QuadratureError, match="16384 panels"):
+        adaptive_gauss(lambda x: np.sign(np.sin(1e4 * x)), 0.0, 1.0)

@@ -211,7 +211,7 @@ class TestTimeMapAcrossParameters:
 
 class TestABCertify:
     def test_desk_certificate(self, desk):
-        report = ab_certify(desk, n_samples=10_000)
+        report = ab_certify(desk)
         assert report.alpha == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
         assert report.a_condition_ok and report.b_condition_ok
         assert report.worst_margin < 0.0
@@ -234,7 +234,7 @@ class TestABCertify:
     def test_second_derivative_positive_at_alpha(self, desk):
         from htbif.model import kinetic_d2f
 
-        report = ab_certify(desk, n_samples=100)
+        report = ab_certify(desk)
         assert float(kinetic_d2f(report.alpha, desk)) > 0.0
 
 
