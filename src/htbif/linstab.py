@@ -7,8 +7,9 @@ operator -D^2 + V with potential V(x) = -lam + (b mu/d)/(1 + w(x))^2.  It is
 discretized by centered second differences with mirror ghost nodes; a
 half-weight diagonal similarity restores symmetry, so the discrete operator
 is a symmetric tridiagonal matrix.  Its O(h^2) eigenvalue error grows like
-(k pi)^4 h^2/12 with the mode k; sturm_spectrum adds back the V-free part
-(Paine, de Hoog & Anderssen), so Morse counts hold near window ends.
+(k pi)^4 h^2/12 with the mode k; every eigenvalue here, from LAPACK alone,
+gets back the V-free part (Paine, de Hoog & Anderssen), so Morse counts and
+the degeneracy test hold near window ends.
 
 Near a bifurcation point lam_n^(+/-) the branch admits the expansion
 
@@ -29,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import (
     ConvergenceError,
+    DegenerateError,
     DegeneracyWarning,
     DomainError,
     InsufficientDataError,
@@ -46,13 +48,13 @@ from .spectral import eta2_closed_form, lambda_roots, window_holds, window_lambd
 __all__ = [
     "ExpansionCheck",
     "Spectrum",
+    "assert_nondegenerate",
     "degeneracy_tolerance",
     "detect_singular_set",
     "fit_expansion",
     "morse_index_nodal",
     "neumann_tridiagonal",
     "nodal_potential",
-    "sturm_count_below",
     "sturm_spectrum",
 ]
 
@@ -61,17 +63,13 @@ __all__ = [
 class Spectrum:
     """Lowest eigenvalues of -D^2 + V(x) with no-flux conditions.
 
-    ``eigenvalues`` carry the asymptotic correction of sturm_spectrum;
-    ``eigenfunctions`` holds the corresponding discrete eigenvectors
-    (columns, sup-normalized); ``morse_index`` counts every negative
-    corrected eigenvalue, not only the computed ones.
+    ``eigenvalues`` ascend strictly and carry the asymptotic correction of
+    sturm_spectrum; ``morse_index`` counts every negative corrected
+    eigenvalue, not only the returned ones.
     """
 
     eigenvalues: np.ndarray
-    potential: Profile
-    n_points: int
     morse_index: int
-    eigenfunctions: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,6 +88,18 @@ def degeneracy_tolerance(lam: float) -> float:
     return 1e-6 * (1.0 + abs(lam))
 
 
+def assert_nondegenerate(w: Profile, p: ModelParams, label: str = "state") -> None:
+    """Raise DegenerateError when the linearization at w has a corrected
+    eigenvalue within the degeneracy tolerance of zero; the correction is never
+    negative, so only eigenvalues whose raw value lies below +tol can qualify."""
+    tol = degeneracy_tolerance(p.lam)
+    vals = _corrected_eigenvalues(nodal_potential(w, p), select="v", select_range=(-np.inf, tol))
+    if np.any(np.abs(vals) < tol):
+        raise DegenerateError(
+            f"{label}: linearization has an eigenvalue within {tol:g} of zero at lam = {p.lam:g}"
+        )
+
+
 def neumann_tridiagonal(V: Profile):
     """Symmetric tridiagonal (diag, offdiag) for -D^2 + V with mirror ghosts.
 
@@ -106,57 +116,37 @@ def neumann_tridiagonal(V: Profile):
     return diag, off
 
 
-def sturm_count_below(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal matrix below sigma.
+def _corrected_eigenvalues(V: Profile, **select) -> np.ndarray:
+    """Corrected eigenvalues of -D^2 + V, lowest first, chosen by ``select``.
 
-    Classic Sturm sequence: the count of negative pivots of the shifted
-    LDL^T factorization equals the count of eigenvalues < sigma.  An exactly
-    zero pivot is nudged negative, so eigenvalues equal to sigma count as
-    below it.
+    The k-th (0-based) gains (k pi)^2 - (4/h^2) sin^2(k pi h/2), the exact
+    minus the discrete value at V = 0 (Paine, de Hoog & Anderssen); that never
+    falls with k, so the corrected values ascend strictly like the raw ones.
     """
-    count = 0
-    n = diag.size
-    q = diag[0] - sigma
-    for i in range(n):
-        if q == 0.0:
-            q = -1e-300
-        if q < 0.0:
-            count += 1
-        if i + 1 < n:
-            q = (diag[i + 1] - sigma) - off[i] * off[i] / q
-    return count
+    try:
+        vals = eigvalsh_tridiagonal(*neumann_tridiagonal(V), **select)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - symmetric tridiagonal
+        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    k_pi = math.pi * np.arange(vals.size)
+    return vals + (k_pi ** 2 - 4.0 * (V.n_points - 1.0) ** 2 * np.sin(0.5 * V.h * k_pi) ** 2)
 
 
 def sturm_spectrum(V: Profile, m: int) -> Spectrum:
-    """Lowest m corrected eigenvalues and eigenfunctions of -D^2 + V(x), Neumann.
+    """Lowest m corrected eigenvalues of -D^2 + V(x), Neumann, and the Morse index.
 
-    The k-th (0-based) eigenvalue gains (k pi)^2 - (4/h^2) sin^2(k pi h/2),
-    its exact-minus-discrete value at V = 0 (Paine, de Hoog & Anderssen).  The
-    correction is never negative, so the Morse index counts the negative
-    values among the lowest (raw Sturm count) corrected eigenvalues.
+    When the m-th is negative the count runs past m, and values and count come
+    from one whole-spectrum call: LAPACK values are good to about ulp ||T||
+    (4e-9 at 2001 points), so two calls never share one decision near zero.
     """
     if int(m) != m or m < 1:
         raise DomainError(f"need m >= 1 eigenvalues, got {m!r}")
     m = int(m)
     if m > V.n_points:
         raise DomainError(f"m = {m} exceeds the {V.n_points}-point discretization size")
-    diag, off = neumann_tridiagonal(V)
-    raw = sturm_count_below(diag, off, 0.0)
-    try:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, max(m, raw) - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - symmetric tridiagonal
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
-    k_pi = math.pi * np.arange(vals.size)
-    vals = vals + (k_pi ** 2 - 4.0 * (V.n_points - 1.0) ** 2 * np.sin(0.5 * V.h * k_pi) ** 2)
-    morse = int(np.count_nonzero(vals[:raw] < 0.0))
-    # undo the symmetrizing similarity, then sup-normalize with positive start
-    vecs = vecs[:, :m].copy()
-    vecs[0, :] *= math.sqrt(2.0)
-    vecs[-1, :] *= math.sqrt(2.0)
-    peaks = np.max(np.abs(vecs), axis=0)
-    signs = np.where(vecs[0, :] >= 0.0, 1.0, -1.0)
-    vecs = vecs * (signs / peaks)
-    return Spectrum(vals[:m], V, V.n_points, morse, vecs)
+    vals = _corrected_eigenvalues(V, select="i", select_range=(0, m - 1))
+    if vals[-1] < 0.0:
+        vals = _corrected_eigenvalues(V)
+    return Spectrum(vals[:m], int(np.count_nonzero(vals < 0.0)))
 
 
 def nodal_potential(w: Profile, p: ModelParams) -> Profile:

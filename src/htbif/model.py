@@ -27,6 +27,7 @@ __all__ = [
     "PhaseState",
     "Profile",
     "energy",
+    "grid_points",
     "kinetic_d2f",
     "kinetic_d3f",
     "kinetic_df",
@@ -176,22 +177,25 @@ class ModelParams:
         return ModelParams(self.b, self.d, self.lam, self.mu, eps, self.coeff_a, self.coeff_c)
 
 
+def grid_points(n_points) -> int:
+    """n_points as an int, once it is an odd integer >= 3: then x = 1/2 is a
+    node of the closed uniform grid, so midpoint symmetry checks are exact."""
+    if not 3 <= n_points < math.inf or int(n_points) != n_points or n_points % 2 != 1:
+        raise DomainError(f"n_points must be an odd integer >= 3, got {n_points!r}")
+    return int(n_points)
+
+
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """Samples of a function on the closed uniform grid of [0, 1].
-
-    n_points must be odd so x = 1/2 is a node and midpoint symmetry checks
-    are exact at nodes.
-    """
+    """Samples of a function on the closed uniform grid of [0, 1], of a size grid_points accepts."""
 
     values: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size < 3:
-            raise DomainError("Profile needs a 1-d array with at least 3 samples")
-        if arr.size % 2 == 0:
-            raise DomainError(f"Profile n_points must be odd, got {arr.size}")
+        if arr.ndim != 1:
+            raise DomainError(f"Profile needs a 1-d array, got {arr.ndim} dimensions")
+        grid_points(arr.size)
         if not np.all(np.isfinite(arr)):
             raise DomainError("Profile values must be finite")
         arr.setflags(write=False)
@@ -199,7 +203,7 @@ class Profile:
 
     @classmethod
     def constant(cls, value: float, n_points: int) -> "Profile":
-        return cls(np.full(int(n_points), float(value)))
+        return cls(np.full(grid_points(n_points), float(value)))
 
     @property
     def n_points(self) -> int:

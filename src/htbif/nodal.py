@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, IntegrationError, NoSolutionError, ConvergenceError
-from .model import ModelParams, Profile, kinetic_f, potential_F, w0_const
+from .model import ModelParams, Profile, grid_points, kinetic_f, potential_F, w0_const
 from .spectral import eta2_closed_form, lambda_roots, mu_threshold, window_holds, window_lambdas
 from .timemap import PhasePlane, homoclinic_extent
 
@@ -202,10 +202,11 @@ def integrate_cauchy(w_start: float, p: ModelParams, n_points: int = 2001) -> Pr
     The energy z^2/2 + F(w) is conserved along exact orbits; its drift is the
     integration accuracy watchdog.
     """
+    n_points = grid_points(n_points)
     w_h = homoclinic_extent(p)
     if not 0.0 < w_start < w_h:
         raise DomainError(f"w_start must lie in (0, w_h) = (0, {w_h:g}); got {w_start!r}")
-    ws, zs = _integrate_wz(w_start, p, int(n_points))
+    ws, zs = _integrate_wz(w_start, p, n_points)
     _check_energy_drift(ws, zs, w_start, p)
     return Profile(ws)
 
@@ -294,11 +295,12 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolut
     function on the grid.  The shifted profile is verified independently
     against the second-order equation before being returned.
     """
+    n_points = grid_points(n_points)
     plane = PhasePlane(p)
     n = _existing_mode(n, plane)
     w_minus = _invert_time_map(n, plane)
     w0 = plane.w0
-    ws, zs = _integrate_wz(w_minus, p, int(n_points))
+    ws, zs = _integrate_wz(w_minus, p, n_points)
 
     # shooting polish: z(1) = -f(w_end) (1 - n T(w_-)) to first order, w_end being
     # w_+ for odd n and w_- for even n, so one Newton step on the time map's
@@ -310,14 +312,14 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolut
         slope = float(kinetic_f(plane.companion(w_minus) if n % 2 else w_minus, p)) * n * dT
         if slope != 0.0:
             w_minus -= z1 / slope
-            ws, zs = _integrate_wz(w_minus, p, int(n_points))
+            ws, zs = _integrate_wz(w_minus, p, n_points)
     _check_energy_drift(ws, zs, w_minus, p)
 
     w_plus = plane.companion(w_minus)
     if (n_points - 1) % n == 0:
         w_up, z_up = _shift_upper(ws, zs, n)
     else:
-        w_up, z_up = _integrate_wz(w_plus, p, int(n_points))
+        w_up, z_up = _integrate_wz(w_plus, p, n_points)
         _check_energy_drift(w_up, z_up, w_plus, p)
 
     lower = _finalize(n, "lower", w_minus, ws, zs, p, w0)

@@ -36,12 +36,11 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import (
     ConvergenceError,
-    DegenerateError,
     DomainError,
     GridMismatchError,
     PositivityError,
 )
-from .linstab import degeneracy_tolerance, neumann_tridiagonal, nodal_potential, sturm_count_below, sturm_spectrum
+from .linstab import assert_nondegenerate
 from .model import ModelParams, Profile, w0_const
 from .nodal import nodal_pair
 from .spectral import mode_windows, mu_threshold, window_holds
@@ -335,19 +334,6 @@ def residual_fine(state: CoexistenceState, p: ModelParams) -> float:
         state.w.values, state.w_fine, state.v.values, state.v_fine, p, _grid_terms(p, state.w.n_points)
     )
     return _sup(g1, g2)
-
-
-def assert_nondegenerate(w: Profile, p: ModelParams, label: str = "state") -> None:
-    """Raise DegenerateError when the limit w-block has a corrected eigenvalue
-    within the degeneracy tolerance of zero; the correction is never negative,
-    so only eigenvalues whose raw value lies below +tol can qualify."""
-    V = nodal_potential(w, p)
-    tol = degeneracy_tolerance(p.lam)
-    below = sturm_count_below(*neumann_tridiagonal(V), tol)
-    if below and np.any(np.abs(sturm_spectrum(V, below).eigenvalues) < tol):
-        raise DegenerateError(
-            f"{label}: linearization has an eigenvalue within {tol:g} of zero at lam = {p.lam:g}"
-        )
 
 
 def first_order_corrections(w: Profile, p: ModelParams) -> tuple[Profile, Profile]:

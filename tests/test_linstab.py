@@ -3,16 +3,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from htbif.errors import DegenerateError, DegeneracyWarning, DomainError, NoSolutionError
 from htbif.linstab import (
+    assert_nondegenerate,
+    degeneracy_tolerance,
     detect_singular_set,
     eta2_closed_form,
     fit_expansion,
     morse_index_nodal,
+    neumann_tridiagonal,
     nodal_potential,
-    sturm_count_below,
     sturm_spectrum,
     y1_closed_form,
 )
@@ -55,9 +60,10 @@ class TestSturmSpectrum:
 
     def test_eigenfunction_nodal_counts(self, desk):
         lower, _ = nodal_pair(1, desk)
-        spec = sturm_spectrum(nodal_potential(lower.profile, desk), 5)
+        diag, off = neumann_tridiagonal(nodal_potential(lower.profile, desk))
+        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 4))
         for ell in range(5):
-            vec = spec.eigenfunctions[:, ell]
+            vec = vecs[:, ell]
             signs = np.sign(vec[np.abs(vec) > 1e-8 * np.max(np.abs(vec))])
             changes = int(np.count_nonzero(np.diff(signs)))
             assert changes == ell
@@ -96,18 +102,59 @@ class TestSturmSpectrum:
         ratios = (eigs[0] - eigs[1]) / (eigs[1] - eigs[2])
         assert np.all((ratios > 3.5) & (ratios < 4.5))
 
-    def test_sturm_count(self):
-        diag = np.array([2.0, 2.0, 2.0])
-        off = np.array([-1.0, -1.0])
-        # eigenvalues of this matrix: 2 - sqrt(2), 2, 2 + sqrt(2)
-        assert sturm_count_below(diag, off, 0.0) == 0
-        assert sturm_count_below(diag, off, 1.0) == 1
-        assert sturm_count_below(diag, off, 2.5) == 2
-        assert sturm_count_below(diag, off, 4.0) == 3
-
     def test_rejects_bad_m(self, desk):
         with pytest.raises(DomainError):
             sturm_spectrum(Profile.constant(0.0, 101), 0)
+
+
+def _whole_corrected_spectrum(V: Profile) -> np.ndarray:
+    """Oracle: every eigenvalue of the library's operator from one LAPACK
+    call, each with its V = 0 exact-minus-discrete gap added."""
+    raw = eigvalsh_tridiagonal(*neumann_tridiagonal(V))
+    k_pi = math.pi * np.arange(raw.size)
+    return raw + k_pi ** 2 - (2.0 / V.h * np.sin(0.5 * V.h * k_pi)) ** 2
+
+
+class TestSpectrumOracle:
+    """sturm_spectrum and assert_nondegenerate against the whole corrected
+    spectrum on smooth random profiles.  lam is chosen so that tau_k sits a
+    few degeneracy tolerances from zero, which puts the degeneracy test on
+    both sides and the Morse count on both of sturm_spectrum's paths."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_points=st.sampled_from([101, 401]),
+        level=st.floats(0.2, 5.0),
+        modes=st.lists(st.floats(-0.18, 0.18), min_size=5, max_size=5),
+        mu=st.floats(20.0, 400.0),
+        k=st.integers(0, 5),
+        offset=st.floats(-3.0, 3.0),
+        m=st.integers(1, 8),
+    )
+    # tau_0 = +tol/2: degenerate though its raw value, uncorrected at k = 0, is positive
+    @example(n_points=101, level=1.0, modes=[0.1, 0.0, 0.0, 0.0, 0.0], mu=100.0, k=0, offset=0.5, m=1)
+    # tau_3 = -2 tol: Morse index 4, counted past the m = 2 returned values
+    @example(n_points=401, level=1.0, modes=[0.1, 0.0, 0.0, 0.0, 0.0], mu=100.0, k=3, offset=-2.0, m=2)
+    def test_matches_whole_spectrum(self, n_points, level, modes, mu, k, offset, m):
+        x = np.linspace(0.0, 1.0, n_points)
+        w = Profile(level * (1.0 + sum(a * np.cos(j * math.pi * x) for j, a in enumerate(modes, 1))))
+        tau_k = _whole_corrected_spectrum(nodal_potential(w, ModelParams(mu=mu, lam=0.0)))[k]
+        q = ModelParams(mu=mu, lam=tau_k - offset * degeneracy_tolerance(tau_k))
+        V = nodal_potential(w, q)
+        oracle = _whole_corrected_spectrum(V)
+        tol = degeneracy_tolerance(q.lam)
+        assume(np.all(np.abs(oracle) > 1e-6) and np.all(np.abs(np.abs(oracle) - tol) > 1e-6))
+
+        assert np.all(np.diff(oracle) > 0.0)
+        spec = sturm_spectrum(V, m)
+        assert np.all(np.diff(spec.eigenvalues) > 0.0)
+        assert spec.morse_index == np.count_nonzero(oracle < 0.0)
+        np.testing.assert_allclose(spec.eigenvalues, oracle[:m], rtol=0.0, atol=1e-7)
+        if np.any(np.abs(oracle) < tol):
+            with pytest.raises(DegenerateError):
+                assert_nondegenerate(w, q)
+        else:
+            assert_nondegenerate(w, q)
 
 
 class TestMorseIndexNodal:

@@ -1,13 +1,16 @@
 """Every public entry point that takes a crossing count n rejects a non-count
-with DomainError, and accepts an integral float as the integer it equals."""
+with DomainError, and accepts an integral float as the integer it equals.
+The profile builders reject a grid size that is not an odd integer >= 3 the
+same way, before any solve or integration."""
 
 import numpy as np
 import pytest
 
+from htbif.cli import main
 from htbif.errors import DomainError
 from htbif.linstab import detect_singular_set, fit_expansion
 from htbif.model import ModelParams
-from htbif.nodal import nodal_pair, solve_amplitude, trace_loop
+from htbif.nodal import integrate_cauchy, nodal_pair, solve_amplitude, trace_loop
 from htbif.perturbed import admissible_lambda, census, limit_seeds
 from htbif.spectral import eta2_closed_form, window_lambdas, y1_closed_form
 
@@ -54,3 +57,24 @@ def _same(a, b):
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_integral_float_is_the_integer(name):
     assert _same(CALLS[name](1.0), CALLS[name](1))
+
+
+GRID_CALLS = {
+    "nodal_pair": lambda n_points: nodal_pair(1, DESK, n_points),
+    "integrate_cauchy": lambda n_points: integrate_cauchy(solve_amplitude(1, DESK), DESK, n_points),
+}
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 4, 2001.5])
+@pytest.mark.parametrize("name", sorted(GRID_CALLS))
+def test_bad_grid_is_a_domain_error(name, n_points):
+    with pytest.raises(DomainError, match="n_points"):
+        GRID_CALLS[name](n_points)
+
+
+def test_cli_reports_a_bad_grid(tmp_path, capsys):
+    out = tmp_path / "nodal.csv"
+    args = ["nodal", "--mu", "50", "--lambda", "25", "--n", "1", "--n-points", "2", "-o", str(out)]
+    assert main(args) == 1
+    assert "DomainError" in capsys.readouterr().err
+    assert not out.exists()
