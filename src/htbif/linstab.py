@@ -41,7 +41,7 @@ from .errors import (
     IntegrationError,
     NoSolutionError,
 )
-from .model import ModelParams, Profile, w0_const
+from .model import ModelParams, Profile, grid_points, w0_const
 from .nodal import NodalSolution, integrate_cauchy, nodal_pair, solve_amplitude
 from .spectral import eta2_closed_form, lambda_roots, window_holds, window_lambdas, y1_closed_form
 
@@ -138,7 +138,7 @@ def sturm_spectrum(V: Profile, m: int) -> Spectrum:
     from one whole-spectrum call: LAPACK values are good to about ulp ||T||
     (4e-9 at 2001 points), so two calls never share one decision near zero.
     """
-    if int(m) != m or m < 1:
+    if not 1 <= m < math.inf or int(m) != m:
         raise DomainError(f"need m >= 1 eigenvalues, got {m!r}")
     m = int(m)
     if m > V.n_points:
@@ -244,7 +244,8 @@ def fit_expansion(n: int, side: str, p: ModelParams, n_points: int = 2001) -> Ex
     root = lambda_roots(n, p)
     lam_side = root.lambda_minus if side == "minus" else root.lambda_plus
 
-    x = np.linspace(0.0, 1.0, int(n_points))
+    n_points = grid_points(n_points)
+    x = np.linspace(0.0, 1.0, n_points)
     phi = np.cos(n * math.pi * x)
     y1_ref = y1_closed_form(n, side, p, n_points).values
 
@@ -257,7 +258,7 @@ def fit_expansion(n: int, side: str, p: ModelParams, n_points: int = 2001) -> Ex
         if not window_holds(n, q):
             continue
         try:
-            lower, upper = nodal_pair(n, q, int(n_points))
+            lower, upper = nodal_pair(n, q, n_points)
         except (NoSolutionError, ConvergenceError, IntegrationError):
             continue
         converged_points += 1

@@ -6,12 +6,11 @@ window.
 An n-crossing solution exists iff n * T(w0) < 1; its starting amplitude is
 the unique w_- in (0, w0) with n * T(w_-) = 1 (the time map is strictly
 decreasing), solved in ln w_- on a bracket that the saddle law guarantees.
-Integrating the Cauchy problem from (w_-, 0) over [0, 1] then satisfies the
-right Neumann condition because x = 1 is the n-th turning time; one Newton
-step on the time map's own slope polishes what the solve leaves.  The second
-solution of the pair is the half-period shift of the first: extend the
-profile evenly about x = 1 and shift by 1/n, which is the same function as
-the Cauchy solution started at the companion turning point (w_+, 0).
+The orbit from (w_-, 0) is even about each turning time x = k/n, so one
+half-period piece on [0, 1/n] carries the pair: the lower solution is its
+even periodic extension, the upper one (from the companion turning point
+w_+) the same extension shifted by 1/n; off-grid 1/n takes two whole
+integrations.  One shooting step on w_- repairs a run that closes too steeply.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ __all__ = [
 _RK_SUBSTEPS = 8  # RK4 substeps per grid cell; keeps output exactly grid-aligned
 _ENERGY_DRIFT_TOL = 1e-9
 _NEUMANN_TOL = 1e-8
-_SHIFT_BVP_TOL = 1e-7
-_SHOOT_TOL = 2e-13  # terminal-slope target of the shooting polish
+_ODE_RESIDUAL_TOL = 1e-7
 _AMPLITUDE_TOL = 1e-10  # |n T(w_-) - 1| bound of the amplitude solve
 
 
@@ -159,23 +157,21 @@ def _invert_time_map(n: int, plane: PhasePlane) -> float:
     return math.exp(root)
 
 
-def _integrate_wz(w_start: float, p: ModelParams, n_points: int):
-    """Fixed-step RK4 for w'' = -f(w) from (w_start, 0); returns node arrays (w, z).
-
-    Plain-float inner loop; the substep count keeps every output sample on
-    the closed uniform grid.
-    """
-    n_cells = n_points - 1
-    h = 1.0 / (n_cells * _RK_SUBSTEPS)
+def _integrate_wz(w_start: float, p: ModelParams, cells: int, m: int):
+    """Fixed-step RK4 for w'' = -f(w) from (w_start, 0) over the first m of
+    `cells` grid cells of [0, 1]; returns node arrays (w, z).  Plain-float
+    inner loop; the substeps keep every sample on the grid, so m cells
+    repeat the whole interval's first m + 1 nodes bit for bit."""
+    h = 1.0 / (cells * _RK_SUBSTEPS)
     lam = p.lam
     bmu_d = p.bmu_over_d
-    ws = np.empty(n_points)
-    zs = np.empty(n_points)
+    ws = np.empty(m + 1)
+    zs = np.empty(m + 1)
     w = float(w_start)
     z = 0.0
     ws[0] = w
     zs[0] = z
-    for i in range(n_cells):
+    for i in range(m):
         for _ in range(_RK_SUBSTEPS):
             k1w = z
             k1z = bmu_d * w / (1.0 + w) - lam * w
@@ -206,7 +202,7 @@ def integrate_cauchy(w_start: float, p: ModelParams, n_points: int = 2001) -> Pr
     w_h = homoclinic_extent(p)
     if not 0.0 < w_start < w_h:
         raise DomainError(f"w_start must lie in (0, w_h) = (0, {w_h:g}); got {w_start!r}")
-    ws, zs = _integrate_wz(w_start, p, n_points)
+    ws, zs = _integrate_wz(w_start, p, n_points - 1, n_points - 1)
     _check_energy_drift(ws, zs, w_start, p)
     return Profile(ws)
 
@@ -262,81 +258,83 @@ def _derivative4(u: np.ndarray, h: float) -> np.ndarray:
     return du
 
 
-def _ode_residual(ws: np.ndarray, zs: np.ndarray, p: ModelParams) -> float:
-    """Sup residual of the first-order system (w' = z, z' = -f(w)) on the grid.
-
-    Equivalent to the second-order equation residual, but evaluated from the
-    (w, z) pair so no second difference is formed.
-    """
-    h = 1.0 / (ws.size - 1)
+def _ode_residual(ws: np.ndarray, zs: np.ndarray, h: float, p: ModelParams) -> float:
+    """Sup residual of w' = z, z' = -f(w) at node spacing h: the second-order
+    equation's residual, read from the (w, z) pair so no second difference is formed."""
     r1 = _derivative4(ws, h) - zs
     r2 = _derivative4(zs, h) + kinetic_f(ws, p)
     return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
 
 
-def _shift_upper(ws: np.ndarray, zs: np.ndarray, n: int):
-    """Half-period shift via the even extension about x = 1 (grid-aligned case)."""
-    n_points = ws.size
-    step = (n_points - 1) // n
-    idx = np.arange(n_points) + step
-    mirrored = idx > n_points - 1
-    idx[mirrored] = 2 * (n_points - 1) - idx[mirrored]
-    w_up = ws[idx]
-    z_up = np.where(mirrored, -zs[idx], zs[idx])
-    return w_up, z_up
+def _junction_tol(cells: int) -> float:
+    """Largest slope a run may leave at its closing turning point: a profile
+    reflected there (by the pair's construction or bvp_residual's ghosts)
+    jumps by 2z in z, an ODE residual 14|z|/(12h) that must stay below the
+    run's own bound (bvp_residual reads twice that).  At most _NEUMANN_TOL."""
+    return min(_NEUMANN_TOL, _ODE_RESIDUAL_TOL * 6.0 / (7.0 * cells))
+
+
+def _runs(n: int, plane: PhasePlane, w_minus: float, cells: int) -> list:
+    """(w_start, w, z) of a pair's RK4 runs, each closing at a turning point: one piece
+    of cells/n cells from w_- when n divides the cells, else [0, 1] from w_- and w_+."""
+    if cells % n == 0:
+        return [(w_minus, *_integrate_wz(w_minus, plane.p, cells, cells // n))]
+    return [(w, *_integrate_wz(w, plane.p, cells, cells)) for w in (w_minus, plane.companion(w_minus))]
 
 
 def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolution, NodalSolution]:
     """The two n-crossing positive solutions at (lam, mu).
 
-    The lower solution starts at (w_-, 0).  The upper one is its even
-    extension shifted by 1/n; when 1/n is not a whole number of grid cells
-    the equivalent Cauchy integration from (w_+, 0) produces the same
-    function on the grid.  The shifted profile is verified independently
-    against the second-order equation before being returned.
+    When n divides the n_points - 1 cells, one RK4 piece of m such cells from
+    (w_-, 0), ending at w_+, builds both: the lower solution reads its even
+    periodic extension from node 0, the upper one from node m.  Otherwise
+    they are integrations over [0, 1] from w_- and from w_+.  The time map's
+    quadrature can leave the RK4 half period 1e-11 off 1/n near the saddle,
+    so a run closing with |z| >= _junction_tol gets one Newton step on w_-
+    (dz/dw_- = k f(w_end) T'(w_-) over k half periods, T' from two time
+    maps) and is run again.  Runs are certified by energy drift and ODE
+    residual; their closing slope is the solutions' Neumann residual.
     """
     n_points = grid_points(n_points)
+    cells = n_points - 1
     plane = PhasePlane(p)
     n = _existing_mode(n, plane)
     w_minus = _invert_time_map(n, plane)
-    w0 = plane.w0
-    ws, zs = _integrate_wz(w_minus, p, n_points)
-
-    # shooting polish: z(1) = -f(w_end) (1 - n T(w_-)) to first order, w_end being
-    # w_+ for odd n and w_- for even n, so one Newton step on the time map's
-    # central-difference slope takes z(1) to the integrator floor
-    z1 = float(zs[-1])
-    if abs(z1) > _SHOOT_TOL:
-        step = 1e-4 * min(w_minus, w0 - w_minus)
+    runs = _runs(n, plane, w_minus, cells)
+    _, ws, zs = max(runs, key=lambda run: abs(run[2][-1]))
+    if abs(zs[-1]) >= _junction_tol(cells):
+        step = 1e-4 * min(w_minus, plane.w0 - w_minus)
         dT = (plane.time_map(w_minus + step).T - plane.time_map(w_minus - step).T) / (2.0 * step)
-        slope = float(kinetic_f(plane.companion(w_minus) if n % 2 else w_minus, p)) * n * dT
+        slope = float(kinetic_f(ws[-1], p)) * (n * (ws.size - 1) // cells) * dT
         if slope != 0.0:
-            w_minus -= z1 / slope
-            ws, zs = _integrate_wz(w_minus, p, n_points)
-    _check_energy_drift(ws, zs, w_minus, p)
-
-    w_plus = plane.companion(w_minus)
-    if (n_points - 1) % n == 0:
-        w_up, z_up = _shift_upper(ws, zs, n)
+            w_minus -= float(zs[-1]) / slope
+            runs = _runs(n, plane, w_minus, cells)
+    for w_start, ws, zs in runs:
+        _check_energy_drift(ws, zs, w_start, p)
+        residual = _ode_residual(ws, zs, 1.0 / cells, p)
+        if residual >= _ODE_RESIDUAL_TOL:
+            raise IntegrationError(f"RK4 profile residual {residual:g} exceeds {_ODE_RESIDUAL_TOL:g}")
+    if len(runs) == 1:  # even periodic extension of the piece, from node 0 and node m
+        _, ws, zs = runs[0]
+        m = cells // n
+        members = [(ws[m - np.abs((np.arange(n_points) + k) % (2 * m) - m)], zs[-1]) for k in (0, m)]
     else:
-        w_up, z_up = _integrate_wz(w_plus, p, n_points)
-        _check_energy_drift(w_up, z_up, w_plus, p)
-
-    lower = _finalize(n, "lower", w_minus, ws, zs, p, w0)
-    upper = _finalize(n, "upper", w_minus, w_up, z_up, p, w0)
-
-    res_upper = _ode_residual(w_up, z_up, p)
-    if res_upper >= _SHIFT_BVP_TOL:
-        raise IntegrationError(f"shifted solution residual {res_upper:g} exceeds {_SHIFT_BVP_TOL:g}")
+        members = [(ws, zs[-1]) for _, ws, zs in runs]
+    lower, upper = (
+        _finalize(n, branch, w_minus, ws, z_end, p, plane.w0, cells)
+        for branch, (ws, z_end) in zip(("lower", "upper"), members)
+    )
+    w_plus = plane.companion(w_minus)
     if abs(upper.profile.values[0] - w_plus) > 1e-8 * max(1.0, w_plus):
-        raise IntegrationError("shifted solution does not start at the companion turning point")
+        raise IntegrationError("upper profile does not start at the companion turning point")
     return lower, upper
 
 
-def _finalize(n, branch, w_minus, ws, zs, p, w0) -> NodalSolution:
-    residual = abs(float(zs[-1]))
-    if residual >= _NEUMANN_TOL:
-        raise IntegrationError(f"{branch} profile Neumann residual {residual:g} exceeds {_NEUMANN_TOL:g}")
+def _finalize(n, branch, w_minus, ws, z_end, p, w0, cells) -> NodalSolution:
+    residual = abs(float(z_end))
+    tol = _junction_tol(cells)
+    if residual >= tol:
+        raise IntegrationError(f"{branch} profile Neumann residual {residual:g} exceeds {tol:g}")
     if float(np.min(ws)) <= 0.0:
         raise IntegrationError(f"{branch} profile lost positivity")
     crossings = crossing_count(ws, w0)

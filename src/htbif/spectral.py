@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, DomainError, NoSolutionError
-from .model import ModelParams, Profile
+from .model import ModelParams, Profile, grid_points
 
 __all__ = [
     "EigencurveRoot",
@@ -218,7 +218,7 @@ def y1_closed_form(n: int, side: str, p: ModelParams, n_points: int = 2001) -> P
     Orthogonal to the kernel mode cos(n pi x) by construction.
     """
     n, lam, _ = _side_root(n, side, p)
-    x = np.linspace(0.0, 1.0, int(n_points))
+    x = np.linspace(0.0, 1.0, grid_points(n_points))
     coef = 0.5 * lam * (p.d * lam / (n * math.pi * p.b * p.mu)) ** 2
     return Profile(coef * (np.cos(2.0 * n * math.pi * x) / 3.0 - 1.0))
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from htbif import nodal
-from htbif.errors import DomainError, NoSolutionError
-from htbif.model import ModelParams, PhaseState, energy, w0_const
+from htbif.errors import DomainError, IntegrationError, NoSolutionError
+from htbif.model import ModelParams, PhaseState, energy, kinetic_f, w0_const
 from htbif.nodal import (
     bvp_residual,
     crossing_count,
@@ -171,38 +171,110 @@ class TestNodalPair:
         assert upper.profile.values[0] > w0_const(p) > lower.profile.values[0]
 
     def test_near_saddle_pair(self):
-        p = ModelParams(mu=800.0, lam=88.0)
-        lower, upper = nodal_pair(1, p)
-        assert lower.boundary_residual <= 2e-13 and upper.boundary_residual <= 2e-13
+        # the closing slope is the first-order shooting error
+        # |z(1/n)| = |f(w_+)| |1/n - T_RK(w_-)|: the Brent root's |1 - n T(w_-)|/n
+        # plus a 2e-13 allowance in time for the gap between the RK4 half
+        # period and the quadrature one (1.4e-14 here, no shooting step); it
+        # also stays under the junction bound that keeps the joined profiles
+        # within criterion 6
+        n, p = 1, ModelParams(mu=800.0, lam=88.0)
+        wm = solve_amplitude(n, p)
+        lower, upper = nodal_pair(n, p)
+        gap = abs(1.0 - n * time_map(wm, p).T) / n
+        bound = abs(float(kinetic_f(companion(wm, p), p))) * (gap + 2e-13)
+        for member in (lower, upper):
+            assert member.boundary_residual <= bound
+            assert member.boundary_residual < nodal._junction_tol(2000)
+            assert bvp_residual(member.profile, p) < 1e-6
+
+    @pytest.mark.parametrize("lam", [209.11904448882018, 44.09085826361496])
+    def test_shooting_step_meets_criterion_6(self, lam):
+        # at these near-saddle amplitudes the time map's quadrature leaves the
+        # RK4 half period about 1e-11 off 1, so the piece closes with a slope
+        # of 4.6e-10 and 1.6e-9: under the 1e-8 Neumann bound, but
+        # bvp_residual's even ghosts at x = 1 would read 2.2e-6 and 7.3e-6
+        # against criterion 6's 1e-6; one shooting step brings the slope to
+        # the integrator floor
+        p = ModelParams(mu=360.0, lam=lam)
+        for member in nodal_pair(1, p):
+            assert member.boundary_residual < 1e-12
+            assert bvp_residual(member.profile, p) < 1e-6
 
     def test_fixed_integration_count(self, monkeypatch):
-        # one RK4 integration per pair, one more only when the polish fires
-        # (|z(1)| > 2e-13) and one more only when 1/n is not a whole number of
-        # grid cells
-        terminal_slopes = []
+        # one RK4 piece of 2000/n cells when n divides the 2000 grid cells,
+        # otherwise two integrations of all 2000; the runs repeat once, after
+        # a shooting step, only when the first ones close with a slope at or
+        # above the junction bound
+        pieces = []
         original = nodal._integrate_wz
 
-        def counted(w_start, p, n_points):
-            ws, zs = original(w_start, p, n_points)
-            terminal_slopes.append(float(zs[-1]))
+        def counted(w_start, p, cells, m):
+            ws, zs = original(w_start, p, cells, m)
+            pieces.append((cells, m, abs(float(zs[-1]))))
             return ws, zs
 
         monkeypatch.setattr(nodal, "_integrate_wz", counted)
         p = ModelParams(mu=170.0)
-        cases = [(3, ModelParams(mu=360.0, lam=180.0))]
+        cases = [
+            (3, ModelParams(mu=360.0, lam=180.0)),
+            (4, ModelParams(mu=700.0, lam=350.0)),
+            (1, ModelParams(mu=360.0, lam=209.11904448882018)),
+        ]
         for n in (1, 2):
             root = lambda_roots(n, p)
             for j in range(8):
                 lam = root.lambda_minus + (j + 0.5) * (root.lambda_plus - root.lambda_minus) / 8
                 cases.append((n, p.with_lam(lam)))
-        polished = 0
+        shots = 0
         for n, q in cases:
-            terminal_slopes.clear()
+            pieces.clear()
             nodal_pair(n, q)
-            polish = abs(terminal_slopes[0]) > 2e-13
-            polished += polish
-            assert len(terminal_slopes) == 1 + polish + (2000 % n != 0)
-        assert 0 < polished < len(cases)
+            runs = [(2000, 2000 // n)] if 2000 % n == 0 else [(2000, 2000)] * 2
+            shot = max(z for _, _, z in pieces[: len(runs)]) >= nodal._junction_tol(2000)
+            shots += shot
+            assert [(cells, m) for cells, m, _ in pieces] == runs * (1 + shot)
+        assert shots == 1
+
+    def test_piece_repeats_the_whole_integration(self):
+        # the piece is the first m + 1 nodes of the integration over [0, 1],
+        # bit for bit, and both members read it from their first node on
+        p = ModelParams(mu=170.0, lam=85.0)
+        lower, upper = nodal_pair(2, p)
+        piece = nodal._integrate_wz(lower.w_minus, p, 2000, 1000)
+        whole = nodal._integrate_wz(lower.w_minus, p, 2000, 2000)
+        for part, full in zip(piece, whole):
+            assert np.array_equal(part, full[:1001])
+        assert np.array_equal(lower.profile.values[:1001], piece[0])
+        assert np.array_equal(upper.profile.values[:1001], piece[0][::-1])
+
+    @pytest.mark.parametrize(
+        "n, mu, lam", [(1, 50.0, 25.0), (2, 170.0, 85.0), (4, 700.0, 350.0), (5, 1000.0, 500.0)]
+    )
+    def test_reflected_members_cross_n_times(self, n, mu, lam):
+        p = ModelParams(mu=mu, lam=lam)
+        lower, upper = nodal_pair(n, p, 2001)
+        w0 = w0_const(p)
+        for member in (lower, upper):
+            assert crossing_count(member.profile.values, w0) == member.crossings == n
+            assert float(np.min(member.profile.values)) > 0.0
+            assert member.boundary_residual < 1e-8
+        assert upper.profile.values[0] == pytest.approx(companion(lower.w_minus, p), abs=1e-8)
+
+    def test_junction_kink_is_refused(self, monkeypatch):
+        # runs that land 1e-10 relative off the root on one side and, after
+        # the shooting step, 2e-10 off on the other close at x = 1 with a slope
+        # of about 4e-9: under the 1e-8 Neumann bound but above the junction
+        # bound, where a joined profile would fail criterion 6
+        original = nodal._runs
+        sign = [1.0]
+
+        def off_root(n, plane, w_minus, cells):
+            sign[0] = -sign[0]
+            return original(n, plane, w_minus * (1.0 - sign[0] * 1e-10), cells)
+
+        monkeypatch.setattr(nodal, "_runs", off_root)
+        with pytest.raises(IntegrationError, match="Neumann residual"):
+            nodal_pair(1, ModelParams(mu=800.0, lam=88.0))
 
     def test_window_exactness_both_ways(self, desk):
         root = lambda_roots(1, desk)

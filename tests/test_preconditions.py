@@ -1,15 +1,16 @@
 """Every public entry point that takes a crossing count n rejects a non-count
 with DomainError, and accepts an integral float as the integer it equals.
 The profile builders reject a grid size that is not an odd integer >= 3 the
-same way, before any solve or integration."""
+same way, before any solve or integration, and sturm_spectrum rejects an
+eigenvalue count that is not an integer >= 1."""
 
 import numpy as np
 import pytest
 
 from htbif.cli import main
 from htbif.errors import DomainError
-from htbif.linstab import detect_singular_set, fit_expansion
-from htbif.model import ModelParams
+from htbif.linstab import detect_singular_set, fit_expansion, sturm_spectrum
+from htbif.model import ModelParams, Profile
 from htbif.nodal import integrate_cauchy, nodal_pair, solve_amplitude, trace_loop
 from htbif.perturbed import admissible_lambda, census, limit_seeds
 from htbif.spectral import eta2_closed_form, window_lambdas, y1_closed_form
@@ -62,6 +63,8 @@ def test_integral_float_is_the_integer(name):
 GRID_CALLS = {
     "nodal_pair": lambda n_points: nodal_pair(1, DESK, n_points),
     "integrate_cauchy": lambda n_points: integrate_cauchy(solve_amplitude(1, DESK), DESK, n_points),
+    "y1_closed_form": lambda n_points: y1_closed_form(1, "minus", DESK, n_points),
+    "fit_expansion": lambda n_points: fit_expansion(1, "minus", DESK, n_points),
 }
 
 
@@ -70,6 +73,12 @@ GRID_CALLS = {
 def test_bad_grid_is_a_domain_error(name, n_points):
     with pytest.raises(DomainError, match="n_points"):
         GRID_CALLS[name](n_points)
+
+
+@pytest.mark.parametrize("m", [1.5, float("nan"), float("inf")])
+def test_bad_eigenvalue_count_is_a_domain_error(m):
+    with pytest.raises(DomainError, match="m >= 1"):
+        sturm_spectrum(Profile(np.full(101, -DESK.lam)), m)
 
 
 def test_cli_reports_a_bad_grid(tmp_path, capsys):
