@@ -3,8 +3,10 @@ saturating predator-prey model on the unit interval.
 
 Modules
 -------
-model      parameters, coefficient functions, scalar kinetics and potential
-spectral   eigencurves, mode windows, Morse staircase, expansion closed forms
+model      parameters, coefficient functions, scalar kinetics and potential,
+           the integer check every layer shares (whole)
+spectral   eigencurves, mode windows, constant-state Morse index, expansion
+           closed forms
 timemap    phase-plane half-period map, center limit, monotonicity certificate
 nodal      exact n-crossing solution pairs, solution loops, Cauchy profiles
 linstab    Neumann operator, Sturm spectra, Morse indices, expansion checks
@@ -27,9 +29,7 @@ from .errors import (
 from .model import (
     CoeffFn,
     ModelParams,
-    PhaseState,
     Profile,
-    energy,
     kinetic_d2f,
     kinetic_d3f,
     kinetic_df,
@@ -40,14 +40,11 @@ from .model import (
 )
 from .spectral import (
     EigencurveRoot,
-    MorseIndexTable,
     eta2_closed_form,
     lambda_roots,
-    morse_index_table,
     morse_index_w0,
     mu_threshold,
     tau0,
-    tau0_dot,
     y1_closed_form,
 )
 from .timemap import (
@@ -76,7 +73,6 @@ from .nodal import (
 from .linstab import (
     ExpansionCheck,
     Spectrum,
-    detect_singular_set,
     fit_expansion,
     morse_index_nodal,
     sturm_spectrum,

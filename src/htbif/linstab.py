@@ -1,6 +1,6 @@
 """Sturm-Liouville spectra of the linearizations at constant and nodal
-solutions, Morse indices, detection of degenerate parameter values, and
-verification of the local branch expansion at the bifurcation points.
+solutions, Morse indices, the degeneracy test, and verification of the
+local branch expansion at the bifurcation points.
 
 The linearization at a solution w of the limit problem is the Neumann
 operator -D^2 + V with potential V(x) = -lam + (b mu/d)/(1 + w(x))^2.  It is
@@ -41,16 +41,15 @@ from .errors import (
     IntegrationError,
     NoSolutionError,
 )
-from .model import ModelParams, Profile, grid_points, w0_const
-from .nodal import NodalSolution, integrate_cauchy, nodal_pair, solve_amplitude
-from .spectral import eta2_closed_form, lambda_roots, window_holds, window_lambdas, y1_closed_form
+from .model import ModelParams, Profile, grid_points, w0_const, whole
+from .nodal import NodalSolution, nodal_pair
+from .spectral import eta2_closed_form, lambda_roots, window_holds, y1_closed_form
 
 __all__ = [
     "ExpansionCheck",
     "Spectrum",
     "assert_nondegenerate",
     "degeneracy_tolerance",
-    "detect_singular_set",
     "fit_expansion",
     "morse_index_nodal",
     "neumann_tridiagonal",
@@ -138,9 +137,7 @@ def sturm_spectrum(V: Profile, m: int) -> Spectrum:
     from one whole-spectrum call: LAPACK values are good to about ulp ||T||
     (4e-9 at 2001 points), so two calls never share one decision near zero.
     """
-    if not 1 <= m < math.inf or int(m) != m:
-        raise DomainError(f"need m >= 1 eigenvalues, got {m!r}")
-    m = int(m)
+    m = whole(m, 1, "eigenvalue count m")
     if m > V.n_points:
         raise DomainError(f"m = {m} exceeds the {V.n_points}-point discretization size")
     vals = _corrected_eigenvalues(V, select="i", select_range=(0, m - 1))
@@ -173,56 +170,6 @@ def morse_index_nodal(sol: NodalSolution, p: ModelParams) -> int:
             stacklevel=2,
         )
     return spec.morse_index
-
-
-def detect_singular_set(n: int, p: ModelParams, n_lambda: int = 80, n_points: int = 2001) -> list[float]:
-    """lam values in the open window where tau_{n,n-1} or tau_{n,n} crosses
-    or touches zero along the branch, within grid resolution.
-
-    Scanned on the lower branch; the shifted companion has the same spectrum
-    because its potential is the same even periodic extension sampled with a
-    phase shift.  An empty list is a valid (and expected) outcome.
-    """
-    window = window_lambdas(n, p, n_lambda)  # validates n
-    n = int(n)
-    lams: list[float] = []
-    tau_pair: list[tuple[float, float]] = []
-    for lam in window:
-        q = p.with_lam(lam)
-        try:
-            w = integrate_cauchy(solve_amplitude(n, q), q, n_points)
-            spec = sturm_spectrum(nodal_potential(w, q), n + 1)
-        except (NoSolutionError, ConvergenceError, IntegrationError):
-            continue
-        lams.append(lam)
-        tau_pair.append((float(spec.eigenvalues[n - 1]), float(spec.eigenvalues[n])))
-
-    found: list[float] = []
-    for k in range(2):
-        taus = np.asarray([t[k] for t in tau_pair])
-        grid = np.asarray(lams)
-        flips = np.nonzero(np.sign(taus[:-1]) * np.sign(taus[1:]) < 0.0)[0]
-        found.extend(0.5 * (grid[i] + grid[i + 1]) for i in flips)
-        tol = np.asarray([degeneracy_tolerance(l) for l in grid])
-        small = np.abs(taus) < tol
-        for i in np.nonzero(small)[0]:
-            left = taus[i - 1] if i > 0 else None
-            right = taus[i + 1] if i + 1 < taus.size else None
-            is_local_min = (left is None or abs(taus[i]) <= abs(left)) and (
-                right is None or abs(taus[i]) <= abs(right)
-            )
-            if is_local_min:
-                found.append(float(grid[i]))
-    if not found:
-        return []
-    found.sort()
-    root = lambda_roots(n, p)
-    resolution = (root.lambda_plus - root.lambda_minus) / (n_lambda + 1)
-    merged = [found[0]]
-    for lam in found[1:]:
-        if lam - merged[-1] > resolution:
-            merged.append(lam)
-    return merged
 
 
 def fit_expansion(n: int, side: str, p: ModelParams, n_points: int = 2001) -> ExpansionCheck:

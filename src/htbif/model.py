@@ -7,7 +7,9 @@ The limit equation on (0, 1) with no-flux boundary conditions is
 
 whose unique constant positive solution is w0 = b*mu/(d*lam) - 1.  The phase
 plane carries the potential F with F' = f and total energy z^2/2 + F(w).
-All operations are pure; values are immutable after construction.
+The integer rule every layer applies to counts (whole) and the grid-size
+rule (grid_points) live here.  All operations are pure; values are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from .errors import DomainError
 __all__ = [
     "CoeffFn",
     "ModelParams",
-    "PhaseState",
     "Profile",
-    "energy",
     "grid_points",
     "kinetic_d2f",
     "kinetic_d3f",
@@ -35,6 +35,7 @@ __all__ = [
     "potential_F",
     "potential_gap",
     "w0_const",
+    "whole",
 ]
 
 
@@ -177,12 +178,22 @@ class ModelParams:
         return ModelParams(self.b, self.d, self.lam, self.mu, eps, self.coeff_a, self.coeff_c)
 
 
+def whole(value, lowest: int, what: str) -> int:
+    """value as an int, once it is an integer >= lowest; DomainError naming
+    ``what`` otherwise.  The range test comes first, so NaN and inf fail it
+    before int() can raise on them."""
+    if not lowest <= value < math.inf or int(value) != value:
+        raise DomainError(f"{what} must be an integer >= {lowest}, got {value!r}")
+    return int(value)
+
+
 def grid_points(n_points) -> int:
     """n_points as an int, once it is an odd integer >= 3: then x = 1/2 is a
     node of the closed uniform grid, so midpoint symmetry checks are exact."""
-    if not 3 <= n_points < math.inf or int(n_points) != n_points or n_points % 2 != 1:
+    n = whole(n_points, 3, "n_points")
+    if n % 2 != 1:
         raise DomainError(f"n_points must be an odd integer >= 3, got {n_points!r}")
-    return int(n_points)
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,18 +235,6 @@ class Profile:
         if other.n_points != self.n_points:
             raise DomainError("profiles live on different grids")
         return float(np.max(np.abs(self.values - other.values)))
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Point (w, w') of the phase plane; w > -1 is the domain of the potential."""
-
-    w: float
-    z: float
-
-    def __post_init__(self):
-        if not self.w > -1.0:
-            raise DomainError(f"phase state needs w > -1, got w = {self.w!r}")
 
 
 def _as_checked(w):
@@ -327,8 +326,3 @@ def potential_gap(delta, p: ModelParams):
         raise DomainError("delta must keep w0 + delta > -1")
     out = -p.lam * delta + 0.5 * p.lam * delta * delta + p.bmu_over_d * np.log1p(delta / (1.0 + w0))
     return _ret(out)
-
-
-def energy(state: PhaseState, p: ModelParams) -> float:
-    """Total phase-plane energy z^2/2 + F(w)."""
-    return 0.5 * state.z * state.z + float(potential_F(state.w, p))

@@ -41,7 +41,7 @@ from .errors import (
     PositivityError,
 )
 from .linstab import assert_nondegenerate
-from .model import ModelParams, Profile, w0_const
+from .model import ModelParams, Profile, w0_const, whole
 from .nodal import nodal_pair
 from .spectral import mode_windows, mu_threshold, window_holds
 
@@ -467,13 +467,12 @@ def continue_in_eps(
     and the states accepted so far give an empirical lower bound for the
     perturbation range.
     """
-    if int(steps) != steps or steps < 1:
-        raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
+    steps = whole(steps, 1, "steps")
     eps_target = p.with_eps(eps_target).eps  # validates eps_target
     accepted = [start]
     if eps_target == start.eps:
         return ContinuationResult((start,), None)
-    ladder = np.linspace(start.eps, eps_target, int(steps) + 1)[1:]
+    ladder = np.linspace(start.eps, eps_target, steps + 1)[1:]
     breakdown = None
     for eps in ladder:
         q = p.with_eps(float(eps))

@@ -9,9 +9,10 @@ The linearization at w0 has the explicit eigenvalue curves
 quadratics in lam whose real roots lam_ell^- <= lam_ell^+ open the existence
 windows of ell-crossing solutions.  Roots are real exactly when mu reaches
 the threshold mu_ell = (d/b)(2 ell pi)^2; the window is open once mu exceeds
-it.  This module is the one place that decides whether n is a crossing
-count, which windows are open (mode_windows), whether a window holds a lam
-(window_holds) and how a window is swept (window_lambdas).
+it.  This module is the one place that decides, through model.whole,
+whether n is a crossing count; it also decides which windows are open
+(mode_windows), whether a window holds a lam (window_holds) and how a
+window is swept (window_lambdas).
 """
 
 from __future__ import annotations
@@ -22,20 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, DomainError, NoSolutionError
-from .model import ModelParams, Profile, grid_points
+from .model import ModelParams, Profile, grid_points, whole
 
 __all__ = [
     "EigencurveRoot",
-    "MorseIndexTable",
     "eigencurve_table",
     "eta2_closed_form",
     "lambda_roots",
     "mode_windows",
-    "morse_index_table",
     "morse_index_w0",
     "mu_threshold",
     "tau0",
-    "tau0_dot",
     "window_holds",
     "window_lambdas",
     "y1_closed_form",
@@ -53,29 +51,6 @@ class EigencurveRoot:
     is_real: bool
 
 
-@dataclass(frozen=True, eq=False)
-class MorseIndexTable:
-    """Staircase of the constant-state Morse index over (0, b*mu/d).
-
-    ``breakpoints`` are the ascending real roots lam_ell^-, lam_ell^+;
-    ``indices[i]`` is the index on the open cell between consecutive
-    breakpoints (cells include the window ends (0, .) and (., b*mu/d)).
-    """
-
-    mu: float
-    breakpoints: np.ndarray
-    indices: np.ndarray
-
-
-def _whole(n, lowest: int) -> int:
-    """n as an int, once it is known to be an integer >= lowest: a mode
-    number (lowest 0) or a crossing count (lowest 1)."""
-    if not lowest <= n < math.inf or int(n) != n:
-        what = "crossing count" if lowest else "mode number"
-        raise DomainError(f"{what} must be an integer >= {lowest}, got {n!r}")
-    return int(n)
-
-
 def _require_mu(p: ModelParams) -> None:
     if not p.mu > 0.0:
         raise DomainError(f"eigencurves require mu > 0, got mu = {p.mu!r}")
@@ -83,20 +58,14 @@ def _require_mu(p: ModelParams) -> None:
 
 def tau0(ell: int, lam: float, p: ModelParams) -> float:
     """Eigencurve value (d/(b*mu)) lam^2 - lam + (ell*pi)^2."""
-    ell = _whole(ell, 0)
+    ell = whole(ell, 0, "mode number")
     _require_mu(p)
     return (p.d / (p.b * p.mu)) * lam * lam - lam + (ell * math.pi) ** 2
 
 
-def tau0_dot(lam: float, p: ModelParams) -> float:
-    """d tau0 / d lam = 2 d lam/(b mu) - 1 (mode independent)."""
-    _require_mu(p)
-    return 2.0 * p.d * lam / (p.b * p.mu) - 1.0
-
-
 def mu_threshold(kappa: int, p: ModelParams) -> float:
     """Threshold mu_kappa = (d/b)(2 kappa pi)^2 where the kappa-th root pair turns real."""
-    kappa = _whole(kappa, 0)
+    kappa = whole(kappa, 0, "mode number")
     return (p.d / p.b) * (2.0 * kappa * math.pi) ** 2
 
 
@@ -107,7 +76,7 @@ def lambda_roots(ell: int, p: ModelParams) -> EigencurveRoot:
     to avoid cancellation for large mu; Vieta then gives
     sum = b*mu/d and product = (b*mu/d)(ell*pi)^2.
     """
-    ell = _whole(ell, 0)
+    ell = whole(ell, 0, "mode number")
     _require_mu(p)
     bmu_d = p.bmu_over_d
     disc = 1.0 - 4.0 * (ell * math.pi) ** 2 / bmu_d
@@ -147,15 +116,16 @@ def window_holds(n: int, p: ModelParams) -> bool:
     """True when the open mode-n window holds p.lam: lam_n^- < lam < lam_n^+
     on a window that mode_windows lists.  DomainError unless n is a
     crossing count, an integer >= 1."""
-    root = _open_window(_whole(n, 1), p)
+    root = _open_window(whole(n, 1, "crossing count"), p)
     return root is not None and root.lambda_minus < p.lam < root.lambda_plus
 
 
 def window_lambdas(n: int, p: ModelParams, count: int) -> list[float]:
     """count interior points lam_j = lo + (j+1)(hi-lo)/(count+1) of the mode-n
-    window (lo, hi); DomainError unless n is an integer >= 1, NoSolutionError
-    when that window is closed."""
-    n = _whole(n, 1)
+    window (lo, hi); DomainError unless n and count are integers >= 1,
+    NoSolutionError when that window is closed."""
+    n = whole(n, 1, "crossing count")
+    count = whole(count, 1, "lam sample count")
     root = _open_window(n, p)
     if root is None:
         raise NoSolutionError(f"mode {n} has no real root window at mu = {p.mu:g}")
@@ -177,30 +147,18 @@ def morse_index_w0(lam: float, p: ModelParams) -> int:
     return sum(1 for ell in range(default_ell_max(p) + 1) if tau0(ell, lam, p) < 0.0)
 
 
-def morse_index_table(p: ModelParams) -> MorseIndexTable:
-    """Breakpoints and per-cell Morse indices of the constant state over (0, b*mu/d)."""
-    windows = mode_windows(p)
-    minus = [root.lambda_minus for root in windows]
-    plus = [root.lambda_plus for root in reversed(windows)]
-    breakpoints = np.asarray(minus + plus, dtype=float)
-    edges = np.concatenate(([0.0], breakpoints, [p.bmu_over_d]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    indices = np.asarray([morse_index_w0(m, p) for m in mids], dtype=int)
-    return MorseIndexTable(p.mu, breakpoints, indices)
-
-
 def eigencurve_table(p: ModelParams, ell_max: int | None = None) -> list[EigencurveRoot]:
     """Root pairs for modes 0..ell_max (export helper)."""
     if ell_max is None:
         ell_max = default_ell_max(p)
-    return [lambda_roots(ell, p) for ell in range(_whole(ell_max, 0) + 1)]
+    return [lambda_roots(ell, p) for ell in range(whole(ell_max, 0, "mode number") + 1)]
 
 
 def _side_root(n: int, side: str, p: ModelParams) -> tuple[int, float, float]:
     """(n, lam_n^side, d tau/d lam there); the derivative is +/- sqrt(disc)."""
     if side not in ("minus", "plus"):
         raise DomainError(f"side must be 'minus' or 'plus', got {side!r}")
-    n = _whole(n, 1)
+    n = whole(n, 1, "crossing count")
     root = lambda_roots(n, p)
     if not root.is_real:
         raise DomainError(f"mode {n} roots are complex at mu = {p.mu:g} (below the threshold)")
@@ -229,7 +187,7 @@ def eta2_closed_form(n: int, side: str, p: ModelParams) -> float:
     With r = d lam/(b mu) and the two exact integrals
     int cos^2(n pi x) y1 = -(5 lam/24)(r/(n pi))^2 and int cos^4 = 3/8,
 
-        eta2 = 2 [2 lam r^2 int(cos^2 y1) - (3/8) lam r^3] / tau0_dot(lam).
+        eta2 = 2 [2 lam r^2 int(cos^2 y1) - (3/8) lam r^3] / (d tau0/d lam).
 
     The sign is opposite to the side: positive at the minus root, negative at
     the plus root (branches open into the window).  Degenerate exactly at the

@@ -1,5 +1,6 @@
 """Exported names stay live: every name in an htbif module's ``__all__``
-resolves, and the package facade re-exports only names a module exports.
+resolves, some code outside the tests reads it, and the package facade
+re-exports only names a module exports.
 
 A module's exports are its ``__all__``, or, without one, its public names
 (what ``from module import *`` binds).
@@ -13,8 +14,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "htbif"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "htbif"
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+
+# exports that no module outside the tests reads, with the reason each stays
+ALLOWED = {
+    "nodal.integrate_cauchy": "independent route: test_nodal checks nodal_pair's reflected upper profile against a fresh Cauchy run",
+    "perturbed.constant_states": "independent oracle: test_perturbed checks first_order_corrections against it",
+}
 
 
 def _exports(module) -> set[str]:
@@ -39,3 +47,54 @@ def test_facade_reexports_only_exported_names():
             exported = _exports(importlib.import_module(f"htbif.{node.module}"))
             stray += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in exported]
     assert stray == [], f"htbif re-exports names its modules do not export: {stray}"
+
+
+def _references(tree) -> set[str]:
+    """Every name the module reads as an ast.Name or an ast.Attribute, leaving
+    out names that appear only inside annotations."""
+    in_annotation = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            roots = [arg.annotation for arg in every if arg is not None and arg.annotation is not None]
+            roots += [node.returns] if node.returns is not None else []
+        elif isinstance(node, ast.AnnAssign):
+            roots = [node.annotation]
+        else:
+            continue
+        in_annotation.update(id(sub) for root in roots for sub in ast.walk(root))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in in_annotation
+    }
+
+
+def _unconsumed_exports() -> set[str]:
+    """"module.name" for each export that no non-test module of src/htbif
+    (the facade __init__ aside) or bench reads."""
+    paths = [path for path in SRC.glob("*.py") if path.stem != "__init__"]
+    paths += [path for path in (ROOT / "bench").glob("*.py") if not path.name.startswith("test_")]
+    read = set().union(*(_references(ast.parse(path.read_text(encoding="utf-8"))) for path in paths))
+    return {
+        f"{name}.{export}"
+        for name in MODULES
+        for export in _exports(importlib.import_module(f"htbif.{name}"))
+        if export not in read
+    }
+
+
+def test_every_export_has_a_consumer():
+    dead = sorted(_unconsumed_exports() - set(ALLOWED))
+    assert dead == [], f"exports only tests reach (delete them or give them a consumer): {dead}"
+
+
+def test_allow_list_names_live_unconsumed_exports():
+    stale = sorted(set(ALLOWED) - _unconsumed_exports())
+    assert stale == [], f"allow-list entries that are gone or now have a consumer: {stale}"
+
+
+def test_an_annotation_is_not_a_consumer():
+    tree = ast.parse("def f(x: Hint) -> Out:\n    y: Local = make(x)\n    return mod.attr")
+    assert _references(tree) == {"make", "x", "y", "mod", "attr"}

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from htbif.errors import DegenerateError, DegeneracyWarning, DomainError, NoSolutionError
+from htbif.errors import DegenerateError, DegeneracyWarning, DomainError
 from htbif.linstab import (
     assert_nondegenerate,
     degeneracy_tolerance,
-    detect_singular_set,
     eta2_closed_form,
     fit_expansion,
     morse_index_nodal,
@@ -198,29 +197,6 @@ class TestMorseIndexNodal:
             spec = sturm_spectrum(nodal_potential(lower.profile, q), 2)
             assert spec.eigenvalues[0] <= 1e-6
             assert spec.eigenvalues[1] >= -1e-6
-
-
-class TestDetectSingularSet:
-    def test_empty_at_desk_scale(self, desk):
-        found = detect_singular_set(1, desk, n_lambda=40)
-        assert found == []
-
-    def test_refinement_stability(self, desk):
-        coarse = detect_singular_set(1, desk, n_lambda=20)
-        fine = detect_singular_set(1, desk, n_lambda=40)
-        assert coarse == [] and fine == []
-
-    def test_requires_window(self, desk):
-        with pytest.raises(NoSolutionError):
-            detect_singular_set(2, desk, n_lambda=10)
-
-    def test_integral_float_mode_matches_int(self, desk):
-        assert detect_singular_set(1.0, desk, n_lambda=3) == detect_singular_set(1, desk, n_lambda=3)
-
-    @pytest.mark.parametrize("n", [1.5, 0])
-    def test_rejects_non_mode(self, desk, n):
-        with pytest.raises(DomainError):
-            detect_singular_set(n, desk, n_lambda=3)
 
 
 class TestY1ClosedForm:

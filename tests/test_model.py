@@ -10,9 +10,7 @@ from htbif.errors import DomainError
 from htbif.model import (
     CoeffFn,
     ModelParams,
-    PhaseState,
     Profile,
-    energy,
     kinetic_d2f,
     kinetic_d3f,
     kinetic_df,
@@ -103,12 +101,6 @@ class TestProfile:
             prof.values[0] = 2.0
 
 
-def test_phase_state_domain():
-    PhaseState(0.0, 1.0)
-    with pytest.raises(DomainError):
-        PhaseState(-1.0, 0.0)
-
-
 class TestW0Const:
     def test_midpoint_value(self):
         # lam = b*mu/(2d) forces the constant state to equal 1
@@ -193,14 +185,16 @@ class TestPotential:
 
 
 class TestEnergy:
+    """Phase-plane energy z^2/2 + F(w) at a turning point, where z = 0."""
+
     def test_homoclinic_level_is_zero(self, desk):
-        assert energy(PhaseState(0.0, 0.0), desk) == 0.0
+        assert potential_F(0.0, desk) == 0.0
 
     def test_center_sits_below(self, desk):
-        assert energy(PhaseState(w0_const(desk), 0.0), desk) < 0.0
+        assert potential_F(w0_const(desk), desk) < 0.0
 
     def test_direct_value(self, desk):
-        assert energy(PhaseState(1.0, 2.0), desk) == pytest.approx(2.0 - 2.8426409720027345, rel=1e-13)
+        assert potential_F(1.0, desk) == pytest.approx(-2.8426409720027345, rel=1e-13)
 
 
 def _digits_lost(w: float) -> int:

@@ -1,18 +1,21 @@
 """Every public entry point that takes a crossing count n rejects a non-count
 with DomainError, and accepts an integral float as the integer it equals.
 The profile builders reject a grid size that is not an odd integer >= 3 the
-same way, before any solve or integration, and sturm_spectrum rejects an
-eigenvalue count that is not an integer >= 1."""
+same way, before any solve or integration; sturm_spectrum's eigenvalue
+count, the window sweeps' lam sample counts and continue_in_eps's steps
+must be integers >= 1.  Every one of these goes through model.whole."""
+
+import math
 
 import numpy as np
 import pytest
 
 from htbif.cli import main
 from htbif.errors import DomainError
-from htbif.linstab import detect_singular_set, fit_expansion, sturm_spectrum
-from htbif.model import ModelParams, Profile
+from htbif.linstab import fit_expansion, sturm_spectrum
+from htbif.model import ModelParams, Profile, w0_const
 from htbif.nodal import integrate_cauchy, nodal_pair, solve_amplitude, trace_loop
-from htbif.perturbed import admissible_lambda, census, limit_seeds
+from htbif.perturbed import admissible_lambda, census, continue_in_eps, limit_seeds, newton_solve
 from htbif.spectral import eta2_closed_form, window_lambdas, y1_closed_form
 
 DESK = ModelParams()
@@ -23,7 +26,6 @@ CALLS = {
     "nodal_pair": lambda n: nodal_pair(n, DESK),
     "trace_loop": lambda n: trace_loop(n, DESK, n_lambda=5),
     "window_lambdas": lambda n: window_lambdas(n, TWO_MODES, 3),
-    "detect_singular_set": lambda n: detect_singular_set(n, DESK, n_lambda=4, n_points=401),
     "fit_expansion": lambda n: fit_expansion(n, "minus", DESK, n_points=501),
     "census": lambda n: census(n, DESK.with_eps(1e-3), n_points=501),
     "limit_seeds": lambda n: limit_seeds(n, DESK, 501),
@@ -77,8 +79,26 @@ def test_bad_grid_is_a_domain_error(name, n_points):
 
 @pytest.mark.parametrize("m", [1.5, float("nan"), float("inf")])
 def test_bad_eigenvalue_count_is_a_domain_error(m):
-    with pytest.raises(DomainError, match="m >= 1"):
+    with pytest.raises(DomainError, match="eigenvalue count m must be an integer >= 1"):
         sturm_spectrum(Profile(np.full(101, -DESK.lam)), m)
+
+
+def _constant_state():
+    return newton_solve(Profile.constant(w0_const(DESK), 501), Profile.constant(DESK.mu, 501), DESK)
+
+
+COUNT_CALLS = {
+    "continue_in_eps.steps": lambda k: continue_in_eps(_constant_state(), DESK, 1e-3, steps=k),
+    "window_lambdas.count": lambda k: window_lambdas(1, TWO_MODES, k),
+    "trace_loop.n_lambda": lambda k: trace_loop(1, DESK, n_lambda=k),
+}
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_bad_step_or_sample_count_is_a_domain_error(name, k):
+    with pytest.raises(DomainError, match="must be an integer >= 1"):
+        COUNT_CALLS[name](k)
 
 
 def test_cli_reports_a_bad_grid(tmp_path, capsys):

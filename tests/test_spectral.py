@@ -9,11 +9,9 @@ from htbif.spectral import (
     eigencurve_table,
     lambda_roots,
     mode_windows,
-    morse_index_table,
     morse_index_w0,
     mu_threshold,
     tau0,
-    tau0_dot,
     window_lambdas,
 )
 
@@ -95,11 +93,10 @@ class TestLambdaRoots:
     def test_derivative_signs_match_finite_differences(self, desk):
         root = lambda_roots(1, desk)
         disc = math.sqrt(1.0 - 4.0 * desk.d * math.pi ** 2 / (desk.b * desk.mu))
-        assert tau0_dot(root.lambda_minus, desk) == pytest.approx(-disc, rel=1e-12)
-        assert tau0_dot(root.lambda_plus, desk) == pytest.approx(disc, rel=1e-12)
         h = 1e-6
-        fd = (tau0(1, root.lambda_minus + h, desk) - tau0(1, root.lambda_minus - h, desk)) / (2 * h)
-        assert fd == pytest.approx(-disc, rel=1e-7)
+        for lam, sign in ((root.lambda_minus, -1.0), (root.lambda_plus, 1.0)):
+            fd = (tau0(1, lam + h, desk) - tau0(1, lam - h, desk)) / (2 * h)
+            assert fd == pytest.approx(sign * disc, rel=1e-7)
 
     def test_monotone_in_mu(self):
         mus = np.linspace(45.0, 400.0, 24)
@@ -136,17 +133,13 @@ class TestMorseIndex:
 
     def test_table_staircase(self):
         p = ModelParams(mu=170.0)  # two real windows
-        table = morse_index_table(p)
-        assert list(table.indices) == [1, 2, 3, 2, 1]
-        assert table.breakpoints.size == 4
-        assert np.all(np.diff(table.breakpoints) > 0.0)
+        r1, r2 = lambda_roots(1, p), lambda_roots(2, p)
+        edges = [0.0, r1.lambda_minus, r2.lambda_minus, r2.lambda_plus, r1.lambda_plus, p.bmu_over_d]
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+        assert [morse_index_w0(m, p) for m in mids] == [1, 2, 3, 2, 1]
         # boundary attribution: at an exact root the zero mode is not negative
-        r1 = lambda_roots(1, p)
         assert morse_index_w0(r1.lambda_minus, p) == 1
-
-    def test_table_index_floor(self, desk):
-        table = morse_index_table(desk)
-        assert np.all(table.indices >= 1)
 
 
 def test_eigencurve_table_covers_modes(desk):
