@@ -7,10 +7,10 @@ An n-crossing solution exists iff n * T(w0) < 1; its starting amplitude is
 the unique w_- in (0, w0) with n * T(w_-) = 1 (the time map is strictly
 decreasing), solved in ln w_- on a bracket that the saddle law guarantees.
 The orbit from (w_-, 0) is even about each turning time x = k/n, so one
-half-period piece on [0, 1/n] carries the pair: the lower solution is its
-even periodic extension, the upper one (from the companion turning point
-w_+) the same extension shifted by 1/n; off-grid 1/n takes two whole
-integrations.  One shooting step on w_- repairs a run that closes too steeply.
+half-period piece on [0, 1/n] carries the pair for every n: the lower
+solution is its even periodic extension, the upper one (from the companion
+turning point w_+) the same extension shifted by 1/n.  One shooting step on
+w_- repairs a piece that closes too steeply.
 """
 
 from __future__ import annotations
@@ -157,12 +157,19 @@ def _invert_time_map(n: int, plane: PhasePlane) -> float:
     return math.exp(root)
 
 
-def _integrate_wz(w_start: float, p: ModelParams, cells: int, m: int):
-    """Fixed-step RK4 for w'' = -f(w) from (w_start, 0) over the first m of
-    `cells` grid cells of [0, 1]; returns node arrays (w, z).  Plain-float
-    inner loop; the substeps keep every sample on the grid, so m cells
-    repeat the whole interval's first m + 1 nodes bit for bit."""
-    h = 1.0 / (cells * _RK_SUBSTEPS)
+def _integrate_wz(w_start: float, p: ModelParams, cells: int, n: int):
+    """Fixed-step RK4 for w'' = -f(w) from (w_start, 0) over [0, 1/n], the
+    half-period piece of a grid of `cells` cells; returns node arrays (w, z).
+
+    With g = gcd(n, cells), reflecting the grid's nodes onto [0, 1/n] lands
+    on multiples of g/(n cells), so the piece has cells/g such intervals of
+    ceil(8 g/n) substeps each: no substep exceeds the grid's 1/(8 cells), and
+    when n divides the cells (g = n) the piece repeats the first cells/n + 1
+    nodes of the n = 1 run over [0, 1] bit for bit.  Plain-float inner loop."""
+    g = math.gcd(n, cells)
+    substeps = -(-_RK_SUBSTEPS * g // n)
+    h = 1.0 / (n // g * cells * substeps)
+    m = cells // g
     lam = p.lam
     bmu_d = p.bmu_over_d
     ws = np.empty(m + 1)
@@ -172,7 +179,7 @@ def _integrate_wz(w_start: float, p: ModelParams, cells: int, m: int):
     ws[0] = w
     zs[0] = z
     for i in range(m):
-        for _ in range(_RK_SUBSTEPS):
+        for _ in range(substeps):
             k1w = z
             k1z = bmu_d * w / (1.0 + w) - lam * w
             w2 = w + 0.5 * h * k1w
@@ -195,14 +202,16 @@ def integrate_cauchy(w_start: float, p: ModelParams, n_points: int = 2001) -> Pr
     """Solution of the Cauchy problem w'' = -f(w), w(0) = w_start, w'(0) = 0,
     sampled on the closed uniform grid of [0, 1].
 
-    The energy z^2/2 + F(w) is conserved along exact orbits; its drift is the
+    One integration of the whole interval, kept as the oracle that nodal_pair's
+    reflected half-period members are checked against.  The energy
+    z^2/2 + F(w) is conserved along exact orbits; its drift is the
     integration accuracy watchdog.
     """
     n_points = grid_points(n_points)
     w_h = homoclinic_extent(p)
     if not 0.0 < w_start < w_h:
         raise DomainError(f"w_start must lie in (0, w_h) = (0, {w_h:g}); got {w_start!r}")
-    ws, zs = _integrate_wz(w_start, p, n_points - 1, n_points - 1)
+    ws, zs = _integrate_wz(w_start, p, n_points - 1, 1)
     _check_energy_drift(ws, zs, w_start, p)
     return Profile(ws)
 
@@ -267,62 +276,53 @@ def _ode_residual(ws: np.ndarray, zs: np.ndarray, h: float, p: ModelParams) -> f
 
 
 def _junction_tol(cells: int) -> float:
-    """Largest slope a run may leave at its closing turning point: a profile
+    """Largest slope a piece may leave at its closing turning point: a profile
     reflected there (by the pair's construction or bvp_residual's ghosts)
     jumps by 2z in z, an ODE residual 14|z|/(12h) that must stay below the
-    run's own bound (bvp_residual reads twice that).  At most _NEUMANN_TOL."""
+    piece's own bound (bvp_residual reads twice that).  At most _NEUMANN_TOL."""
     return min(_NEUMANN_TOL, _ODE_RESIDUAL_TOL * 6.0 / (7.0 * cells))
-
-
-def _runs(n: int, plane: PhasePlane, w_minus: float, cells: int) -> list:
-    """(w_start, w, z) of a pair's RK4 runs, each closing at a turning point: one piece
-    of cells/n cells from w_- when n divides the cells, else [0, 1] from w_- and w_+."""
-    if cells % n == 0:
-        return [(w_minus, *_integrate_wz(w_minus, plane.p, cells, cells // n))]
-    return [(w, *_integrate_wz(w, plane.p, cells, cells)) for w in (w_minus, plane.companion(w_minus))]
 
 
 def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolution, NodalSolution]:
     """The two n-crossing positive solutions at (lam, mu).
 
-    When n divides the n_points - 1 cells, one RK4 piece of m such cells from
-    (w_-, 0), ending at w_+, builds both: the lower solution reads its even
-    periodic extension from node 0, the upper one from node m.  Otherwise
-    they are integrations over [0, 1] from w_- and from w_+.  The time map's
-    quadrature can leave the RK4 half period 1e-11 off 1/n near the saddle,
-    so a run closing with |z| >= _junction_tol gets one Newton step on w_-
-    (dz/dw_- = k f(w_end) T'(w_-) over k half periods, T' from two time
-    maps) and is run again.  Runs are certified by energy drift and ODE
-    residual; their closing slope is the solutions' Neumann residual.
+    One RK4 piece on [0, 1/n] from (w_-, 0), ending at w_+, builds both.  Its
+    nodes are spaced g/(n cells), g = gcd(n, cells) for the n_points - 1
+    cells, so lower node i reads the even periodic extension at piece index
+    (cells - |n i mod 2 cells - cells|)/g and upper node i the same at
+    n i + cells.  The time map's quadrature can leave the RK4 half period
+    1e-11 off 1/n near the saddle, so a piece closing with |z| >=
+    _junction_tol gets one Newton step on w_- (dz/dw_- = f(w_end) T'(w_-),
+    T' from two time maps) and is run again.  The piece is certified by
+    energy drift and ODE residual; its closing slope is both solutions'
+    Neumann residual.
     """
     n_points = grid_points(n_points)
     cells = n_points - 1
     plane = PhasePlane(p)
     n = _existing_mode(n, plane)
     w_minus = _invert_time_map(n, plane)
-    runs = _runs(n, plane, w_minus, cells)
-    _, ws, zs = max(runs, key=lambda run: abs(run[2][-1]))
-    if abs(zs[-1]) >= _junction_tol(cells):
+    ws, zs = _integrate_wz(w_minus, p, cells, n)
+    tol = _junction_tol(cells)
+    if abs(zs[-1]) >= tol:
         step = 1e-4 * min(w_minus, plane.w0 - w_minus)
         dT = (plane.time_map(w_minus + step).T - plane.time_map(w_minus - step).T) / (2.0 * step)
-        slope = float(kinetic_f(ws[-1], p)) * (n * (ws.size - 1) // cells) * dT
+        slope = float(kinetic_f(ws[-1], p)) * dT
         if slope != 0.0:
             w_minus -= float(zs[-1]) / slope
-            runs = _runs(n, plane, w_minus, cells)
-    for w_start, ws, zs in runs:
-        _check_energy_drift(ws, zs, w_start, p)
-        residual = _ode_residual(ws, zs, 1.0 / cells, p)
-        if residual >= _ODE_RESIDUAL_TOL:
-            raise IntegrationError(f"RK4 profile residual {residual:g} exceeds {_ODE_RESIDUAL_TOL:g}")
-    if len(runs) == 1:  # even periodic extension of the piece, from node 0 and node m
-        _, ws, zs = runs[0]
-        m = cells // n
-        members = [(ws[m - np.abs((np.arange(n_points) + k) % (2 * m) - m)], zs[-1]) for k in (0, m)]
-    else:
-        members = [(ws, zs[-1]) for _, ws, zs in runs]
+            ws, zs = _integrate_wz(w_minus, p, cells, n)
+    _check_energy_drift(ws, zs, w_minus, p)
+    g = math.gcd(n, cells)
+    residual = _ode_residual(ws, zs, g / (n * cells), p)
+    if residual >= _ODE_RESIDUAL_TOL:
+        raise IntegrationError(f"RK4 profile residual {residual:g} exceeds {_ODE_RESIDUAL_TOL:g}")
+    z_end = abs(float(zs[-1]))
+    if z_end >= tol:
+        raise IntegrationError(f"pair's Neumann residual {z_end:g} exceeds {tol:g}")
+    phase = n * np.arange(n_points)
     lower, upper = (
-        _finalize(n, branch, w_minus, ws, z_end, p, plane.w0, cells)
-        for branch, (ws, z_end) in zip(("lower", "upper"), members)
+        _finalize(n, branch, w_minus, ws[(cells - np.abs(t % (2 * cells) - cells)) // g], z_end, p, plane.w0)
+        for branch, t in (("lower", phase), ("upper", phase + cells))
     )
     w_plus = plane.companion(w_minus)
     if abs(upper.profile.values[0] - w_plus) > 1e-8 * max(1.0, w_plus):
@@ -330,11 +330,7 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolut
     return lower, upper
 
 
-def _finalize(n, branch, w_minus, ws, z_end, p, w0, cells) -> NodalSolution:
-    residual = abs(float(z_end))
-    tol = _junction_tol(cells)
-    if residual >= tol:
-        raise IntegrationError(f"{branch} profile Neumann residual {residual:g} exceeds {tol:g}")
+def _finalize(n, branch, w_minus, ws, residual, p, w0) -> NodalSolution:
     if float(np.min(ws)) <= 0.0:
         raise IntegrationError(f"{branch} profile lost positivity")
     crossings = crossing_count(ws, w0)
@@ -352,11 +348,11 @@ def max_crossing_number(p: ModelParams) -> int:
     return n
 
 
-def enumerate_solutions(p: ModelParams, n_points: int = 2001) -> SolutionSet:
-    """Every positive solution of the limit problem at (lam, mu)."""
+def enumerate_solutions(p: ModelParams) -> SolutionSet:
+    """Every positive solution of the limit problem at (lam, mu), on the 2001-point grid."""
     w0 = w0_const(p)
-    pairs = [nodal_pair(n, p, n_points) for n in range(1, max_crossing_number(p) + 1)]
-    return SolutionSet(Profile.constant(w0, n_points), tuple(pairs))
+    pairs = [nodal_pair(n, p) for n in range(1, max_crossing_number(p) + 1)]
+    return SolutionSet(Profile.constant(w0, 2001), tuple(pairs))
 
 
 def trace_loop(n: int, p: ModelParams, n_lambda: int = 41) -> list[LoopPoint]:

@@ -20,7 +20,7 @@ MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init_
 
 # exports that no module outside the tests reads, with the reason each stays
 ALLOWED = {
-    "nodal.integrate_cauchy": "independent route: test_nodal checks nodal_pair's reflected upper profile against a fresh Cauchy run",
+    "nodal.integrate_cauchy": "whole-interval oracle: test_nodal checks both members of nodal_pair's reflected piece against fresh Cauchy runs",
     "perturbed.constant_states": "independent oracle: test_perturbed checks first_order_corrections against it",
 }
 

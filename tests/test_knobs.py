@@ -11,7 +11,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "main.argv": "console-script entry point: argparse reads sys.argv when argv is None",
     "integrate_cauchy.n_points": "test oracle with no in-package caller (see test_exports.ALLOWED); tests pick its grid",
-    "enumerate_solutions.n_points": "grid of the returned profiles, the same knob as nodal_pair's",
     "admissible_lambda.margin": "bench/test_inputs.py wraps it in a spy with three positional arguments",
     "newton_solve.residual_history": "goes with the opt-in tracing layer that will replace it",
 }

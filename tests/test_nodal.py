@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from htbif.nodal import (
     solve_amplitude,
     trace_loop,
 )
-from htbif.spectral import lambda_roots
+from htbif.spectral import lambda_roots, window_lambdas
 from htbif.timemap import PhasePlane, companion, time_map, time_map_center
 
 # 60-digit reference for the 1-crossing amplitude at desk scale
@@ -160,13 +161,39 @@ class TestNodalPair:
         shift = 2000 // 2  # 2/n = 1/2 is 1000 grid cells
         assert np.max(np.abs(vals[:-shift] - vals[shift:])) < 1e-8
 
-    def test_misaligned_grid_falls_back_to_integration(self):
-        # 3 does not divide 2000, so the upper branch is built by integration
+    def test_misaligned_grid_reflects_one_piece(self):
+        # 3 does not divide 2000: the piece has 2000 intervals of 1/6000, and
+        # both members read it at every third node
         p = ModelParams(mu=360.0, lam=180.0)
         assert max_crossing_number(p) >= 3
         lower, upper = nodal_pair(3, p, 2001)
         assert lower.crossings == upper.crossings == 3
         assert upper.profile.values[0] > w0_const(p) > lower.profile.values[0]
+        piece, _ = nodal._integrate_wz(lower.w_minus, p, 2000, 3)
+        assert np.array_equal(lower.profile.values[:667], piece[::3])
+        assert np.array_equal(upper.profile.values[:667], piece[::-3])
+
+    @pytest.mark.parametrize("n, mu, lam", [(3, 360.0, 180.0), (3, 1200.0, 600.0), (7, 2000.0, 1000.0)])
+    def test_off_grid_pair_matches_cauchy_runs(self, n, mu, lam):
+        # dual route: n does not divide the 2000 grid cells, and each member
+        # of the reflected piece matches a whole-interval run from its start
+        p = ModelParams(mu=mu, lam=lam)
+        lower, upper = nodal_pair(n, p, 2001)
+        for member, w_start in ((lower, lower.w_minus), (upper, companion(lower.w_minus, p))):
+            direct = integrate_cauchy(w_start, p, 2001)
+            assert float(np.max(np.abs(direct.values - member.profile.values))) < 1e-10
+            assert bvp_residual(member.profile, p) < 1e-6
+
+    @pytest.mark.parametrize("mu", [640.0, 800.0, 1200.0])
+    def test_three_modes_across_the_window(self, mu):
+        # many-mode regime: 3 divides none of the 2000 cells, so every point
+        # reads the piece at spacing 1/6000, where its residual certifies
+        p = ModelParams(mu=mu)
+        for lam in window_lambdas(3, p, 9):
+            q = p.with_lam(lam)
+            for member in nodal_pair(3, q, 2001):
+                assert member.crossings == 3
+                assert bvp_residual(member.profile, q) < 1e-6
 
     def test_near_saddle_pair(self):
         # the closing slope is the first-order shooting error
@@ -199,16 +226,15 @@ class TestNodalPair:
             assert bvp_residual(member.profile, p) < 1e-6
 
     def test_fixed_integration_count(self, monkeypatch):
-        # one RK4 piece of 2000/n cells when n divides the 2000 grid cells,
-        # otherwise two integrations of all 2000; the runs repeat once, after
-        # a shooting step, only when the first ones close with a slope at or
-        # above the junction bound
+        # one RK4 piece of 2000/gcd(n, 2000) intervals per pair; it repeats
+        # once, after a shooting step, only when the first one closes with a
+        # slope at or above the junction bound
         pieces = []
         original = nodal._integrate_wz
 
-        def counted(w_start, p, cells, m):
-            ws, zs = original(w_start, p, cells, m)
-            pieces.append((cells, m, abs(float(zs[-1]))))
+        def counted(w_start, p, cells, n):
+            ws, zs = original(w_start, p, cells, n)
+            pieces.append((ws.size - 1, abs(float(zs[-1]))))
             return ws, zs
 
         monkeypatch.setattr(nodal, "_integrate_wz", counted)
@@ -216,6 +242,7 @@ class TestNodalPair:
         cases = [
             (3, ModelParams(mu=360.0, lam=180.0)),
             (4, ModelParams(mu=700.0, lam=350.0)),
+            (6, ModelParams(mu=2000.0, lam=1000.0)),
             (1, ModelParams(mu=360.0, lam=209.11904448882018)),
         ]
         for n in (1, 2):
@@ -227,20 +254,21 @@ class TestNodalPair:
         for n, q in cases:
             pieces.clear()
             nodal_pair(n, q)
-            runs = [(2000, 2000 // n)] if 2000 % n == 0 else [(2000, 2000)] * 2
-            shot = max(z for _, _, z in pieces[: len(runs)]) >= nodal._junction_tol(2000)
+            shot = pieces[0][1] >= nodal._junction_tol(2000)
             shots += shot
-            assert [(cells, m) for cells, m, _ in pieces] == runs * (1 + shot)
+            assert [size for size, _ in pieces] == [2000 // math.gcd(n, 2000)] * (1 + shot)
         assert shots == 1
 
     def test_piece_repeats_the_whole_integration(self):
-        # the piece is the first m + 1 nodes of the integration over [0, 1],
-        # bit for bit, and both members read it from their first node on
+        # when n divides the cells the piece is the first 2000/n + 1 nodes of
+        # the integration over [0, 1], bit for bit, and both members read it
+        # from their first node on
         p = ModelParams(mu=170.0, lam=85.0)
         lower, upper = nodal_pair(2, p)
-        piece = nodal._integrate_wz(lower.w_minus, p, 2000, 1000)
-        whole = nodal._integrate_wz(lower.w_minus, p, 2000, 2000)
+        piece = nodal._integrate_wz(lower.w_minus, p, 2000, 2)
+        whole = nodal._integrate_wz(lower.w_minus, p, 2000, 1)
         for part, full in zip(piece, whole):
+            assert part.size == 1001
             assert np.array_equal(part, full[:1001])
         assert np.array_equal(lower.profile.values[:1001], piece[0])
         assert np.array_equal(upper.profile.values[:1001], piece[0][::-1])
@@ -259,18 +287,18 @@ class TestNodalPair:
         assert upper.profile.values[0] == pytest.approx(companion(lower.w_minus, p), abs=1e-8)
 
     def test_junction_kink_is_refused(self, monkeypatch):
-        # runs that land 1e-10 relative off the root on one side and, after
+        # pieces that start 1e-10 relative off the root on one side and, after
         # the shooting step, 2e-10 off on the other close at x = 1 with a slope
         # of about 4e-9: under the 1e-8 Neumann bound but above the junction
         # bound, where a joined profile would fail criterion 6
-        original = nodal._runs
+        original = nodal._integrate_wz
         sign = [1.0]
 
-        def off_root(n, plane, w_minus, cells):
+        def off_root(w_start, p, cells, n):
             sign[0] = -sign[0]
-            return original(n, plane, w_minus * (1.0 - sign[0] * 1e-10), cells)
+            return original(w_start * (1.0 - sign[0] * 1e-10), p, cells, n)
 
-        monkeypatch.setattr(nodal, "_runs", off_root)
+        monkeypatch.setattr(nodal, "_integrate_wz", off_root)
         with pytest.raises(IntegrationError, match="Neumann residual"):
             nodal_pair(1, ModelParams(mu=800.0, lam=88.0))
 
