@@ -40,6 +40,7 @@ __all__ = [
     "trace_loop",
 ]
 
+_N_POINTS = 2001  # default grid of the profiles this module returns
 _RK_SUBSTEPS = 8  # RK4 substeps per grid cell; keeps output exactly grid-aligned
 _ENERGY_DRIFT_TOL = 1e-9
 _NEUMANN_TOL = 1e-8
@@ -159,7 +160,8 @@ def _invert_time_map(n: int, plane: PhasePlane) -> float:
 
 def _integrate_wz(w_start: float, p: ModelParams, cells: int, n: int):
     """Fixed-step RK4 for w'' = -f(w) from (w_start, 0) over [0, 1/n], the
-    half-period piece of a grid of `cells` cells; returns node arrays (w, z).
+    half-period piece of a grid of `cells` cells; returns node arrays (w, z)
+    and g, the piece's node spacing in units of 1/(n cells).
 
     With g = gcd(n, cells), reflecting the grid's nodes onto [0, 1/n] lands
     on multiples of g/(n cells), so the piece has cells/g such intervals of
@@ -195,10 +197,10 @@ def _integrate_wz(w_start: float, p: ModelParams, cells: int, n: int):
             z += h * (k1z + 2.0 * (k2z + k3z) + k4z) / 6.0
         ws[i + 1] = w
         zs[i + 1] = z
-    return ws, zs
+    return ws, zs, g
 
 
-def integrate_cauchy(w_start: float, p: ModelParams, n_points: int = 2001) -> Profile:
+def integrate_cauchy(w_start: float, p: ModelParams, n_points: int = _N_POINTS) -> Profile:
     """Solution of the Cauchy problem w'' = -f(w), w(0) = w_start, w'(0) = 0,
     sampled on the closed uniform grid of [0, 1].
 
@@ -211,7 +213,7 @@ def integrate_cauchy(w_start: float, p: ModelParams, n_points: int = 2001) -> Pr
     w_h = homoclinic_extent(p)
     if not 0.0 < w_start < w_h:
         raise DomainError(f"w_start must lie in (0, w_h) = (0, {w_h:g}); got {w_start!r}")
-    ws, zs = _integrate_wz(w_start, p, n_points - 1, 1)
+    ws, zs, _ = _integrate_wz(w_start, p, n_points - 1, 1)
     _check_energy_drift(ws, zs, w_start, p)
     return Profile(ws)
 
@@ -283,7 +285,7 @@ def _junction_tol(cells: int) -> float:
     return min(_NEUMANN_TOL, _ODE_RESIDUAL_TOL * 6.0 / (7.0 * cells))
 
 
-def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolution, NodalSolution]:
+def nodal_pair(n: int, p: ModelParams, n_points: int = _N_POINTS) -> tuple[NodalSolution, NodalSolution]:
     """The two n-crossing positive solutions at (lam, mu).
 
     One RK4 piece on [0, 1/n] from (w_-, 0), ending at w_+, builds both.  Its
@@ -294,15 +296,16 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolut
     1e-11 off 1/n near the saddle, so a piece closing with |z| >=
     _junction_tol gets one Newton step on w_- (dz/dw_- = f(w_end) T'(w_-),
     T' from two time maps) and is run again.  The piece is certified by
-    energy drift and ODE residual; its closing slope is both solutions'
-    Neumann residual.
+    energy drift and by its ODE residual read at the output grid's step
+    1/cells (every (n/g)-th node, the lower member's first nodes); its
+    closing slope is both solutions' Neumann residual.
     """
     n_points = grid_points(n_points)
     cells = n_points - 1
     plane = PhasePlane(p)
     n = _existing_mode(n, plane)
     w_minus = _invert_time_map(n, plane)
-    ws, zs = _integrate_wz(w_minus, p, cells, n)
+    ws, zs, g = _integrate_wz(w_minus, p, cells, n)
     tol = _junction_tol(cells)
     if abs(zs[-1]) >= tol:
         step = 1e-4 * min(w_minus, plane.w0 - w_minus)
@@ -310,10 +313,10 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = 2001) -> tuple[NodalSolut
         slope = float(kinetic_f(ws[-1], p)) * dT
         if slope != 0.0:
             w_minus -= float(zs[-1]) / slope
-            ws, zs = _integrate_wz(w_minus, p, cells, n)
+            ws, zs, g = _integrate_wz(w_minus, p, cells, n)
     _check_energy_drift(ws, zs, w_minus, p)
-    g = math.gcd(n, cells)
-    residual = _ode_residual(ws, zs, g / (n * cells), p)
+    stride = n // g
+    residual = _ode_residual(ws[::stride], zs[::stride], 1.0 / cells, p)
     if residual >= _ODE_RESIDUAL_TOL:
         raise IntegrationError(f"RK4 profile residual {residual:g} exceeds {_ODE_RESIDUAL_TOL:g}")
     z_end = abs(float(zs[-1]))
@@ -349,10 +352,10 @@ def max_crossing_number(p: ModelParams) -> int:
 
 
 def enumerate_solutions(p: ModelParams) -> SolutionSet:
-    """Every positive solution of the limit problem at (lam, mu), on the 2001-point grid."""
+    """Every positive solution of the limit problem at (lam, mu), on the _N_POINTS grid."""
     w0 = w0_const(p)
     pairs = [nodal_pair(n, p) for n in range(1, max_crossing_number(p) + 1)]
-    return SolutionSet(Profile.constant(w0, 2001), tuple(pairs))
+    return SolutionSet(Profile.constant(w0, _N_POINTS), tuple(pairs))
 
 
 def trace_loop(n: int, p: ModelParams, n_lambda: int = 41) -> list[LoopPoint]:

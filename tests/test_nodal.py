@@ -169,31 +169,41 @@ class TestNodalPair:
         lower, upper = nodal_pair(3, p, 2001)
         assert lower.crossings == upper.crossings == 3
         assert upper.profile.values[0] > w0_const(p) > lower.profile.values[0]
-        piece, _ = nodal._integrate_wz(lower.w_minus, p, 2000, 3)
+        piece, _, g = nodal._integrate_wz(lower.w_minus, p, 2000, 3)
+        assert g == 1
         assert np.array_equal(lower.profile.values[:667], piece[::3])
         assert np.array_equal(upper.profile.values[:667], piece[::-3])
 
-    @pytest.mark.parametrize("n, mu, lam", [(3, 360.0, 180.0), (3, 1200.0, 600.0), (7, 2000.0, 1000.0)])
-    def test_off_grid_pair_matches_cauchy_runs(self, n, mu, lam):
-        # dual route: n does not divide the 2000 grid cells, and each member
-        # of the reflected piece matches a whole-interval run from its start
+    @pytest.mark.parametrize(
+        "n, mu, lam, n_points", [(3, 360.0, 180.0, 2001), (3, 1200.0, 600.0, 4001), (7, 2000.0, 1000.0, 4001)]
+    )
+    def test_off_grid_pair_matches_cauchy_runs(self, n, mu, lam, n_points):
+        # dual route: n does not divide the grid cells, and each member of the
+        # reflected piece matches a whole-interval run from its start
         p = ModelParams(mu=mu, lam=lam)
-        lower, upper = nodal_pair(n, p, 2001)
+        lower, upper = nodal_pair(n, p, n_points)
         for member, w_start in ((lower, lower.w_minus), (upper, companion(lower.w_minus, p))):
-            direct = integrate_cauchy(w_start, p, 2001)
+            direct = integrate_cauchy(w_start, p, n_points)
             assert float(np.max(np.abs(direct.values - member.profile.values))) < 1e-10
             assert bvp_residual(member.profile, p) < 1e-6
 
     @pytest.mark.parametrize("mu", [640.0, 800.0, 1200.0])
     def test_three_modes_across_the_window(self, mu):
-        # many-mode regime: 3 divides none of the 2000 cells, so every point
-        # reads the piece at spacing 1/6000, where its residual certifies
+        # many-mode regime on 4001 points: 3 does not divide the 4000 cells,
+        # and every point's piece meets the 1e-7 residual at the grid step and
+        # the junction bound (2.1e-11) with its one-half-period closing slope
         p = ModelParams(mu=mu)
         for lam in window_lambdas(3, p, 9):
             q = p.with_lam(lam)
-            for member in nodal_pair(3, q, 2001):
+            for member in nodal_pair(3, q, 4001):
                 assert member.crossings == 3
                 assert bvp_residual(member.profile, q) < 1e-6
+
+    def test_off_grid_residual_reads_the_grid_step(self):
+        # the piece's nodes are 1/6000 apart, but its residual is read at the
+        # profiles' step 1/2000, where the truncation (7.9e-7) fails the bound
+        with pytest.raises(IntegrationError, match="RK4 profile residual"):
+            nodal_pair(3, ModelParams(mu=1200.0, lam=600.0), 2001)
 
     def test_near_saddle_pair(self):
         # the closing slope is the first-order shooting error
@@ -226,37 +236,37 @@ class TestNodalPair:
             assert bvp_residual(member.profile, p) < 1e-6
 
     def test_fixed_integration_count(self, monkeypatch):
-        # one RK4 piece of 2000/gcd(n, 2000) intervals per pair; it repeats
+        # one RK4 piece of cells/gcd(n, cells) intervals per pair; it repeats
         # once, after a shooting step, only when the first one closes with a
         # slope at or above the junction bound
         pieces = []
         original = nodal._integrate_wz
 
         def counted(w_start, p, cells, n):
-            ws, zs = original(w_start, p, cells, n)
+            ws, zs, g = original(w_start, p, cells, n)
             pieces.append((ws.size - 1, abs(float(zs[-1]))))
-            return ws, zs
+            return ws, zs, g
 
         monkeypatch.setattr(nodal, "_integrate_wz", counted)
         p = ModelParams(mu=170.0)
         cases = [
-            (3, ModelParams(mu=360.0, lam=180.0)),
-            (4, ModelParams(mu=700.0, lam=350.0)),
-            (6, ModelParams(mu=2000.0, lam=1000.0)),
-            (1, ModelParams(mu=360.0, lam=209.11904448882018)),
+            (3, ModelParams(mu=360.0, lam=180.0), 2000),
+            (4, ModelParams(mu=700.0, lam=350.0), 2000),
+            (6, ModelParams(mu=2000.0, lam=1000.0), 8000),
+            (1, ModelParams(mu=360.0, lam=209.11904448882018), 2000),
         ]
         for n in (1, 2):
             root = lambda_roots(n, p)
             for j in range(8):
                 lam = root.lambda_minus + (j + 0.5) * (root.lambda_plus - root.lambda_minus) / 8
-                cases.append((n, p.with_lam(lam)))
+                cases.append((n, p.with_lam(lam), 2000))
         shots = 0
-        for n, q in cases:
+        for n, q, cells in cases:
             pieces.clear()
-            nodal_pair(n, q)
-            shot = pieces[0][1] >= nodal._junction_tol(2000)
+            nodal_pair(n, q, cells + 1)
+            shot = pieces[0][1] >= nodal._junction_tol(cells)
             shots += shot
-            assert [size for size, _ in pieces] == [2000 // math.gcd(n, 2000)] * (1 + shot)
+            assert [size for size, _ in pieces] == [cells // math.gcd(n, cells)] * (1 + shot)
         assert shots == 1
 
     def test_piece_repeats_the_whole_integration(self):
@@ -265,8 +275,8 @@ class TestNodalPair:
         # from their first node on
         p = ModelParams(mu=170.0, lam=85.0)
         lower, upper = nodal_pair(2, p)
-        piece = nodal._integrate_wz(lower.w_minus, p, 2000, 2)
-        whole = nodal._integrate_wz(lower.w_minus, p, 2000, 1)
+        piece = nodal._integrate_wz(lower.w_minus, p, 2000, 2)[:2]
+        whole = nodal._integrate_wz(lower.w_minus, p, 2000, 1)[:2]
         for part, full in zip(piece, whole):
             assert part.size == 1001
             assert np.array_equal(part, full[:1001])
