@@ -17,7 +17,7 @@ from htbif.nodal import (
     solve_amplitude,
     trace_loop,
 )
-from htbif.spectral import lambda_roots, window_lambdas
+from htbif.spectral import eta2_closed_form, lambda_roots, mode_windows, mu_threshold, window_lambdas
 from htbif.timemap import PhasePlane, companion, time_map, time_map_center
 
 # 60-digit reference for the 1-crossing amplitude at desk scale
@@ -320,6 +320,37 @@ class TestNodalPair:
         for lam in (root.lambda_minus + 0.5, root.lambda_plus - 0.5):
             lower, upper = nodal_pair(1, desk.with_lam(lam))
             assert lower.crossings == 1
+
+    @pytest.mark.parametrize("n_points", [2001, 2401])
+    def test_pairs_across_windows(self, n_points):
+        # 3 does not divide the 2000 cells of 2001 points and every mode
+        # divides 2400, so both kinds of piece run; lam keeps to the inner
+        # 96% of its window and to trace_loop's predicted amplitude >= 1e-6
+        rng = np.random.default_rng(n_points)
+        cells = n_points - 1
+        misaligned = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            p = ModelParams(mu=rng.uniform(max(50.0, mu_threshold(n, ModelParams())), 360.0))
+            root = mode_windows(p)[n - 1]
+            lo, hi = root.lambda_minus, root.lambda_plus
+            while True:
+                q = p.with_lam(lo + (0.02 + 0.96 * rng.random()) * (hi - lo))
+                s_pred = min(
+                    math.sqrt((q.lam - lo) / abs(eta2_closed_form(n, "minus", q))),
+                    math.sqrt((hi - q.lam) / abs(eta2_closed_form(n, "plus", q))),
+                )
+                if s_pred >= 1e-6:
+                    break
+            misaligned += cells % n != 0
+            w0 = w0_const(q)
+            for member in nodal_pair(n, q, n_points):
+                values = member.profile.values
+                assert crossing_count(values, w0) == member.crossings == n
+                assert member.boundary_residual < nodal._junction_tol(cells)
+                assert float(np.min(values)) > 0.0
+                assert bvp_residual(member.profile, q) < 1e-6
+        assert misaligned > 0 if n_points == 2001 else misaligned == 0
 
 
 class TestCrossingCount:

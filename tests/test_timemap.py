@@ -208,6 +208,23 @@ class TestTimeMapAcrossParameters:
         k = math.sqrt(p.bmu_over_d - p.lam)
         assert plane.time_map(wm).T > math.log(plane.w0 / wm) / k
 
+    def test_saddle_law_slope_across_parameters(self):
+        # criterion 4's law T = ln(1/w_-)/k + C + O(w_-) away from the desk
+        # point: both slopes over {1e-8, 1e-9, 1e-10} w0 equal 1/k to 1e-6
+        rng = np.random.default_rng(2014)
+        scales = (1e-8, 1e-9, 1e-10)
+        worst = 0.0
+        for _ in range(40):
+            b, d, mu = np.exp(rng.uniform(np.log([0.3, 0.3, 20.0]), np.log([3.0, 3.0, 400.0]))).tolist()
+            p = ModelParams(b=b, d=d, mu=mu, lam=rng.uniform(0.05, 0.95) * b * mu / d)
+            plane = PhasePlane(p)
+            k = math.sqrt(p.bmu_over_d - p.lam)
+            times = [plane.time_map(s * plane.w0).T for s in scales]
+            for i in range(len(scales) - 1):
+                slope = (times[i + 1] - times[i]) / math.log(scales[i] / scales[i + 1])
+                worst = max(worst, abs(k * slope - 1.0))
+        assert worst < 1e-6
+
 
 class TestABCertify:
     def test_desk_certificate(self, desk):
