@@ -52,7 +52,6 @@ from .timemap import (
     PhasePlane,
     TimeMapSample,
     ab_certify,
-    companion,
     homoclinic_extent,
     monotone_check,
     time_map,

@@ -11,16 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance, linstab, nodal, perturbed, spectral, timemap
 from .errors import ConvergenceError, DomainError, IntegrationError, NoSolutionError
-from .model import CoeffFn, ModelParams, Profile, w0_const
+from .model import CoeffFn, ModelParams, Profile, w0_const, whole
 
-__all__ = ["RunConfig", "build_parser", "emit_diagram", "main", "run"]
+__all__ = ["build_parser", "emit_diagram", "main"]
 
 JSON_SCHEMA = "htbif/1"
 
@@ -34,14 +33,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: ModelParams
-    output_path: str
-    options: dict
 
 
 def _fmt(x: float) -> str:
@@ -63,8 +54,8 @@ def _write_json(path: str, payload: dict) -> None:
 def _add_model_flags(sp, need_mu=True, need_lam=False):
     sp.add_argument("--b", type=float, default=1.0, help="predation coefficient (> 0)")
     sp.add_argument("--d", type=float, default=1.0, help="predator self-limitation (> 0)")
-    sp.add_argument("--mu", type=float, required=need_mu, help="predator growth rate")
-    sp.add_argument("--lambda", dest="lam", type=float, required=need_lam,
+    sp.add_argument("--mu", type=float, required=need_mu, default=50.0, help="predator growth rate")
+    sp.add_argument("--lambda", dest="lam", type=float, required=need_lam, default=25.0,
                     help="prey growth rate (bifurcation parameter)")
     sp.add_argument("--eps", type=float, default=0.0, help="inverse saturation rate (>= 0)")
     sp.add_argument("--a", dest="coeff_a", default="const:1",
@@ -136,68 +127,58 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _params_from(args) -> ModelParams:
-    return ModelParams(
-        b=args.b, d=args.d,
-        lam=args.lam if getattr(args, "lam", None) is not None else 25.0,
-        mu=args.mu if getattr(args, "mu", None) is not None else 50.0,
-        eps=args.eps,
-        coeff_a=CoeffFn.from_spec(args.coeff_a),
-        coeff_c=CoeffFn.from_spec(args.coeff_c),
-    )
-
-
-def _run_eigencurves(p, opts, out):
-    table = spectral.eigencurve_table(p, opts.get("ell_max"))
-    _write_csv(out, ["mu", "ell", "lambda_minus", "lambda_plus", "is_real"],
+def _run_eigencurves(p, args):
+    table = spectral.eigencurve_table(p, args.ell_max)
+    _write_csv(args.output, ["mu", "ell", "lambda_minus", "lambda_plus", "is_real"],
                [(r.mu, r.ell, r.lambda_minus, r.lambda_plus, r.is_real) for r in table])
 
 
-def _run_critical(p, opts, out):
-    _write_csv(out, ["kappa", "mu_kappa"],
-               [(k, spectral.mu_threshold(k, p)) for k in range(opts["kappa_max"] + 1)])
+def _run_critical(p, args):
+    kappa_max = whole(args.kappa_max, 0, "--kappa-max")
+    _write_csv(args.output, ["kappa", "mu_kappa"],
+               [(k, spectral.mu_threshold(k, p)) for k in range(kappa_max + 1)])
 
 
-def _run_timemap(p, opts, out):
-    samples = opts["samples"]
+def _run_timemap(p, args):
+    samples = whole(args.samples, 1, "--samples")
     w0 = w0_const(p)
     plane = timemap.PhasePlane(p)
     rows = []
     for j in range(1, samples + 1):
         s = plane.time_map(w0 * j / (samples + 1.0))
         rows.append((s.w_minus, s.w_plus, s.T, s.energy_level))
-    _write_csv(out, ["w_minus", "w_plus", "T", "energy_level"], rows)
+    _write_csv(args.output, ["w_minus", "w_plus", "T", "energy_level"], rows)
 
 
-def _run_nodal(p, opts, out):
-    lower, upper = nodal.nodal_pair(opts["n"], p, opts["n_points"])
+def _run_nodal(p, args):
+    lower, upper = nodal.nodal_pair(args.n, p, args.n_points)
     x = lower.profile.x
     rows = zip(map(float, x), map(float, lower.profile.values), map(float, upper.profile.values))
-    _write_csv(out, ["x", "w_lower", "w_upper"], rows)
+    _write_csv(args.output, ["x", "w_lower", "w_upper"], rows)
 
 
-def _run_morse(p, opts, out):
-    n = opts["n"]
+def _run_morse(p, args):
+    n = args.n
     rows = []
-    for lam in spectral.window_lambdas(n, p, opts["n_lambda"]):
+    for lam in spectral.window_lambdas(n, p, args.n_lambda):
         q = p.with_lam(lam)
         m_const = spectral.morse_index_w0(q.lam, q)
         rows.append((lam, "constant", m_const,
                      spectral.tau0(m_const - 1, q.lam, q), spectral.tau0(m_const, q.lam, q)))
         try:
-            lower, upper = nodal.nodal_pair(n, q, opts["n_points"])
+            lower, upper = nodal.nodal_pair(n, q, args.n_points)
         except (NoSolutionError, ConvergenceError, IntegrationError):
             continue
         for sol in (lower, upper):
             spec = linstab.sturm_spectrum(linstab.nodal_potential(sol.profile, q), n + 1)
             rows.append((lam, f"nodal-{sol.branch}", spec.morse_index,
                          float(spec.eigenvalues[n - 1]), float(spec.eigenvalues[n])))
-    _write_csv(out, ["lambda", "branch", "morse_index", "tau_low", "tau_high"], rows)
+    _write_csv(args.output, ["lambda", "branch", "morse_index", "tau_low", "tau_high"], rows)
 
 
-def _run_bifdir(p, opts, out):
-    check = linstab.fit_expansion(opts["n"], opts["side"], p, opts["n_points"])
-    _write_json(out, {
+def _run_bifdir(p, args):
+    check = linstab.fit_expansion(args.n, args.side, p, args.n_points)
+    _write_json(args.output, {
         "kind": "expansion_check",
         "n": check.n,
         "side": check.side,
@@ -218,21 +199,20 @@ def _state_payload(s):
     }
 
 
-def _run_perturb(p, opts, out):
-    n_points = opts["n_points"]
-    v_flat = Profile.constant(p.mu / p.d, n_points)
-    seeds = perturbed.limit_seeds(opts["n"], p, n_points)
+def _run_perturb(p, args):
+    v_flat = Profile.constant(p.mu / p.d, args.n_points)
+    seeds = perturbed.limit_seeds(args.n, p, args.n_points)
     states = [perturbed.newton_solve(seed, v_flat, p, origin=origin) for origin, seed in seeds]
-    _write_json(out, {
+    _write_json(args.output, {
         "kind": "perturb",
         "eps": p.eps, "lambda": p.lam, "mu": p.mu,
         "states": [_state_payload(s) for s in states],
     })
 
 
-def _run_census(p, opts, out):
-    result = perturbed.census(opts["n"], p, opts["n_points"])
-    _write_json(out, {
+def _run_census(p, args):
+    result = perturbed.census(args.n, p, args.n_points)
+    _write_json(args.output, {
         "kind": "census",
         "eps": result.eps, "lambda": result.lam, "mu": result.mu,
         "distinct_count": result.distinct_count,
@@ -302,22 +282,25 @@ def emit_diagram(c0_samples, loops, path: str, p: ModelParams, ceiling: float) -
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def _run_diagram(p, opts, out):
-    w0_mid = w0_const(p.with_lam(0.5 * p.bmu_over_d))
-    ceiling = opts.get("ceiling") or 4.0 * w0_mid
+def _run_diagram(p, args):
+    # trace_loop checks --n-lambda only where a mode window is open
+    n_lambda = whole(args.n_lambda, 1, "--n-lambda")
+    if args.ceiling is not None and not args.ceiling > 0.0:
+        raise DomainError(f"--ceiling must be positive, got {args.ceiling!r}")
+    ceiling = args.ceiling or 4.0 * w0_const(p.with_lam(0.5 * p.bmu_over_d))
     lam_lo = p.b * p.mu / (p.d * (1.0 + ceiling))  # where the constant branch hits the clip level
     c0 = []
     for lam in np.linspace(lam_lo, p.bmu_over_d * (1.0 - 1e-9), 256):
         c0.append((float(lam), w0_const(p.with_lam(float(lam)))))
-    loops = [(root.ell, nodal.trace_loop(root.ell, p, opts["n_lambda"]))
-             for root in spectral.mode_windows(p)]
-    emit_diagram(c0, loops, out, p, ceiling)
-    csv_path = opts.get("points_csv") or str(Path(out).with_suffix(".csv"))
+    loops = [(root.ell, nodal.trace_loop(root.ell, p, n_lambda)) for root in spectral.mode_windows(p)]
+    csv_path = args.points_csv or str(Path(args.output).with_suffix(".csv"))
     rows = []
     for n, pts in loops:
         for q in pts:
             rows.append((n, q.lam, q.w_minus_lower, q.sup_norm_lower, q.sup_norm_upper))
+    # the CSV goes first: main checked only the SVG's directory
     _write_csv(csv_path, ["n", "lambda", "w_minus_lower", "sup_norm_lower", "sup_norm_upper"], rows)
+    emit_diagram(c0, loops, args.output, p, ceiling)
 
 
 _HANDLERS = {
@@ -333,33 +316,9 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one validated configuration; 0 on success, 1 on any error."""
-    handler = _HANDLERS[config.subcommand]
-    positive = {"n_points": 1, "n_lambda": 1, "samples": 1, "n": 1, "kappa_max": 0, "ell_max": 0}
-    for key, floor in positive.items():
-        value = config.options.get(key)
-        if value is not None and value < floor:
-            print(f"htbif {config.subcommand}: --{key.replace('_', '-')} must be >= {floor}, got {value}",
-                  file=sys.stderr)
-            return 1
-    ceiling = config.options.get("ceiling")
-    if ceiling is not None and ceiling <= 0:
-        print(f"htbif {config.subcommand}: --ceiling must be positive, got {ceiling}", file=sys.stderr)
-        return 1
-    out_dir = Path(config.output_path).resolve().parent
-    if not out_dir.is_dir():
-        print(f"htbif {config.subcommand}: output directory {out_dir} does not exist", file=sys.stderr)
-        return 1
-    try:
-        handler(config.params, config.options, config.output_path)
-    except Exception as exc:
-        print(f"htbif {config.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
+    """Run one subcommand (or --seed-check); 0 on success, 1 on any error,
+    reported as one stderr line."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -374,15 +333,16 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        params = _params_from(args)
-    except DomainError as exc:
-        print(f"htbif: {exc}", file=sys.stderr)
+        out_dir = Path(args.output).resolve().parent
+        if not out_dir.is_dir():
+            raise FileNotFoundError(f"output directory {out_dir} does not exist")
+        p = ModelParams(args.b, args.d, args.lam, args.mu, args.eps,
+                        CoeffFn.from_spec(args.coeff_a), CoeffFn.from_spec(args.coeff_c))
+        _HANDLERS[args.subcommand](p, args)
+    except Exception as exc:
+        print(f"htbif {args.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    options = {k: v for k, v in vars(args).items()
-               if k not in {"subcommand", "seed_check", "b", "d", "mu", "lam", "eps",
-                            "coeff_a", "coeff_c", "output"}}
-    config = RunConfig(args.subcommand, params, args.output, options)
-    return run(config)
+    return 0
 
 
 if __name__ == "__main__":

@@ -91,31 +91,43 @@ class CoeffFn:
         """Load a sampled coefficient from two-column CSV (x, value).
 
         A single header row is tolerated; UTF-8, LF or CRLF line endings.
+        A file that cannot be read as text is a DomainError naming its path.
         """
         xs: list[float] = []
         ys: list[float] = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or all(not cell.strip() for cell in row):
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+        except OSError as exc:
+            raise DomainError(f"cannot read coefficient file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise DomainError(f"coefficient file {path} is not UTF-8 text") from None
+        for row in rows:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                x, y = float(row[0]), float(row[1])
+            except (ValueError, IndexError):
+                if not xs:  # header
                     continue
-                try:
-                    x, y = float(row[0]), float(row[1])
-                except (ValueError, IndexError):
-                    if not xs:  # header
-                        continue
-                    raise DomainError(f"malformed coefficient row {row!r} in {path}")
-                xs.append(x)
-                ys.append(y)
+                raise DomainError(f"malformed coefficient row {row!r} in {path}")
+            xs.append(x)
+            ys.append(y)
         if len(xs) < 2:
             raise DomainError(f"coefficient file {path} has fewer than 2 samples")
         return cls.sampled(np.asarray(xs), np.asarray(ys))
 
     @classmethod
     def from_spec(cls, spec: str) -> "CoeffFn":
-        """Parse ``const:<v>`` or ``csv:<path>``."""
+        """Parse ``const:<v>`` or ``csv:<path>``; DomainError naming the spec
+        or the path when it does not give a coefficient."""
         kind, _, rest = spec.partition(":")
         if kind == "const" and rest:
-            return cls.constant(float(rest))
+            try:
+                value = float(rest)
+            except ValueError:
+                raise DomainError(f"coefficient spec {spec!r} needs a number after 'const:'") from None
+            return cls.constant(value)
         if kind == "csv" and rest:
             return cls.from_csv(Path(rest))
         raise DomainError(f"coefficient spec must be 'const:<v>' or 'csv:<path>', got {spec!r}")

@@ -253,7 +253,6 @@ def newton_solve(
     origin: str = "continued",
     w_fine: np.ndarray | None = None,
     v_fine: np.ndarray | None = None,
-    residual_history: list | None = None,
 ) -> CoexistenceState:
     """Damped Newton for the coupled system from the given initial pair.
 
@@ -261,8 +260,7 @@ def newton_solve(
     otherwise the step is halved (at most 20 times).  Convergence means
     discrete sup-norm residual below 1e-9, evaluated on the two-part
     iterate.  A converged limit outside the open positive cone raises
-    PositivityError carrying the limit.  When a list is passed as
-    ``residual_history`` the sup residual of every iterate is appended to it.
+    PositivityError carrying the limit.
     """
     _check_pair(w0, v0, w_fine, v_fine)
     n_points = w0.n_points
@@ -276,8 +274,6 @@ def newton_solve(
     g1, g2, w, v = _two_part_residual(wb, wf, vb, vf, p, terms)
     res_sup = _sup(g1, g2)
     res_sq = float(np.dot(g1, g1) + np.dot(g2, g2))
-    if residual_history is not None:
-        residual_history.append(res_sup)
 
     for iteration in range(MAX_NEWTON_ITERS + 1):
         if res_sup < NEWTON_TOL:
@@ -316,8 +312,6 @@ def newton_solve(
         wf, vf, w, v = wf_new, vf_new, w_new, v_new
         g1, g2, res_sq = g1_new, g2_new, sq_new
         res_sup = _sup(g1, g2)
-        if residual_history is not None:
-            residual_history.append(res_sup)
         if float(np.max(np.abs(wf))) > 0.25 or float(np.max(np.abs(vf))) > 0.25:
             # renormalize so the fine parts keep their precision headroom
             wb, wf = _two_sum(wb, wf)

@@ -48,7 +48,6 @@ __all__ = [
     "PhasePlane",
     "TimeMapSample",
     "ab_certify",
-    "companion",
     "homoclinic_extent",
     "monotone_check",
     "time_map",
@@ -100,8 +99,8 @@ class PhasePlane:
     q = 1/(1 + w0), the homoclinic extent w_h and the center limit T_c of
     the time map, so that repeated companion and time-map evaluations at the
     same parameters re-derive none of them.  Its bisections run on plain
-    floats.  The module-level homoclinic_extent, companion and time_map are
-    thin wrappers that build a context per call.
+    floats.  The module-level homoclinic_extent and time_map are thin
+    wrappers that build a context per call.
     """
 
     p: ModelParams
@@ -160,7 +159,11 @@ class PhasePlane:
         return self._offset(target, lo, hi)
 
     def companion(self, w_minus: float) -> float:
-        """Turning point w_+ in (w0, w_h) on the same energy level as w_minus."""
+        """Turning point w_+ in (w0, w_h) on the same energy level as w_minus.
+
+        Solves F(w_+) = F(w_minus) by bisection in the offset from w0 to a
+        relative width of 4 ulp.
+        """
         w0 = self.w0
         if not 0.0 < w_minus < w0:
             raise DomainError(f"w_minus must lie in (0, w0) = (0, {w0:g}); got {w_minus!r}")
@@ -246,15 +249,6 @@ class PhasePlane:
 def homoclinic_extent(p: ModelParams) -> float:
     """Unique w_h > w0 with F(w_h) = 0, bounding the periodic family."""
     return PhasePlane(p).w_h
-
-
-def companion(w_minus: float, p: ModelParams) -> float:
-    """Turning point w_+ in (w0, w_h) on the same energy level as w_-.
-
-    Solves F(w_+) = F(w_-) by bisection in the offset from w0 to a relative
-    width of 4 ulp.
-    """
-    return PhasePlane(p).companion(w_minus)
 
 
 def time_map_center(p: ModelParams) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -161,8 +162,8 @@ class TestErrorsAndDeterminism:
         assert "DomainError" in err
 
     @pytest.mark.parametrize("args, flag", [
-        (["timemap", "--mu", "50", "--lambda", "25", "--samples", "0"], "--samples must be >= 1"),
-        (["critical", "--kappa-max", "-1"], "--kappa-max must be >= 0"),
+        (["timemap", "--mu", "50", "--lambda", "25", "--samples", "0"], "--samples must be an integer >= 1"),
+        (["critical", "--kappa-max", "-1"], "--kappa-max must be an integer >= 0"),
     ])
     def test_out_of_range_count_flag_names_it(self, tmp_path, capsys, args, flag):
         out = tmp_path / "x.csv"
@@ -195,3 +196,49 @@ class TestErrorsAndDeterminism:
         s = time_map(wm, desk)
         assert s.T == t  # parse-back equals the computed double exactly
         assert s.w_plus == wp
+
+
+# a valid call of every subcommand that takes a count flag, and the flags it takes
+VALID = {
+    "eigencurves": (["--mu", "50"], ["--ell-max"]),
+    "critical": ([], ["--kappa-max"]),
+    "timemap": (["--mu", "50", "--lambda", "25"], ["--samples"]),
+    "nodal": (["--mu", "50", "--lambda", "25", "--n", "1"], ["--n", "--n-points"]),
+    "diagram": (["--mu", "170"], ["--n-lambda"]),
+    "morse": (["--mu", "50", "--n", "1"], ["--n", "--n-lambda", "--n-points"]),
+    "bifdir": (["--mu", "50", "--n", "1", "--side", "plus"], ["--n", "--n-points"]),
+    "perturb": (["--mu", "50", "--lambda", "25", "--n", "1", "--eps", "1e-3"], ["--n", "--n-points"]),
+    "census": (["--mu", "50", "--lambda", "25", "--n", "1", "--eps", "1e-3"], ["--n", "--n-points"]),
+}
+# mode numbers start at 0, so --ell-max 0 and --kappa-max 0 are valid
+FLOOR = {"--ell-max": 0, "--kappa-max": 0, "--n-points": 3}
+
+
+def _refusals():
+    for cmd, (base, flags) in VALID.items():
+        for flag in flags:
+            values = ["0", "-1"] if FLOOR.get(flag, 1) > 0 else ["-1"]
+            values += ["2"] if flag == "--n-points" else []
+            for value in values:
+                yield pytest.param(cmd, base + [flag, value], id=f"{cmd} {flag} {value}")
+    for value in ("0", "-1"):
+        yield pytest.param("diagram", ["--mu", "170", "--ceiling", value], id=f"diagram --ceiling {value}")
+    # mu = 30 opens no mode window, so no loop is traced to check --n-lambda
+    yield pytest.param("diagram", ["--mu", "30", "--n-lambda", "0"], id="diagram no window --n-lambda 0")
+    yield pytest.param("diagram", ["--mu", "30", "--points-csv", "missing/d.csv"], id="diagram --points-csv missing/")
+    for spec in ("const:abc", "const:-1", "csv:missing.csv", "csv:.", "linear:1"):
+        yield pytest.param("nodal", VALID["nodal"][0] + ["--a", spec], id=f"nodal --a {spec}")
+    yield pytest.param("census", VALID["census"][0] + ["--c", "csv:missing.csv"], id="census --c csv:missing.csv")
+
+
+@pytest.mark.parametrize("cmd, args", _refusals())
+def test_refusal_is_one_line_and_writes_nothing(tmp_path, monkeypatch, capsys, cmd, args):
+    monkeypatch.chdir(tmp_path)  # csv:., csv:missing.csv and missing/ resolve here
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run_cli([cmd] + args + ["-o", str(out_dir / "result")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"htbif {cmd}: [A-Za-z]+Error: [^\n]+\n", captured.err)
+    assert list(out_dir.iterdir()) == []
+

@@ -50,8 +50,10 @@ def test_facade_reexports_only_exported_names():
 
 
 def _references(tree) -> set[str]:
-    """Every name the module reads as an ast.Name or an ast.Attribute, leaving
-    out names that appear only inside annotations."""
+    """Every export the module reads: a bare name where the module
+    from-imports or defines it, or an attribute of an htbif module alias
+    (``timemap.x``), leaving out names that appear only inside annotations.
+    A method or a local that shares an export's name reads nothing."""
     in_annotation = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -64,11 +66,30 @@ def _references(tree) -> set[str]:
         else:
             continue
         in_annotation.update(id(sub) for root in roots for sub in ast.walk(root))
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in in_annotation
-    }
+    aliases, bound = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if alias.name in MODULES and node.module in (None, "htbif"):
+                    aliases.add(local)
+                else:
+                    bound[local] = alias.name
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update((t.id, t.id) for t in targets if isinstance(t, ast.Name))
+    read = set()
+    for node in ast.walk(tree):
+        if id(node) in in_annotation:
+            continue
+        if isinstance(node, ast.Name) and node.id in bound:
+            read.add(bound[node.id])
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            read.add(node.attr)
+    return read
 
 
 def _unconsumed_exports() -> set[str]:
@@ -96,5 +117,14 @@ def test_allow_list_names_live_unconsumed_exports():
 
 
 def test_an_annotation_is_not_a_consumer():
-    tree = ast.parse("def f(x: Hint) -> Out:\n    y: Local = make(x)\n    return mod.attr")
-    assert _references(tree) == {"make", "x", "y", "mod", "attr"}
+    tree = ast.parse("from .model import Hint, Local, Out, make\nfrom . import model\n"
+                     "def f(x: Hint) -> Out:\n    y: Local = make(x)\n    return model.attr")
+    assert _references(tree) == {"make", "attr"}
+
+
+def test_a_namesake_method_or_local_is_not_a_consumer():
+    # plane.companion reads a method, not a module-level companion
+    tree = ast.parse("from .timemap import PhasePlane as Plane\nimport numpy as np\n"
+                     "def f(p, time_map):\n    plane = Plane(p)\n"
+                     "    return plane.companion(0.5), time_map, np.interp")
+    assert _references(tree) == {"PhasePlane"}

@@ -66,6 +66,23 @@ class TestCoeffFn:
         with pytest.raises(DomainError):
             CoeffFn.from_spec("nope:1")
 
+    def test_unparsable_constant_names_the_spec(self):
+        with pytest.raises(DomainError, match="'const:abc'"):
+            CoeffFn.from_spec("const:abc")
+
+    @pytest.mark.parametrize("name, reason", [
+        ("missing.csv", "No such file or directory"),
+        (".", "Is a directory"),
+        ("binary.csv", "not UTF-8 text"),
+    ])
+    def test_unreadable_file_names_the_path(self, tmp_path, name, reason):
+        (tmp_path / "binary.csv").write_bytes(b"0,1\n\xff\xfe,1\n")
+        path = tmp_path / name
+        for load in (CoeffFn.from_csv, lambda path: CoeffFn.from_spec(f"csv:{path}")):
+            with pytest.raises(DomainError, match=reason) as err:
+                load(path)
+            assert str(path) in str(err.value)
+
 
 class TestModelParams:
     def test_defaults_are_desk_scale(self, desk):

@@ -18,7 +18,7 @@ from htbif.nodal import (
     trace_loop,
 )
 from htbif.spectral import eta2_closed_form, lambda_roots, mode_windows, mu_threshold, window_lambdas
-from htbif.timemap import PhasePlane, companion, time_map, time_map_center
+from htbif.timemap import PhasePlane, time_map, time_map_center
 
 # 60-digit reference for the 1-crossing amplitude at desk scale
 W_MINUS_REF = 0.3038014537941711793078
@@ -105,7 +105,7 @@ class TestIntegrateCauchy:
         wm = solve_amplitude(1, desk)
         prof = integrate_cauchy(wm, desk, 2001)
         vals = prof.values
-        assert abs(vals[-1] - companion(wm, desk)) < 1e-8
+        assert abs(vals[-1] - PhasePlane(desk).companion(wm)) < 1e-8
         assert np.all(np.diff(vals) > 0.0)
 
     def test_reflection_symmetry_about_turning_time(self):
@@ -130,7 +130,7 @@ class TestNodalPair:
         assert lower.w_minus == pytest.approx(W_MINUS_REF, abs=1e-11)
         assert lower.profile.values[0] == pytest.approx(W_MINUS_REF, abs=1e-11)
         assert upper.profile.values[0] == pytest.approx(W_PLUS_REF, abs=1e-10)
-        assert upper.profile.values[0] == pytest.approx(companion(lower.w_minus, desk), abs=1e-8)
+        assert upper.profile.values[0] == pytest.approx(PhasePlane(desk).companion(lower.w_minus), abs=1e-8)
         assert lower.crossings == upper.crossings == 1
         assert lower.boundary_residual < 1e-8 and upper.boundary_residual < 1e-8
         assert float(np.min(lower.profile.values)) > 0.0
@@ -182,7 +182,7 @@ class TestNodalPair:
         # reflected piece matches a whole-interval run from its start
         p = ModelParams(mu=mu, lam=lam)
         lower, upper = nodal_pair(n, p, n_points)
-        for member, w_start in ((lower, lower.w_minus), (upper, companion(lower.w_minus, p))):
+        for member, w_start in ((lower, lower.w_minus), (upper, PhasePlane(p).companion(lower.w_minus))):
             direct = integrate_cauchy(w_start, p, n_points)
             assert float(np.max(np.abs(direct.values - member.profile.values))) < 1e-10
             assert bvp_residual(member.profile, p) < 1e-6
@@ -216,7 +216,7 @@ class TestNodalPair:
         wm = solve_amplitude(n, p)
         lower, upper = nodal_pair(n, p)
         gap = abs(1.0 - n * time_map(wm, p).T) / n
-        bound = abs(float(kinetic_f(companion(wm, p), p))) * (gap + 2e-13)
+        bound = abs(float(kinetic_f(PhasePlane(p).companion(wm), p))) * (gap + 2e-13)
         for member in (lower, upper):
             assert member.boundary_residual <= bound
             assert member.boundary_residual < nodal._junction_tol(2000)
@@ -294,7 +294,7 @@ class TestNodalPair:
             assert crossing_count(member.profile.values, w0) == member.crossings == n
             assert float(np.min(member.profile.values)) > 0.0
             assert member.boundary_residual < 1e-8
-        assert upper.profile.values[0] == pytest.approx(companion(lower.w_minus, p), abs=1e-8)
+        assert upper.profile.values[0] == pytest.approx(PhasePlane(p).companion(lower.w_minus), abs=1e-8)
 
     def test_junction_kink_is_refused(self, monkeypatch):
         # pieces that start 1e-10 relative off the root on one side and, after

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
+from htbif import perturbed
 from htbif.errors import (
     DegenerateError,
     DomainError,
@@ -107,15 +108,24 @@ class TestNewtonSolve:
         assert float(np.max(np.abs(err.value.w.values))) == 0.0
         assert err.value.residual_sup < 1e-9
 
-    def test_quadratic_contraction(self, desk, flat_v):
+    def test_quadratic_contraction(self, desk, flat_v, monkeypatch):
         # push the seed far enough that several iterations happen, then the
-        # residual sequence must contract at least quadratically at the end
+        # residual sequence must contract at least quadratically at the end;
+        # newton_solve takes the sup residual of every iterate through _sup
         lower, _ = nodal_pair(1, desk)
         q = desk.with_eps(5e-2)
         history = []
-        state = newton_solve(lower.profile, flat_v, q, residual_history=history)
+
+        def recorded_sup(g1, g2):
+            history.append(sup(g1, g2))
+            return history[-1]
+
+        sup = perturbed._sup
+        monkeypatch.setattr(perturbed, "_sup", recorded_sup)
+        state = newton_solve(lower.profile, flat_v, q)
         assert state.residual_sup < 1e-9
         assert state.newton_iters >= 3
+        assert len(history) == state.newton_iters + 1
         tail = [r for r in history if r > 1e-13]
         for prev, nxt in zip(tail[-3:], tail[-2:]):
             # quadratic decay until the banded-solve floor below tolerance

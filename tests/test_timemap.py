@@ -12,7 +12,6 @@ from htbif.model import ModelParams, potential_F, w0_const
 from htbif.timemap import (
     PhasePlane,
     ab_certify,
-    companion,
     homoclinic_extent,
     monotone_check,
     time_map,
@@ -53,13 +52,13 @@ class TestHomoclinicExtent:
 class TestCompanion:
     def test_collapses_to_center(self, desk):
         w0 = w0_const(desk)
-        assert companion(w0 * (1.0 - 1e-10), desk) == pytest.approx(w0, rel=1e-9)
+        assert PhasePlane(desk).companion(w0 * (1.0 - 1e-10)) == pytest.approx(w0, rel=1e-9)
 
     def test_approaches_homoclinic(self, desk):
-        assert companion(1e-9, desk) == pytest.approx(homoclinic_extent(desk), rel=1e-9)
+        assert PhasePlane(desk).companion(1e-9) == pytest.approx(homoclinic_extent(desk), rel=1e-9)
 
     def test_against_independent_root_finder(self, desk):
-        wp = companion(0.5, desk)
+        wp = PhasePlane(desk).companion(0.5)
         target = float(potential_F(0.5, desk))
         oracle = brentq(
             lambda w: float(potential_F(w, desk)) - target, 1.0 + 1e-12, WH_REF,
@@ -70,15 +69,15 @@ class TestCompanion:
 
     def test_energy_level_match(self, desk):
         for wm in (0.05, 0.2, 0.5, 0.9, 0.999):
-            wp = companion(wm, desk)
+            wp = PhasePlane(desk).companion(wm)
             fm = float(potential_F(wm, desk))
             assert abs(float(potential_F(wp, desk)) - fm) <= 1e-12 * (1.0 + abs(fm))
 
     def test_domain(self, desk):
         with pytest.raises(DomainError):
-            companion(1.5, desk)
+            PhasePlane(desk).companion(1.5)
         with pytest.raises(DomainError):
-            companion(0.0, desk)
+            PhasePlane(desk).companion(0.0)
 
 
 class TestTimeMapCenter:
@@ -153,7 +152,6 @@ class TestPhasePlane:
         plane = PhasePlane(desk)
         assert plane.w_h == homoclinic_extent(desk)
         assert plane.T_c == time_map_center(desk)
-        assert plane.companion(0.5) == companion(0.5, desk)
         assert plane.time_map(0.5) == time_map(0.5, desk)
 
     def test_window_required(self, desk):
@@ -168,7 +166,7 @@ class TestPhasePlane:
         try:
             for _ in range(1000):
                 time_map(0.5, desk)
-                companion(0.5, desk)
+                PhasePlane(desk).companion(0.5)
             assert gc.collect() == 0
         finally:
             gc.enable()
