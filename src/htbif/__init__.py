@@ -8,7 +8,7 @@ model      parameters, coefficient functions, scalar kinetics and potential,
 spectral   eigencurves, mode windows, constant-state Morse index, expansion
            closed forms
 timemap    phase-plane half-period map, center limit, monotonicity certificate
-nodal      exact n-crossing solution pairs, solution loops, Cauchy profiles
+nodal      exact n-crossing solution pairs, solution loops
 linstab    Neumann operator, Sturm spectra, Morse indices, expansion checks
 perturbed  coupled-system Newton solves, corrections, coexistence census
 cli        command-line front end (CSV/JSON/SVG emission)
@@ -64,7 +64,6 @@ from .nodal import (
     bvp_residual,
     crossing_count,
     enumerate_solutions,
-    integrate_cauchy,
     nodal_pair,
     solve_amplitude,
     trace_loop,
@@ -81,7 +80,6 @@ from .perturbed import (
     CoexistenceState,
     ContinuationResult,
     census,
-    constant_states,
     continue_in_eps,
     first_order_corrections,
     newton_solve,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -318,7 +319,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     """Run one subcommand (or --seed-check); 0 on success, 1 on any error,
-    reported as one stderr line."""
+    reported as one stderr line.  Each warning the subcommand raises is one
+    stderr line of the same form, and leaves the exit status alone."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -332,15 +334,21 @@ def main(argv=None) -> int:
     if not args.subcommand:
         parser.print_help()
         return 1
-    try:
-        out_dir = Path(args.output).resolve().parent
-        if not out_dir.is_dir():
-            raise FileNotFoundError(f"output directory {out_dir} does not exist")
-        p = ModelParams(args.b, args.d, args.lam, args.mu, args.eps,
-                        CoeffFn.from_spec(args.coeff_a), CoeffFn.from_spec(args.coeff_c))
-        _HANDLERS[args.subcommand](p, args)
-    except Exception as exc:
-        print(f"htbif {args.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    error = None
+    with warnings.catch_warnings(record=True) as caught:  # the active filters still apply
+        try:
+            out_dir = Path(args.output).resolve().parent
+            if not out_dir.is_dir():
+                raise FileNotFoundError(f"output directory {out_dir} does not exist")
+            p = ModelParams(args.b, args.d, args.lam, args.mu, args.eps,
+                            CoeffFn.from_spec(args.coeff_a), CoeffFn.from_spec(args.coeff_c))
+            _HANDLERS[args.subcommand](p, args)
+        except Exception as exc:
+            error = exc
+    for warning in caught:
+        print(f"htbif {args.subcommand}: {warning.category.__name__}: {warning.message}", file=sys.stderr)
+    if error is not None:
+        print(f"htbif {args.subcommand}: {type(error).__name__}: {error}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,7 +1,7 @@
 """Construction of the exact pairs of n-crossing positive solutions of the
-limit problem by time-map inversion, Cauchy integration of profiles, the
-shifted companion solution, and the closed solution loops over the lam
-window.
+limit problem by time-map inversion, a Runge-Kutta-Nystrom march of the
+half-period piece, the shifted companion solution, and the closed solution
+loops over the lam window.
 
 An n-crossing solution exists iff n * T(w0) < 1; its starting amplitude is
 the unique w_- in (0, w0) with n * T(w_-) = 1 (the time map is strictly
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, IntegrationError, NoSolutionError, ConvergenceError
+from .errors import IntegrationError, NoSolutionError, ConvergenceError
 from .model import ModelParams, Profile, grid_points, kinetic_f, potential_F, w0_const
 from .spectral import eta2_closed_form, lambda_roots, mu_threshold, window_holds, window_lambdas
-from .timemap import PhasePlane, homoclinic_extent
+from .timemap import PhasePlane
 
 __all__ = [
     "LoopPoint",
@@ -34,14 +34,13 @@ __all__ = [
     "bvp_residual",
     "crossing_count",
     "enumerate_solutions",
-    "integrate_cauchy",
     "nodal_pair",
     "solve_amplitude",
     "trace_loop",
 ]
 
 _N_POINTS = 2001  # default grid of the profiles this module returns
-_RK_SUBSTEPS = 8  # RK4 substeps per grid cell; keeps output exactly grid-aligned
+_RK_SUBSTEPS = 8  # Nystrom substeps per grid cell; keeps output exactly grid-aligned
 _ENERGY_DRIFT_TOL = 1e-9
 _NEUMANN_TOL = 1e-8
 _ODE_RESIDUAL_TOL = 1e-7
@@ -159,21 +158,27 @@ def _invert_time_map(n: int, plane: PhasePlane) -> float:
 
 
 def _integrate_wz(w_start: float, p: ModelParams, cells: int, n: int):
-    """Fixed-step RK4 for w'' = -f(w) from (w_start, 0) over [0, 1/n], the
-    half-period piece of a grid of `cells` cells; returns node arrays (w, z)
-    and g, the piece's node spacing in units of 1/(n cells).
+    """Fixed-step Runge-Kutta-Nystrom march of w'' = -f(w) from (w_start, 0)
+    over [0, 1/n], the half-period piece of a grid of `cells` cells; returns
+    node arrays (w, z = w') and g, the piece's node spacing in units of
+    1/(n cells).
 
-    With g = gcd(n, cells), reflecting the grid's nodes onto [0, 1/n] lands
-    on multiples of g/(n cells), so the piece has cells/g such intervals of
-    ceil(8 g/n) substeps each: no substep exceeds the grid's 1/(8 cells), and
-    when n divides the cells (g = n) the piece repeats the first cells/n + 1
-    nodes of the n = 1 run over [0, 1] bit for bit.  Plain-float inner loop."""
+    The equation has no w' term, so the classical 3-stage, 4th-order Nystrom
+    step (Hairer, Norsett & Wanner, Solving ODEs I, II.14) needs three force
+    evaluations a substep, against RK4's four.  With g = gcd(n, cells),
+    reflecting the grid's nodes onto [0, 1/n] lands on multiples of
+    g/(n cells), so the piece has cells/g such intervals of ceil(8 g/n)
+    substeps each: no substep exceeds the grid's 1/(8 cells), and when n
+    divides the cells (g = n) the piece repeats the first cells/n + 1 nodes
+    of the n = 1 run over [0, 1] bit for bit.  Plain-float inner loop."""
     g = math.gcd(n, cells)
     substeps = -(-_RK_SUBSTEPS * g // n)
     h = 1.0 / (n // g * cells * substeps)
     m = cells // g
     lam = p.lam
     bmu_d = p.bmu_over_d
+    half_h, h_6 = 0.5 * h, h / 6.0
+    hh_8, hh_2, hh_6 = h * h / 8.0, h * h / 2.0, h * h / 6.0
     ws = np.empty(m + 1)
     zs = np.empty(m + 1)
     w = float(w_start)
@@ -182,40 +187,17 @@ def _integrate_wz(w_start: float, p: ModelParams, cells: int, n: int):
     zs[0] = z
     for i in range(m):
         for _ in range(substeps):
-            k1w = z
-            k1z = bmu_d * w / (1.0 + w) - lam * w
-            w2 = w + 0.5 * h * k1w
-            k2w = z + 0.5 * h * k1z
-            k2z = bmu_d * w2 / (1.0 + w2) - lam * w2
-            w3 = w + 0.5 * h * k2w
-            k3w = z + 0.5 * h * k2z
-            k3z = bmu_d * w3 / (1.0 + w3) - lam * w3
-            w4 = w + h * k3w
-            k4w = z + h * k3z
-            k4z = bmu_d * w4 / (1.0 + w4) - lam * w4
-            w += h * (k1w + 2.0 * (k2w + k3w) + k4w) / 6.0
-            z += h * (k1z + 2.0 * (k2z + k3z) + k4z) / 6.0
+            hz = h * z
+            k1 = bmu_d * w / (1.0 + w) - lam * w
+            w2 = w + half_h * z + hh_8 * k1
+            k2 = bmu_d * w2 / (1.0 + w2) - lam * w2
+            w3 = w + hz + hh_2 * k2
+            k3 = bmu_d * w3 / (1.0 + w3) - lam * w3
+            w += hz + hh_6 * (k1 + 2.0 * k2)
+            z += h_6 * (k1 + 4.0 * k2 + k3)
         ws[i + 1] = w
         zs[i + 1] = z
     return ws, zs, g
-
-
-def integrate_cauchy(w_start: float, p: ModelParams, n_points: int = _N_POINTS) -> Profile:
-    """Solution of the Cauchy problem w'' = -f(w), w(0) = w_start, w'(0) = 0,
-    sampled on the closed uniform grid of [0, 1].
-
-    One integration of the whole interval, kept as the oracle that nodal_pair's
-    reflected half-period members are checked against.  The energy
-    z^2/2 + F(w) is conserved along exact orbits; its drift is the
-    integration accuracy watchdog.
-    """
-    n_points = grid_points(n_points)
-    w_h = homoclinic_extent(p)
-    if not 0.0 < w_start < w_h:
-        raise DomainError(f"w_start must lie in (0, w_h) = (0, {w_h:g}); got {w_start!r}")
-    ws, zs, _ = _integrate_wz(w_start, p, n_points - 1, 1)
-    _check_energy_drift(ws, zs, w_start, p)
-    return Profile(ws)
 
 
 def _check_energy_drift(ws, zs, w_start, p):
@@ -288,11 +270,11 @@ def _junction_tol(cells: int) -> float:
 def nodal_pair(n: int, p: ModelParams, n_points: int = _N_POINTS) -> tuple[NodalSolution, NodalSolution]:
     """The two n-crossing positive solutions at (lam, mu).
 
-    One RK4 piece on [0, 1/n] from (w_-, 0), ending at w_+, builds both.  Its
+    One Nystrom piece on [0, 1/n] from (w_-, 0), ending at w_+, builds both.  Its
     nodes are spaced g/(n cells), g = gcd(n, cells) for the n_points - 1
     cells, so lower node i reads the even periodic extension at piece index
     (cells - |n i mod 2 cells - cells|)/g and upper node i the same at
-    n i + cells.  The time map's quadrature can leave the RK4 half period
+    n i + cells.  The time map's quadrature can leave the march's half period
     1e-11 off 1/n near the saddle, so a piece closing with |z| >=
     _junction_tol gets one Newton step on w_- (dz/dw_- = f(w_end) T'(w_-),
     T' from two time maps) and is run again.  The piece is certified by
@@ -318,7 +300,7 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = _N_POINTS) -> tuple[Nodal
     stride = n // g
     residual = _ode_residual(ws[::stride], zs[::stride], 1.0 / cells, p)
     if residual >= _ODE_RESIDUAL_TOL:
-        raise IntegrationError(f"RK4 profile residual {residual:g} exceeds {_ODE_RESIDUAL_TOL:g}")
+        raise IntegrationError(f"piece ODE residual {residual:g} exceeds {_ODE_RESIDUAL_TOL:g}")
     z_end = abs(float(zs[-1]))
     if z_end >= tol:
         raise IntegrationError(f"pair's Neumann residual {z_end:g} exceeds {tol:g}")

@@ -135,6 +135,7 @@ def window_lambdas(n: int, p: ModelParams, count: int) -> list[float]:
 
 def default_ell_max(p: ModelParams) -> int:
     """Smallest safe mode cutoff: tau0 is positive for all modes beyond it."""
+    _require_mu(p)
     return int(math.ceil(math.sqrt(p.bmu_over_d) / math.pi)) + 2
 
 

@@ -115,6 +115,18 @@ class TestCensusJSON:
         assert all(s["residual_sup"] < 1e-9 for s in data["states"])
         assert all(len(s["w"]) == 1001 for s in data["states"])
 
+    def test_shortfall_warning_is_one_line(self, tmp_path, capsys):
+        # at eps = 10 every seed's Newton solve leaves the positive cone: the
+        # census warns, and the CLI prints that warning in its one-line form
+        out = tmp_path / "census.json"
+        assert run_cli(["census", "--mu", "50", "--lambda", "25", "--n", "1", "--eps", "10",
+                        "-o", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"htbif census: UserWarning: census failures: constant: [^\n]+\n", captured.err)
+        data = json.loads(out.read_text())
+        assert data["shortfall"] is True and data["distinct_count"] == 0
+
 
 class TestPerturbJSON:
     def test_contents(self, tmp_path):
@@ -160,6 +172,14 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert code == 1
         assert "DomainError" in err
+
+    @pytest.mark.parametrize("mu", ["0", "-1"])
+    def test_eigencurves_refuse_nonpositive_mu(self, tmp_path, capsys, mu):
+        # the mode cutoff takes sqrt(b mu/d), so mu is checked before it
+        out = tmp_path / "eig.csv"
+        assert run_cli(["eigencurves", "--mu", mu, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"htbif eigencurves: DomainError: eigencurves require mu > 0, got mu = {float(mu)!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, flag", [
         (["timemap", "--mu", "50", "--lambda", "25", "--samples", "0"], "--samples must be an integer >= 1"),
@@ -229,6 +249,7 @@ def _refusals():
     for spec in ("const:abc", "const:-1", "csv:missing.csv", "csv:.", "linear:1"):
         yield pytest.param("nodal", VALID["nodal"][0] + ["--a", spec], id=f"nodal --a {spec}")
     yield pytest.param("census", VALID["census"][0] + ["--c", "csv:missing.csv"], id="census --c csv:missing.csv")
+    yield pytest.param("eigencurves", ["--mu", "-1"], id="eigencurves --mu -1")
 
 
 @pytest.mark.parametrize("cmd, args", _refusals())

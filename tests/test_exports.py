@@ -19,10 +19,7 @@ SRC = ROOT / "src" / "htbif"
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
 
 # exports that no module outside the tests reads, with the reason each stays
-ALLOWED = {
-    "nodal.integrate_cauchy": "whole-interval oracle: test_nodal checks both members of nodal_pair's reflected piece against fresh Cauchy runs",
-    "perturbed.constant_states": "independent oracle: test_perturbed checks first_order_corrections against it",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _exports(module) -> set[str]:

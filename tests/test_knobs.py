@@ -10,7 +10,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 ALLOWED = {
     "main.argv": "console-script entry point: argparse reads sys.argv when argv is None",
-    "integrate_cauchy.n_points": "test oracle with no in-package caller (see test_exports.ALLOWED); tests pick its grid",
     "admissible_lambda.margin": "bench/test_inputs.py wraps it in a spy with three positional arguments",
 }
 

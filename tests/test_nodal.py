@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from htbif import nodal
+from htbif.acceptance import _rk4_march
 from htbif.errors import DomainError, IntegrationError, NoSolutionError
-from htbif.model import ModelParams, kinetic_f, potential_F, w0_const
+from htbif.model import ModelParams, Profile, kinetic_f, potential_F, w0_const
 from htbif.nodal import (
     bvp_residual,
     crossing_count,
     enumerate_solutions,
-    integrate_cauchy,
     max_crossing_number,
     nodal_pair,
     solve_amplitude,
@@ -28,6 +28,19 @@ W_PLUS_REF = 1.536889570703870077344
 # 7.9e-10, 1.7e-11 and 2.7e-11 w0); a solve in w_- with an absolute width
 # loses their relative precision
 NEAR_SADDLE = [(800.0, 88.0), (800.0, 244.0), (1200.0, 600.0), (1200.0, 128.0), (1200.0, 364.0)]
+
+
+def integrate_cauchy(w_start, p, n_points):
+    """Reference: the Cauchy problem w'' = -f(w), w(0) = w_start, w'(0) = 0,
+    marched over all of [0, 1] in one run and sampled on the n_points grid,
+    which nodal_pair's reflected half-period members must reproduce.  Its
+    energy drift is checked as nodal_pair checks its piece."""
+    w_h = PhasePlane(p).w_h
+    if not 0.0 < w_start < w_h:
+        raise DomainError(f"w_start must lie in (0, w_h) = (0, {w_h:g}); got {w_start!r}")
+    ws, zs, _ = nodal._integrate_wz(w_start, p, n_points - 1, 1)
+    nodal._check_energy_drift(ws, zs, w_start, p)
+    return Profile(ws)
 
 
 class TestSolveAmplitude:
@@ -202,14 +215,14 @@ class TestNodalPair:
     def test_off_grid_residual_reads_the_grid_step(self):
         # the piece's nodes are 1/6000 apart, but its residual is read at the
         # profiles' step 1/2000, where the truncation (7.9e-7) fails the bound
-        with pytest.raises(IntegrationError, match="RK4 profile residual"):
+        with pytest.raises(IntegrationError, match="piece ODE residual"):
             nodal_pair(3, ModelParams(mu=1200.0, lam=600.0), 2001)
 
     def test_near_saddle_pair(self):
         # the closing slope is the first-order shooting error
         # |z(1/n)| = |f(w_+)| |1/n - T_RK(w_-)|: the Brent root's |1 - n T(w_-)|/n
-        # plus a 2e-13 allowance in time for the gap between the RK4 half
-        # period and the quadrature one (1.4e-14 here, no shooting step); it
+        # plus a 2e-13 allowance in time for the gap between the march's half
+        # period and the quadrature one (3.9e-14 here, no shooting step); it
         # also stays under the junction bound that keeps the joined profiles
         # within criterion 6
         n, p = 1, ModelParams(mu=800.0, lam=88.0)
@@ -225,7 +238,7 @@ class TestNodalPair:
     @pytest.mark.parametrize("lam", [209.11904448882018, 44.09085826361496])
     def test_shooting_step_meets_criterion_6(self, lam):
         # at these near-saddle amplitudes the time map's quadrature leaves the
-        # RK4 half period about 1e-11 off 1, so the piece closes with a slope
+        # marched half period about 1e-11 off 1, so the piece closes with a slope
         # of 4.6e-10 and 1.6e-9: under the 1e-8 Neumann bound, but
         # bvp_residual's even ghosts at x = 1 would read 2.2e-6 and 7.3e-6
         # against criterion 6's 1e-6; one shooting step brings the slope to
@@ -236,7 +249,7 @@ class TestNodalPair:
             assert bvp_residual(member.profile, p) < 1e-6
 
     def test_fixed_integration_count(self, monkeypatch):
-        # one RK4 piece of cells/gcd(n, cells) intervals per pair; it repeats
+        # one piece of cells/gcd(n, cells) intervals per pair; it repeats
         # once, after a shooting step, only when the first one closes with a
         # slope at or above the junction bound
         pieces = []
@@ -268,6 +281,54 @@ class TestNodalPair:
             shots += shot
             assert [size for size, _ in pieces] == [cells // math.gcd(n, cells)] * (1 + shot)
         assert shots == 1
+
+    def test_kernel_is_fourth_order(self):
+        # one orbit (n = 2 at (170, 85)): doubling the cells doubles the
+        # substeps to the same end point x = 1/2, and the end state's gap to
+        # a 3200-cell reference shrinks 16-fold (16.03, 16.02 measured)
+        p = ModelParams(mu=170.0, lam=85.0)
+        wm = solve_amplitude(2, p)
+        ws, zs, _ = nodal._integrate_wz(wm, p, 3200, 2)
+        ref = (ws[-1], zs[-1])
+        gaps = []
+        for cells in (25, 50, 100):
+            ws, zs, _ = nodal._integrate_wz(wm, p, cells, 2)
+            gaps.append(max(abs(ws[-1] - ref[0]), abs(zs[-1] - ref[1])))
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 15.0 < coarse / fine < 17.0
+        # criterion 7's RK4 march is an independent route to the same state
+        w_end, z_end = _rk4_march(wm, p, 0.5, 16000)
+        assert abs(w_end - ref[0]) < 1e-12 and abs(z_end - ref[1]) < 1e-12
+
+    @pytest.mark.parametrize("mu", [170.0, 360.0, 640.0])
+    def test_window_sweep_needs_no_shooting_step(self, mu, monkeypatch):
+        # every open mode over window_lambdas(j, p, 7) on 2001 points: no
+        # piece closes at or above the junction bound (RK4 substeps also
+        # shot 0 times here).  At mu = 640, 9 of 28 points are refused by
+        # the residual check, which reads its own stencil's h^4 truncation
+        # (1.06e-7 to 2.04e-7), the same with either kernel
+        pieces = []
+        original = nodal._integrate_wz
+
+        def counted(w_start, p, cells, n):
+            pieces.append(n)
+            return original(w_start, p, cells, n)
+
+        monkeypatch.setattr(nodal, "_integrate_wz", counted)
+        p = ModelParams(mu=mu)
+        points = refused = 0
+        for j in range(1, len(mode_windows(p)) + 1):
+            for lam in window_lambdas(j, p, 7):
+                points += 1
+                try:
+                    lower, upper = nodal_pair(j, p.with_lam(lam), 2001)
+                except IntegrationError as exc:
+                    assert mu == 640.0 and "piece ODE residual" in str(exc)
+                    refused += 1
+                    continue
+                assert lower.crossings == upper.crossings == j
+        assert len(pieces) == points
+        assert refused == (9 if mu == 640.0 else 0)
 
     def test_piece_repeats_the_whole_integration(self):
         # when n divides the cells the piece is the first 2000/n + 1 nodes of

@@ -18,7 +18,6 @@ from htbif.nodal import crossing_count, nodal_pair
 from htbif.perturbed import (
     _banded_step,
     census,
-    constant_states,
     continue_in_eps,
     first_order_corrections,
     jacobian_banded,
@@ -27,6 +26,70 @@ from htbif.perturbed import (
     residual_fine,
 )
 from htbif.spectral import lambda_roots
+
+POLISH_TOL = 1e-12  # residual of the polished constant states
+
+
+def constant_states(p: ModelParams) -> list[tuple[float, float]]:
+    """All spatially constant coexistence pairs for constant coefficients:
+    the independent algebraic oracle for first_order_corrections.
+
+    Eliminating v reduces the algebraic system to a cubic in w (quadratic at
+    eps = 0); real positive roots are polished in the original 2x2 system
+    and verified to residual 1e-12.
+    """
+    if not (p.coeff_a.is_constant and p.coeff_c.is_constant):
+        raise DomainError("constant_states requires constant coefficients")
+    a = p.coeff_a.value
+    c = p.coeff_c.value
+    b, d, lam, mu, eps = p.b, p.d, p.lam, p.mu, p.eps
+
+    coeffs = [
+        -eps * a * d,
+        d * lam - 2.0 * eps * a * d,
+        2.0 * d * lam - b * mu - eps * a * d - b * eps * c,
+        d * lam - b * mu,
+    ]
+    roots = np.roots(coeffs)
+
+    def system(w: float, v: float) -> tuple[float, float]:
+        return (
+            lam - eps * a * w - b * v / (1.0 + w),
+            mu - d * v + eps * c * w / (1.0 + w),
+        )
+
+    out: list[tuple[float, float]] = []
+    for root in roots:
+        if abs(root.imag) > 1e-9 * (1.0 + abs(root)):
+            continue
+        w = float(root.real)
+        if w <= 0.0:
+            continue
+        v = (mu + eps * c * w / (1.0 + w)) / d
+        if v <= 0.0:
+            continue
+        # polish in the 2x2 system
+        for _ in range(40):
+            r1, r2 = system(w, v)
+            if max(abs(r1), abs(r2)) < POLISH_TOL:
+                break
+            j11 = -eps * a + b * v / (1.0 + w) ** 2
+            j12 = -b / (1.0 + w)
+            j21 = eps * c / (1.0 + w) ** 2
+            j22 = -d
+            det = j11 * j22 - j12 * j21
+            if det == 0.0:
+                break
+            w -= (r1 * j22 - r2 * j12) / det
+            v -= (j11 * r2 - j21 * r1) / det
+        r1, r2 = system(w, v)
+        if max(abs(r1), abs(r2)) >= POLISH_TOL or w <= 0.0 or v <= 0.0:
+            continue
+        if any(abs(w - wo) <= 1e-9 * (1.0 + abs(w)) for wo, _ in out):
+            continue
+        out.append((w, v))
+    out.sort()
+    return out
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from htbif.cli import main
 from htbif.errors import DomainError
 from htbif.linstab import fit_expansion, sturm_spectrum
 from htbif.model import ModelParams, Profile, w0_const
-from htbif.nodal import integrate_cauchy, nodal_pair, solve_amplitude, trace_loop
+from htbif.nodal import nodal_pair, solve_amplitude, trace_loop
 from htbif.perturbed import admissible_lambda, census, continue_in_eps, limit_seeds, newton_solve
 from htbif.spectral import eta2_closed_form, window_lambdas, y1_closed_form
 
@@ -64,7 +64,6 @@ def test_integral_float_is_the_integer(name):
 
 GRID_CALLS = {
     "nodal_pair": lambda n_points: nodal_pair(1, DESK, n_points),
-    "integrate_cauchy": lambda n_points: integrate_cauchy(solve_amplitude(1, DESK), DESK, n_points),
     "y1_closed_form": lambda n_points: y1_closed_form(1, "minus", DESK, n_points),
     "fit_expansion": lambda n_points: fit_expansion(1, "minus", DESK, n_points),
 }
