@@ -40,6 +40,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _require_directory(path: str) -> None:
+    """DomainError unless the directory a file is to be written to exists."""
+    out_dir = Path(path).resolve().parent
+    if not out_dir.is_dir():
+        raise DomainError(f"output directory {out_dir} does not exist")
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -286,6 +293,8 @@ def emit_diagram(c0_samples, loops, path: str, p: ModelParams, ceiling: float) -
 def _run_diagram(p, args):
     # trace_loop checks --n-lambda only where a mode window is open
     n_lambda = whole(args.n_lambda, 1, "--n-lambda")
+    csv_path = args.points_csv or str(Path(args.output).with_suffix(".csv"))
+    _require_directory(csv_path)
     if args.ceiling is not None and not args.ceiling > 0.0:
         raise DomainError(f"--ceiling must be positive, got {args.ceiling!r}")
     ceiling = args.ceiling or 4.0 * w0_const(p.with_lam(0.5 * p.bmu_over_d))
@@ -294,12 +303,11 @@ def _run_diagram(p, args):
     for lam in np.linspace(lam_lo, p.bmu_over_d * (1.0 - 1e-9), 256):
         c0.append((float(lam), w0_const(p.with_lam(float(lam)))))
     loops = [(root.ell, nodal.trace_loop(root.ell, p, n_lambda)) for root in spectral.mode_windows(p)]
-    csv_path = args.points_csv or str(Path(args.output).with_suffix(".csv"))
     rows = []
     for n, pts in loops:
         for q in pts:
             rows.append((n, q.lam, q.w_minus_lower, q.sup_norm_lower, q.sup_norm_upper))
-    # the CSV goes first: main checked only the SVG's directory
+    # the CSV goes first, so a failed write leaves no SVG behind
     _write_csv(csv_path, ["n", "lambda", "w_minus_lower", "sup_norm_lower", "sup_norm_upper"], rows)
     emit_diagram(c0, loops, args.output, p, ceiling)
 
@@ -337,9 +345,7 @@ def main(argv=None) -> int:
     error = None
     with warnings.catch_warnings(record=True) as caught:  # the active filters still apply
         try:
-            out_dir = Path(args.output).resolve().parent
-            if not out_dir.is_dir():
-                raise FileNotFoundError(f"output directory {out_dir} does not exist")
+            _require_directory(args.output)
             p = ModelParams(args.b, args.d, args.lam, args.mu, args.eps,
                             CoeffFn.from_spec(args.coeff_a), CoeffFn.from_spec(args.coeff_c))
             _HANDLERS[args.subcommand](p, args)

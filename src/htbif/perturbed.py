@@ -1,7 +1,7 @@
 """The full coupled steady-state system at saturation parameter eps > 0:
 finite-difference residual, damped Newton with banded Jacobian, first-order
 corrections in eps, the coexistence-state census seeded from the limit
-states, and natural continuation in eps.
+states, and continuation in eps on one Jacobian factorization per ladder.
 
 The residual of a pair (w, v) is
 
@@ -12,7 +12,9 @@ discretized exactly like the linearization module (centered differences,
 mirror ghost nodes), so at eps = 0 and v = mu/d the Newton Jacobian's
 w-block is literally the linearized Sturm-Liouville operator.  Unknowns are
 interleaved (w_i, v_i), giving a narrow banded Jacobian solved by LU with
-partial pivoting.
+partial pivoting (LAPACK dgbtrf, then dgbtrs).  A cold solve factors at every
+Newton step; an eps ladder keeps its LU across rungs and takes chord steps
+against it, re-factoring only when a chord step contracts too little.
 
 One ulp of a nodal value moves the discrete Laplacian by 2 u0 |w|/h^2 with
 u0 the unit roundoff (about 2.4e-9 at the default 2001-point grid), which
@@ -64,7 +66,9 @@ MAX_NEWTON_ITERS = 50
 MAX_BACKTRACKS = 20
 DISTINCT_TOL = 1e-6
 
-_GBSV = get_lapack_funcs("gbsv", dtype=np.float64)
+CHORD_THETA = 0.1  # a kept chord step leaves at most this share of the residual norm
+
+_GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,20 +198,32 @@ def jacobian_banded(w: np.ndarray, v: np.ndarray, p: ModelParams, a_vals, c_vals
     return ab
 
 
-def _banded_step(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the (l=u=2) banded system of ``jacobian_banded`` by one LAPACK
-    dgbsv call: the same work, layout and checks as solve_banded((2, 2), ab,
-    rhs) without its per-call shape checks, batch dispatch and LAPACK lookup.
-    dgbsv wants kl = 2 extra rows above the band for the pivoting fill-in."""
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+def _factor(ab: np.ndarray):
+    """LU factors of the (l=u=2) banded system of ``jacobian_banded`` by one
+    LAPACK dgbtrf call on the 7-row layout that solve_banded((2, 2), ...)
+    builds (kl = 2 extra rows above the band for the pivoting fill-in).
+    dgbsv is dgbtrf followed by dgbtrs, so ``_solve(_factor(ab), rhs)`` is
+    bit-identical to solve_banded and keeps its errors."""
+    if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
     work = np.zeros((7, ab.shape[1]))
     work[2:] = ab
-    _, _, x, info = _GBSV(2, 2, work, rhs, overwrite_ab=True)
+    lu, piv, info = _GBTRF(work, 2, 2, overwrite_ab=True)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbtrf")
+    return lu, piv
+
+
+def _solve(factors, rhs: np.ndarray) -> np.ndarray:
+    """Solve against ``_factor``'s LU by one LAPACK dgbtrs call."""
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, piv = factors
+    x, info = _GBTRS(lu, 2, 2, rhs, piv)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbtrs")
     return x
 
 
@@ -244,14 +260,7 @@ def _two_part_residual(wb, wf, vb, vf, p, terms):
     return g1, g2, w, v
 
 
-def newton_solve(
-    w0: Profile,
-    v0: Profile,
-    p: ModelParams,
-    origin: str = "continued",
-    w_fine: np.ndarray | None = None,
-    v_fine: np.ndarray | None = None,
-) -> CoexistenceState:
+def newton_solve(w0: Profile, v0: Profile, p: ModelParams, origin: str = "continued") -> CoexistenceState:
     """Damped Newton for the coupled system from the given initial pair.
 
     Full steps are accepted whenever the squared residual norm decreases;
@@ -260,15 +269,24 @@ def newton_solve(
     iterate.  A converged limit outside the open positive cone raises
     PositivityError carrying the limit.
     """
-    _check_pair(w0, v0, w_fine, v_fine)
-    n_points = w0.n_points
-    terms = _grid_terms(p, n_points)
+    _check_pair(w0, v0)
+    zero = np.zeros(w0.n_points)
+    state, _ = _newton(w0.values, zero, v0.values, zero, p, _grid_terms(p, w0.n_points), origin)
+    return state
 
-    wb = w0.values.copy()
-    vb = v0.values.copy()
-    wf = np.zeros(n_points) if w_fine is None else w_fine.copy()
-    vf = np.zeros(n_points) if v_fine is None else v_fine.copy()
 
+def _newton(wb, wf, vb, vf, p, terms, origin, held=None):
+    """Newton iteration on the pair carried as base + fine; returns the
+    converged state and the LU factors held at the end.
+
+    With ``held`` None every step factors the Jacobian at the iterate
+    (damped Newton).  With held factors each step is first tried as a chord
+    step against them, kept only when the squared residual norm falls below
+    CHORD_THETA^2 times its old value and w stays > -1; otherwise the
+    Jacobian is factored at the iterate, those factors become the held
+    ones, and the damped Newton step is taken.  ``newton_iters`` counts the
+    accepted steps of either kind.
+    """
     g1, g2, w, v = _two_part_residual(wb, wf, vb, vf, p, terms)
     res_sup = _sup(g1, g2)
     res_sq = float(np.dot(g1, g1) + np.dot(g2, g2))
@@ -285,30 +303,24 @@ def newton_solve(
             return CoexistenceState(
                 Profile(w_out), Profile(v_out), p.lam, p.mu, p.eps,
                 res_sup, iteration, origin, w_left, v_left,
-            )
+            ), held
         if iteration == MAX_NEWTON_ITERS:
             break
-        ab = jacobian_banded(w, v, p, *terms)
-        step = _banded_step(ab, -_interleave(g1, g2))
-        dw = step[0::2]
-        dv = step[1::2]
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS + 1):
-            wf_new = wf + t * dw
-            vf_new = vf + t * dv
-            if float(np.min(wb + wf_new)) > -1.0:
-                g1_new, g2_new, w_new, v_new = _two_part_residual(wb, wf_new, vb, vf_new, p, terms)
-                sq_new = float(np.dot(g1_new, g1_new) + np.dot(g2_new, g2_new))
-                if sq_new < res_sq:
-                    break
-            t *= 0.5
-        else:
-            raise ConvergenceError(
-                f"Newton line search failed at iteration {iteration} (residual {res_sup:g}); "
-                "the guess is outside the contraction neighborhood"
-            )
-        wf, vf, w, v = wf_new, vf_new, w_new, v_new
-        g1, g2, res_sq = g1_new, g2_new, sq_new
+        rhs = -_interleave(g1, g2)
+        trial = None
+        if held is not None:
+            trial = _try_step(wb, wf, vb, vf, _solve(held, rhs), p, terms, CHORD_THETA ** 2 * res_sq, 1)
+        if trial is None:
+            factors = _factor(jacobian_banded(w, v, p, *terms))
+            if held is not None:
+                held = factors
+            trial = _try_step(wb, wf, vb, vf, _solve(factors, rhs), p, terms, res_sq, MAX_BACKTRACKS + 1)
+            if trial is None:
+                raise ConvergenceError(
+                    f"Newton line search failed at iteration {iteration} (residual {res_sup:g}); "
+                    "the guess is outside the contraction neighborhood"
+                )
+        wf, vf, g1, g2, w, v, res_sq = trial
         res_sup = _sup(g1, g2)
         if float(np.max(np.abs(wf))) > 0.25 or float(np.max(np.abs(vf))) > 0.25:
             # renormalize so the fine parts keep their precision headroom
@@ -318,6 +330,26 @@ def newton_solve(
         f"Newton did not reach residual {NEWTON_TOL:g} in {MAX_NEWTON_ITERS} iterations "
         f"(final residual {res_sup:g})"
     )
+
+
+def _try_step(wb, wf, vb, vf, step, p, terms, bound, tries):
+    """The first of the steps t * step, t = 1, 1/2, ... (``tries`` of them)
+    that keeps w > -1 and brings the squared residual norm below ``bound``,
+    as (wf, vf, g1, g2, w, v, squared norm) of the new iterate; None when
+    none does."""
+    dw = step[0::2]
+    dv = step[1::2]
+    t = 1.0
+    for _ in range(tries):
+        wf_new = wf + t * dw
+        vf_new = vf + t * dv
+        if float(np.min(wb + wf_new)) > -1.0:
+            g1, g2, w, v = _two_part_residual(wb, wf_new, vb, vf_new, p, terms)
+            sq = float(np.dot(g1, g1) + np.dot(g2, g2))
+            if sq < bound:
+                return wf_new, vf_new, g1, g2, w, v, sq
+        t *= 0.5
+    return None
 
 
 def residual_fine(state: CoexistenceState, p: ModelParams) -> float:
@@ -348,7 +380,7 @@ def first_order_corrections(w: Profile, p: ModelParams) -> tuple[Profile, Profil
     a_vals, c_vals, _ = terms
     v = np.full(w.n_points, p.mu / p.d)
     rhs = _interleave(-a_vals * w.values ** 2, (p.mu / p.d) * c_vals * (w.values / (1.0 + w.values)))
-    step = _banded_step(jacobian_banded(w.values, v, p.with_eps(0.0), *terms), rhs)
+    step = _solve(_factor(jacobian_banded(w.values, v, p.with_eps(0.0), *terms)), rhs)
     return Profile(step[0::2]), Profile(step[1::2])
 
 
@@ -449,39 +481,56 @@ def continue_in_eps(
 ) -> ContinuationResult:
     """Natural continuation of a converged state along a linear eps ladder.
 
-    The first rung warm-starts from ``start``; every later rung starts from
-    the secant prediction prev + s (prev - older), s = (eps - prev.eps) /
-    (prev.eps - older.eps), through the last two accepted states (the
-    Euler-Newton predictor of Allgower & Georg in its secant form).  The
-    predicted step goes into the fine parts of the two-part carrier.  A
-    prediction that would leave w > -1 falls back to prev.  On Newton
-    failure or positivity loss the ladder stops early; the breakdown record
-    and the states accepted so far give an empirical lower bound for the
-    perturbation range.
+    Euler-Newton predictor-corrector (Allgower & Georg, *Numerical
+    Continuation Methods*, 1990) on one Jacobian factorization per ladder.
+    The Jacobian is factored once at ``start``; the first rung starts from
+    the tangent prediction start + (eps - start.eps) t, J t = -dG/deps =
+    (-a w^2, c w v/(1+w)), and every later rung from the secant prediction
+    prev + s (prev - older), s = (eps - prev.eps) / (prev.eps - older.eps),
+    through the last two accepted states.  The predicted step goes into the
+    fine parts of the two-part carrier; a prediction that would leave
+    w > -1 falls back to prev.  Each rung corrects by chord steps against
+    the held factors (simplified Newton, Deuflhard, *Newton Methods for
+    Nonlinear Problems*, 2004, sec. 2.1); a chord step that leaves more
+    than CHORD_THETA of the residual norm re-factors at the iterate and
+    takes the damped Newton step, and the ladder keeps the new factors.  The
+    certificate is newton_solve's: sup residual below 1e-9 on the two-part
+    iterate.  On Newton failure or positivity loss the ladder stops early;
+    the breakdown record and the states accepted so far give an empirical
+    lower bound for the perturbation range.
     """
     steps = whole(steps, 1, "steps")
     eps_target = p.with_eps(eps_target).eps  # validates eps_target
-    accepted = [start]
+    _check_pair(start.w, start.v, start.w_fine, start.v_fine)
     if eps_target == start.eps:
         return ContinuationResult((start,), None)
-    ladder = np.linspace(start.eps, eps_target, steps + 1)[1:]
+    terms = _grid_terms(p, start.w.n_points)
+    a_vals, c_vals, _ = terms
+    w, v = start.w.values, start.v.values
+    held = _factor(jacobian_banded(w, v, p.with_eps(start.eps), *terms))
+    tangent = _solve(held, _interleave(-a_vals * w * w, c_vals * w * v / (1.0 + w)))
+    accepted = [start]
     breakdown = None
-    for eps in ladder:
+    for eps in np.linspace(start.eps, eps_target, steps + 1)[1:]:
         q = p.with_eps(float(eps))
         prev = accepted[-1]
-        w_fine, v_fine = prev.w_fine, prev.v_fine
-        if len(accepted) > 1 and accepted[-2].eps != prev.eps:
+        if len(accepted) == 1:
+            s = q.eps - prev.eps
+            dw, dv = s * tangent[0::2], s * tangent[1::2]
+        elif accepted[-2].eps != prev.eps:
             older = accepted[-2]
             s = (q.eps - prev.eps) / (prev.eps - older.eps)
-            w_pred = w_fine + s * ((prev.w.values - older.w.values) + (w_fine - older.w_fine))
-            if float(np.min(prev.w.values + w_pred)) > -1.0:
-                w_fine = w_pred
-                v_fine = v_fine + s * ((prev.v.values - older.v.values) + (v_fine - older.v_fine))
+            dw = s * ((prev.w.values - older.w.values) + (prev.w_fine - older.w_fine))
+            dv = s * ((prev.v.values - older.v.values) + (prev.v_fine - older.v_fine))
+        else:
+            dw = dv = 0.0
+        w_fine, v_fine = prev.w_fine + dw, prev.v_fine + dv
+        if not float(np.min(prev.w.values + w_fine)) > -1.0:
+            w_fine, v_fine = prev.w_fine, prev.v_fine
         try:
-            accepted.append(
-                newton_solve(prev.w, prev.v, q, origin="continued", w_fine=w_fine, v_fine=v_fine)
-            )
+            state, held = _newton(prev.w.values, w_fine, prev.v.values, v_fine, q, terms, "continued", held)
         except (ConvergenceError, PositivityError) as exc:
             breakdown = f"eps = {eps:g}: {type(exc).__name__}: {exc} (last good eps = {prev.eps:g})"
             break
+        accepted.append(state)
     return ContinuationResult(tuple(accepted), breakdown)

@@ -39,6 +39,8 @@ __all__ = [
     "y1_closed_form",
 ]
 
+MAX_MODES = 100_000  # most modes a table or a Morse count runs over
+
 
 @dataclass(frozen=True)
 class EigencurveRoot:
@@ -139,20 +141,27 @@ def default_ell_max(p: ModelParams) -> int:
     return int(math.ceil(math.sqrt(p.bmu_over_d) / math.pi)) + 2
 
 
+def _modes(ell_max: int) -> range:
+    """Modes 0..ell_max; DomainError when they are more than MAX_MODES."""
+    if ell_max + 1 > MAX_MODES:
+        raise DomainError(f"{ell_max + 1:g} modes (0..ell_max) exceed the cap of {MAX_MODES} modes")
+    return range(ell_max + 1)
+
+
 def morse_index_w0(lam: float, p: ModelParams) -> int:
     """Number of negative eigenvalues of the linearization at the constant state."""
     _require_mu(p)
     hi = p.bmu_over_d
     if not 0.0 < lam < hi:
         raise DomainError(f"Morse index of w0 needs lam in (0, {hi:g}); got lam = {lam!r}")
-    return sum(1 for ell in range(default_ell_max(p) + 1) if tau0(ell, lam, p) < 0.0)
+    return sum(1 for ell in _modes(default_ell_max(p)) if tau0(ell, lam, p) < 0.0)
 
 
 def eigencurve_table(p: ModelParams, ell_max: int | None = None) -> list[EigencurveRoot]:
-    """Root pairs for modes 0..ell_max (export helper)."""
+    """Root pairs for modes 0..ell_max (export helper), at most MAX_MODES of them."""
     if ell_max is None:
         ell_max = default_ell_max(p)
-    return [lambda_roots(ell, p) for ell in range(whole(ell_max, 0, "mode number") + 1)]
+    return [lambda_roots(ell, p) for ell in _modes(whole(ell_max, 0, "mode number"))]
 
 
 def _side_root(n: int, side: str, p: ModelParams) -> tuple[int, float, float]:

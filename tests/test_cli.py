@@ -1,9 +1,11 @@
 import json
 import math
 import re
+from time import perf_counter
 
 import pytest
 
+from htbif import errors
 from htbif.cli import main
 
 
@@ -181,6 +183,17 @@ class TestErrorsAndDeterminism:
         assert capsys.readouterr().err == f"htbif eigencurves: DomainError: eigencurves require mu > 0, got mu = {float(mu)!r}\n"
         assert not out.exists()
 
+    def test_eigencurves_refuse_a_mode_count_above_the_cap(self, tmp_path, capsys):
+        # at mu = 1e300 the default cutoff is about 3e149 modes
+        out = tmp_path / "eig.csv"
+        t0 = perf_counter()
+        assert run_cli(["eigencurves", "--mu", "1e300", "-o", str(out)]) == 1
+        assert perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            "htbif eigencurves: DomainError: 3.1831e+149 modes (0..ell_max) exceed the cap of 100000 modes\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, flag", [
         (["timemap", "--mu", "50", "--lambda", "25", "--samples", "0"], "--samples must be an integer >= 1"),
         (["critical", "--kappa-max", "-1"], "--kappa-max must be an integer >= 0"),
@@ -250,6 +263,14 @@ def _refusals():
         yield pytest.param("nodal", VALID["nodal"][0] + ["--a", spec], id=f"nodal --a {spec}")
     yield pytest.param("census", VALID["census"][0] + ["--c", "csv:missing.csv"], id="census --c csv:missing.csv")
     yield pytest.param("eigencurves", ["--mu", "-1"], id="eigencurves --mu -1")
+    yield pytest.param("eigencurves", ["--mu", "1e300"], id="eigencurves --mu 1e300")
+
+
+# a refusal names one of the library's own error types, never a built-in one
+TYPED = "|".join(
+    name for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, Exception) and not issubclass(cls, Warning)
+)
 
 
 @pytest.mark.parametrize("cmd, args", _refusals())
@@ -260,6 +281,6 @@ def test_refusal_is_one_line_and_writes_nothing(tmp_path, monkeypatch, capsys, c
     assert run_cli([cmd] + args + ["-o", str(out_dir / "result")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(rf"htbif {cmd}: [A-Za-z]+Error: [^\n]+\n", captured.err)
+    assert re.fullmatch(rf"htbif {cmd}: (?:{TYPED}): [^\n]+\n", captured.err)
     assert list(out_dir.iterdir()) == []
 

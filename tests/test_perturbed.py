@@ -16,7 +16,9 @@ from htbif.linstab import neumann_tridiagonal, nodal_potential
 from htbif.model import CoeffFn, ModelParams, Profile, w0_const
 from htbif.nodal import crossing_count, nodal_pair
 from htbif.perturbed import (
-    _banded_step,
+    CoexistenceState,
+    _factor,
+    _solve,
     census,
     continue_in_eps,
     first_order_corrections,
@@ -95,6 +97,20 @@ def constant_states(p: ModelParams) -> list[tuple[float, float]]:
 @pytest.fixture
 def flat_v(desk):
     return Profile.constant(desk.mu / desk.d, 2001)
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Counts the LAPACK dgbtrf calls (banded LU factorizations) in ``count``."""
+    spy = type("FactorSpy", (), {"count": 0})()
+    gbtrf = perturbed._GBTRF
+
+    def counted(*args, **kwargs):
+        spy.count += 1
+        return gbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(perturbed, "_GBTRF", counted)
+    return spy
 
 
 class TestResidual:
@@ -194,15 +210,18 @@ class TestNewtonSolve:
             # quadratic decay until the banded-solve floor below tolerance
             assert nxt <= max(10.0 * prev * prev, 1e-10)
 
+    # a pair carried as base + fine enters Newton through a ladder's start state
+
     def test_domain_check_reads_the_two_part_iterate(self, desk, flat_v):
         # base 0.5 alone is inside w > -1; base + fine = -1.5 is not
+        start = _start_state(desk, flat_v, w_fine=np.full(2001, -2.0))
         with pytest.raises(DomainError, match="w > -1"):
-            newton_solve(Profile.constant(0.5, 2001), flat_v, desk, w_fine=np.full(2001, -2.0))
+            continue_in_eps(start, desk, 1e-3)
 
     @pytest.mark.parametrize("field", ["w_fine", "v_fine"])
     def test_fine_part_off_the_grid_is_a_grid_mismatch(self, desk, flat_v, field):
         with pytest.raises(GridMismatchError, match=f"{field}.*2001 points"):
-            newton_solve(Profile.constant(1.0, 2001), flat_v, desk, **{field: np.zeros(501)})
+            continue_in_eps(_start_state(desk, flat_v, **{field: np.zeros(501)}), desk, 1e-3)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["w_fine", "v_fine"])
@@ -210,7 +229,17 @@ class TestNewtonSolve:
         fine = np.zeros(2001)
         fine[17] = bad
         with pytest.raises(DomainError, match=f"{field} must be finite"):
-            newton_solve(Profile.constant(1.0, 2001), flat_v, desk, **{field: fine})
+            continue_in_eps(_start_state(desk, flat_v, **{field: fine}), desk, 1e-3)
+
+
+def _start_state(p, v, w_fine=None, v_fine=None):
+    """A ladder start at eps = p.eps on w = 0.5 with the given fine parts
+    (zero when not given); nothing about it is checked on construction."""
+    zero = np.zeros(v.n_points)
+    return CoexistenceState(
+        Profile.constant(0.5, v.n_points), v, p.lam, p.mu, p.eps, 0.0, 0, "constant",
+        zero if w_fine is None else w_fine, zero if v_fine is None else v_fine,
+    )
 
 
 def _random_jacobian(n_points: int, rng) -> np.ndarray:
@@ -230,7 +259,7 @@ class TestBandedStep:
             ab = _random_jacobian(n_points, rng)
             rhs = rng.standard_normal(2 * n_points)
             ab_in, rhs_in = ab.copy(), rhs.copy()
-            step = _banded_step(ab, rhs)
+            step = _solve(_factor(ab), rhs)
             assert np.array_equal(step, solve_banded((2, 2), ab, rhs))
             assert np.array_equal(ab, ab_in) and np.array_equal(rhs, rhs_in)
 
@@ -242,13 +271,13 @@ class TestBandedStep:
         rhs = rng.standard_normal(1002)
         (ab[2] if where == "ab" else rhs)[17] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _banded_step(ab, rhs)
+            _solve(_factor(ab), rhs)
 
     def test_singular_band_raises(self):
         ab = _random_jacobian(501, np.random.default_rng(0))
         ab[:, 40] = 0.0  # column 40 of the matrix is zero
         with pytest.raises(LinAlgError, match="singular"):
-            _banded_step(ab, np.ones(1002))
+            _solve(_factor(ab), np.ones(1002))
 
 
 class TestFirstOrderCorrections:
@@ -393,21 +422,41 @@ class TestContinueInEps:
         assert len(out.states) == 1 and out.states[0] is state
         assert out.breakdown is None
 
-    def test_small_ladder_converges(self, desk, flat_v):
+    def test_small_ladder_converges(self, desk, flat_v, factors):
         lower, _ = nodal_pair(1, desk)
         start = newton_solve(lower.profile, flat_v, desk, origin="nodal(1,lower)")
+        before = factors.count
         out = continue_in_eps(start, desk, 1e-3, steps=4)
         assert out.breakdown is None
         assert len(out.states) == 5
         assert all(s.residual_sup < 1e-9 for s in out.states)
         assert out.last_good_eps == pytest.approx(1e-3)
-        # the secant predictor puts every rung after the first one Newton step away
-        assert [s.newton_iters for s in out.states[2:]] == [1, 1, 1]
+        # one factorization for the whole ladder, and the tangent (first rung)
+        # and secant predictors put every rung one chord step away
+        assert factors.count - before == 1
+        assert [s.newton_iters for s in out.states[1:]] == [1, 1, 1, 1]
+
+    def test_failed_chord_step_refactors_and_certifies(self, desk, flat_v, factors):
+        # one rung from eps = 0 to 0.5: the first chord step against the start
+        # state's factors does not cut the residual by CHORD_THETA, so the
+        # rung re-factors once, takes the damped Newton step, and finishes
+        # with chord steps against the new factors
+        lower, _ = nodal_pair(1, desk)
+        start = newton_solve(lower.profile, flat_v, desk, origin="nodal(1,lower)")
+        before = factors.count
+        out = continue_in_eps(start, desk, 0.5, steps=1)
+        assert factors.count - before == 2
+        assert out.breakdown is None and out.last_good_eps == 0.5
+        state = out.states[-1]
+        assert residual_fine(state, desk.with_eps(0.5)) < 1e-9
+        assert float(np.min(state.w.values)) > 0.0 and float(np.min(state.v.values)) > 0.0
+        assert crossing_count(state.w.values, w0_const(desk)) == 1
 
     def test_predicted_rungs_match_plain_warm_starts(self, desk, flat_v):
-        # the predictor changes the start of each rung, not its solution:
-        # measured agreement 1.4e-16 here and at most 1.1e-12 on the sampled
-        # ladder below
+        # the predictor and the chord steps change the path to each rung's
+        # solution, not the solution: measured agreement with plain Newton
+        # from the previous rung's rounded profiles 1.3e-12 here and 1.1e-11
+        # on the sampled ladder below
         lower, _ = nodal_pair(1, desk)
         start = newton_solve(lower.profile, flat_v, desk, origin="nodal(1,lower)")
         x = np.linspace(0.0, 1.0, 33)
@@ -420,9 +469,7 @@ class TestContinueInEps:
         for first, p, target in ((start, desk, 1e-3), (upper, sampled, 1e-2)):
             out = continue_in_eps(first, p, target, steps=4)
             for prev, state in zip(out.states[1:-1], out.states[2:]):
-                plain = newton_solve(
-                    prev.w, prev.v, p.with_eps(state.eps), w_fine=prev.w_fine, v_fine=prev.v_fine
-                )
+                plain = newton_solve(prev.w, prev.v, p.with_eps(state.eps))
                 for mine, ref in ((state.w, plain.w), (state.v, plain.v)):
                     assert mine.sup_distance(ref) <= 2e-11 * float(np.max(np.abs(ref.values)))
 
@@ -455,7 +502,7 @@ class TestContinueInEps:
             assert out.states[-1].residual_sup < 1e-9
 
 
-    def test_census_and_continuation_with_sampled_coefficients(self):
+    def test_census_and_continuation_with_sampled_coefficients(self, factors):
         x = np.linspace(0.0, 1.0, 33)
         p = ModelParams(
             eps=1e-3,
@@ -466,13 +513,42 @@ class TestContinueInEps:
         assert result.distinct_count == 3 and not result.shortfall
         for state in result.states:
             assert residual_fine(state, p) < 1e-9
+            before = factors.count
             out = continue_in_eps(state, p, 1e-2, steps=4)
             assert out.breakdown is None and len(out.states) == 5
             assert out.last_good_eps == pytest.approx(1e-2)
-            assert [s.newton_iters for s in out.states[2:]] == [1, 1, 1]
+            # one factorization for the whole ladder; chord steps after it
+            assert factors.count - before == 1
+            assert all(s.newton_iters <= 3 for s in out.states[2:])
             for s in out.states[1:]:
                 assert residual_fine(s, p.with_eps(s.eps)) < 1e-9
                 assert float(np.min(s.w.values)) > 0.0 and float(np.min(s.v.values)) > 0.0
+
+
+class TestCertificate:
+    """residual_fine re-evaluates the stored certificate of every state kind."""
+
+    @pytest.mark.parametrize("where", ["desk", "sampled"])
+    def test_residual_fine_reproduces_the_stored_certificate(self, where):
+        x = np.linspace(0.0, 1.0, 33)
+        p = {
+            "desk": ModelParams(eps=1e-3),
+            "sampled": ModelParams(
+                eps=1e-3,
+                coeff_a=CoeffFn.sampled(x, 1.0 + 0.5 * np.sin(2.0 * np.pi * x)),
+                coeff_c=CoeffFn.sampled(x, 1.0 + 0.5 * np.cos(3.0 * np.pi * x)),
+            ),
+        }[where]
+        lower, _ = nodal_pair(1, p)
+        states = [newton_solve(lower.profile, Profile.constant(p.mu / p.d, 2001), p.with_eps(4e-3))]
+        for state in census(1, p).states:
+            states.append(state)
+            states += continue_in_eps(state, p, 1e-2, steps=3).states[1:]
+        assert len(states) == 13
+        for state in states:
+            certificate = residual_fine(state, p.with_eps(state.eps))
+            assert certificate == state.residual_sup
+            assert certificate < 1e-9
 
 
 class TestConstantStates:
