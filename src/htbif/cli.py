@@ -297,12 +297,13 @@ def _run_diagram(p, args):
     _require_directory(csv_path)
     if args.ceiling is not None and not args.ceiling > 0.0:
         raise DomainError(f"--ceiling must be positive, got {args.ceiling!r}")
+    windows = spectral.mode_windows(p)
     ceiling = args.ceiling or 4.0 * w0_const(p.with_lam(0.5 * p.bmu_over_d))
     lam_lo = p.b * p.mu / (p.d * (1.0 + ceiling))  # where the constant branch hits the clip level
     c0 = []
     for lam in np.linspace(lam_lo, p.bmu_over_d * (1.0 - 1e-9), 256):
         c0.append((float(lam), w0_const(p.with_lam(float(lam)))))
-    loops = [(root.ell, nodal.trace_loop(root.ell, p, n_lambda)) for root in spectral.mode_windows(p)]
+    loops = [(root.ell, nodal.trace_loop(root.ell, p, n_lambda)) for root in windows]
     rows = []
     for n, pts in loops:
         for q in pts:

@@ -1,7 +1,7 @@
 """Construction of the exact pairs of n-crossing positive solutions of the
-limit problem by time-map inversion, a Runge-Kutta-Nystrom march of the
-half-period piece, the shifted companion solution, and the closed solution
-loops over the lam window.
+limit problem by time-map inversion, an eighth-order Stormer/Adams march of
+the half-period piece (one force evaluation per node), the shifted companion
+solution, and the closed solution loops over the lam window.
 
 An n-crossing solution exists iff n * T(w0) < 1; its starting amplitude is
 the unique w_- in (0, w0) with n * T(w_-) = 1 (the time map is strictly
@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .errors import IntegrationError, NoSolutionError, ConvergenceError
 from .model import ModelParams, Profile, grid_points, kinetic_f, potential_F, w0_const
-from .spectral import eta2_closed_form, lambda_roots, mu_threshold, window_holds, window_lambdas
+from .spectral import eta2_closed_form, lambda_roots, mode_windows, mu_threshold, window_holds, window_lambdas
 from .timemap import PhasePlane
 
 __all__ = [
@@ -40,7 +40,15 @@ __all__ = [
 ]
 
 _N_POINTS = 2001  # default grid of the profiles this module returns
-_RK_SUBSTEPS = 8  # Nystrom substeps per grid cell; keeps output exactly grid-aligned
+_RK_SUBSTEPS = 8  # Nystrom substeps per grid cell in the march's start-up intervals
+# ordinate weights of the explicit 8-step rules for w'' = a(w), newest force
+# first: Stormer's for the second difference of w (from the generating
+# function t^2/((1-t) log^2(1-t))) and Adams-Bashforth's for the increment of
+# z = w' (from t/((1-t)(-log(1-t)))); each row sums to its denominator
+_STORMER = (88324, -121797, 245598, -300227, 236568, -117051, 33190, -4125)
+_STORMER_DENOMINATOR = 60480
+_ADAMS = (434241, -1152169, 2183877, -2664477, 2102243, -1041723, 295767, -36799)
+_ADAMS_DENOMINATOR = 120960
 _ENERGY_DRIFT_TOL = 1e-9
 _NEUMANN_TOL = 1e-8
 _ODE_RESIDUAL_TOL = 1e-7
@@ -158,34 +166,41 @@ def _invert_time_map(n: int, plane: PhasePlane) -> float:
 
 
 def _integrate_wz(w_start: float, p: ModelParams, cells: int, n: int):
-    """Fixed-step Runge-Kutta-Nystrom march of w'' = -f(w) from (w_start, 0)
-    over [0, 1/n], the half-period piece of a grid of `cells` cells; returns
-    node arrays (w, z = w') and g, the piece's node spacing in units of
-    1/(n cells).
+    """Fixed-step march of w'' = -f(w) from (w_start, 0) over [0, 1/n], the
+    half-period piece of a grid of `cells` cells; returns node arrays
+    (w, z = w') and g, the piece's node spacing in units of 1/(n cells).
 
-    The equation has no w' term, so the classical 3-stage, 4th-order Nystrom
-    step (Hairer, Norsett & Wanner, Solving ODEs I, II.14) needs three force
-    evaluations a substep, against RK4's four.  With g = gcd(n, cells),
-    reflecting the grid's nodes onto [0, 1/n] lands on multiples of
-    g/(n cells), so the piece has cells/g such intervals of ceil(8 g/n)
-    substeps each: no substep exceeds the grid's 1/(8 cells), and when n
-    divides the cells (g = n) the piece repeats the first cells/n + 1 nodes
-    of the n = 1 run over [0, 1] bit for bit.  Plain-float inner loop."""
+    With g = gcd(n, cells), reflecting the grid's nodes onto [0, 1/n] lands
+    on multiples of H = g/(n cells), so the piece has m = cells/g intervals
+    of H.  Each interval past the seventh is one step of the explicit
+    8-step Stormer rule for w and the 8-step Adams-Bashforth rule for z,
+    both of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, III.10 and
+    III.1), at one evaluation of f.  The first min(m, 7) intervals start the
+    march with the classical 3-stage, 4th-order Runge-Kutta-Nystrom step
+    (II.14), ceil(8 g/n) substeps each, so no substep exceeds the grid's
+    1/(8 cells).  The Stormer step carries the difference
+    d = w_{i+1} - w_i (d += H^2 sum sigma_j a_j, w += d), starting from the
+    last start-up interval's increments summed apart from w: a d re-formed
+    from rounded nodes, as in w_{i+1} = 2 w_i - w_{i-1} + ..., is a velocity
+    error of ulp(w)/H that z never sees.  When n divides the cells (g = n)
+    the piece repeats the first cells/n + 1 nodes of the n = 1 run over
+    [0, 1] bit for bit.  Plain-float inner loops."""
     g = math.gcd(n, cells)
+    m = cells // g
+    big_h = 1.0 / (n // g * cells)
     substeps = -(-_RK_SUBSTEPS * g // n)
     h = 1.0 / (n // g * cells * substeps)
-    m = cells // g
     lam = p.lam
     bmu_d = p.bmu_over_d
     half_h, h_6 = 0.5 * h, h / 6.0
     hh_8, hh_2, hh_6 = h * h / 8.0, h * h / 2.0, h * h / 6.0
-    ws = np.empty(m + 1)
-    zs = np.empty(m + 1)
     w = float(w_start)
     z = 0.0
-    ws[0] = w
-    zs[0] = z
-    for i in range(m):
+    ws = [w]
+    zs = [z]
+    start = min(m, len(_STORMER) - 1)
+    for _ in range(start):
+        d = 0.0  # the interval's w increment, summed without w's rounding
         for _ in range(substeps):
             hz = h * z
             k1 = bmu_d * w / (1.0 + w) - lam * w
@@ -193,11 +208,30 @@ def _integrate_wz(w_start: float, p: ModelParams, cells: int, n: int):
             k2 = bmu_d * w2 / (1.0 + w2) - lam * w2
             w3 = w + hz + hh_2 * k2
             k3 = bmu_d * w3 / (1.0 + w3) - lam * w3
-            w += hz + hh_6 * (k1 + 2.0 * k2)
+            dw = hz + hh_6 * (k1 + 2.0 * k2)
+            d += dw
+            w += dw
             z += h_6 * (k1 + 4.0 * k2 + k3)
-        ws[i + 1] = w
-        zs[i + 1] = z
-    return ws, zs, g
+        ws.append(w)
+        zs.append(z)
+    if start == m:
+        return np.array(ws), np.array(zs), g
+    hh = big_h * big_h / _STORMER_DENOMINATOR
+    s0, s1, s2, s3, s4, s5, s6, s7 = (hh * c for c in _STORMER)
+    hb = big_h / _ADAMS_DENOMINATOR
+    b0, b1, b2, b3, b4, b5, b6, b7 = (hb * c for c in _ADAMS)
+    # forces at nodes 6, 5, ..., 0, newest first
+    a1, a2, a3, a4, a5, a6, a7 = (bmu_d * u / (1.0 + u) - lam * u for u in ws[start - 1::-1])
+    put_w, put_z = ws.append, zs.append
+    for _ in range(start, m):
+        a0 = bmu_d * w / (1.0 + w) - lam * w
+        d += s0 * a0 + s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6 + s7 * a7
+        z += b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3 + b4 * a4 + b5 * a5 + b6 * a6 + b7 * a7
+        w += d
+        put_w(w)
+        put_z(z)
+        a7, a6, a5, a4, a3, a2, a1 = a6, a5, a4, a3, a2, a1, a0
+    return np.array(ws), np.array(zs), g
 
 
 def _check_energy_drift(ws, zs, w_start, p):
@@ -270,7 +304,7 @@ def _junction_tol(cells: int) -> float:
 def nodal_pair(n: int, p: ModelParams, n_points: int = _N_POINTS) -> tuple[NodalSolution, NodalSolution]:
     """The two n-crossing positive solutions at (lam, mu).
 
-    One Nystrom piece on [0, 1/n] from (w_-, 0), ending at w_+, builds both.  Its
+    One march of the piece [0, 1/n] from (w_-, 0), ending at w_+, builds both.  Its
     nodes are spaced g/(n cells), g = gcd(n, cells) for the n_points - 1
     cells, so lower node i reads the even periodic extension at piece index
     (cells - |n i mod 2 cells - cells|)/g and upper node i the same at
@@ -325,12 +359,11 @@ def _finalize(n, branch, w_minus, ws, residual, p, w0) -> NodalSolution:
 
 
 def max_crossing_number(p: ModelParams) -> int:
-    """Largest n whose existence window contains lam (0 when only w0 exists)."""
+    """Largest n whose existence window contains lam (0 when only w0 exists).
+    The open windows nest (lam_n^- rises and lam_n^+ falls with n), so this
+    counts those that hold lam."""
     w0_const(p)  # validates the window
-    n = 0
-    while window_holds(n + 1, p):
-        n += 1
-    return n
+    return sum(root.lambda_minus < p.lam < root.lambda_plus for root in mode_windows(p))
 
 
 def enumerate_solutions(p: ModelParams) -> SolutionSet:

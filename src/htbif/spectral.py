@@ -105,7 +105,16 @@ def _open_window(ell: int, p: ModelParams) -> EigencurveRoot | None:
 
 
 def mode_windows(p: ModelParams) -> list[EigencurveRoot]:
-    """Open root windows (lam_n^-, lam_n^+) of modes n = 1, 2, ... at p.mu."""
+    """Open root windows (lam_n^-, lam_n^+) of modes n = 1, 2, ... at p.mu.
+
+    The thresholds mu_n grow with n, so the windows open in order; more than
+    MAX_MODES of them (mu > mu_{MAX_MODES + 1}) is a DomainError, raised
+    before the walk, with the closed-form count sqrt(b mu/d)/(2 pi)."""
+    if _open_window(MAX_MODES + 1, p) is not None:
+        count = math.sqrt(p.bmu_over_d) / (2.0 * math.pi)
+        raise DomainError(
+            f"about {count:g} open mode windows at mu = {p.mu:g} exceed the cap of {MAX_MODES} modes"
+        )
     windows: list[EigencurveRoot] = []
     root = _open_window(1, p)
     while root is not None:

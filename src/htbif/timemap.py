@@ -27,6 +27,7 @@ cancellation-free:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,11 @@ _SERIES_RADIUS = 0.25
 
 # Stopping width of the turning-point bisections, relative to the offset.
 _BISECT_REL_WIDTH = 4.0 * np.finfo(float).eps
+
+# The phase plane reaches |F| ~ 2 lam w0^2 at its homoclinic extent w_h ~ 2 w0;
+# PhasePlane refuses parameters where four times that, 8 lam (1 + w0)^2, is
+# not below the largest double.
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,12 @@ class PhasePlane:
 
     def __post_init__(self):
         w0 = w0_const(self.p)
+        lam = self.p.lam
+        if not 8.0 * lam * (1.0 + w0) * (1.0 + w0) < _FLOAT_MAX:
+            raise DomainError(
+                f"the phase plane at lam = {lam:g}, w0 = {w0:g} leaves the double range: "
+                f"8 lam (1 + w0)^2 must stay below {_FLOAT_MAX:g}"
+            )
         for name, value in (
             ("w0", w0),
             ("bmu_d", self.p.bmu_over_d),

@@ -194,6 +194,22 @@ class TestErrorsAndDeterminism:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, args", [
+        ("census", ["--lambda", "25", "--n", "1", "--eps", "1e-3"]),
+        ("diagram", []),
+    ])
+    def test_window_walks_refuse_a_count_above_the_cap(self, tmp_path, capsys, cmd, args):
+        # about 1.6e149 mode windows are open at mu = 1e300
+        out = tmp_path / "x"
+        t0 = perf_counter()
+        assert run_cli([cmd, "--mu", "1e300"] + args + ["-o", str(out)]) == 1
+        assert perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            f"htbif {cmd}: DomainError: about 1.59155e+149 open mode windows at mu = 1e+300 "
+            "exceed the cap of 100000 modes\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("args, flag", [
         (["timemap", "--mu", "50", "--lambda", "25", "--samples", "0"], "--samples must be an integer >= 1"),
         (["critical", "--kappa-max", "-1"], "--kappa-max must be an integer >= 0"),
@@ -264,6 +280,10 @@ def _refusals():
     yield pytest.param("census", VALID["census"][0] + ["--c", "csv:missing.csv"], id="census --c csv:missing.csv")
     yield pytest.param("eigencurves", ["--mu", "-1"], id="eigencurves --mu -1")
     yield pytest.param("eigencurves", ["--mu", "1e300"], id="eigencurves --mu 1e300")
+    # one line each, with no overflow warning ahead of it
+    for cmd in ("nodal", "perturb", "census"):
+        yield pytest.param(cmd, ["--mu", "1e300"] + VALID[cmd][0][2:], id=f"{cmd} --mu 1e300")
+    yield pytest.param("diagram", ["--mu", "1e300"], id="diagram --mu 1e300")
 
 
 # a refusal names one of the library's own error types, never a built-in one

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,65 @@ def integrate_cauchy(w_start, p, n_points):
     ws, zs, _ = nodal._integrate_wz(w_start, p, n_points - 1, 1)
     nodal._check_energy_drift(ws, zs, w_start, p)
     return Profile(ws)
+
+
+def _nystrom_march(w_start, p, n_steps):
+    """Reference: the classical 3-stage, 4th-order Runge-Kutta-Nystrom march
+    of w'' = -f(w) from (w_start, 0) over [0, 1] in n_steps steps."""
+    h = 1.0 / n_steps
+    lam, bmu_d = p.lam, p.bmu_over_d
+    w, z = float(w_start), 0.0
+    for _ in range(n_steps):
+        k1 = bmu_d * w / (1.0 + w) - lam * w
+        w2 = w + 0.5 * h * z + h * h / 8.0 * k1
+        k2 = bmu_d * w2 / (1.0 + w2) - lam * w2
+        w3 = w + h * z + h * h / 2.0 * k2
+        k3 = bmu_d * w3 / (1.0 + w3) - lam * w3
+        w += h * z + h * h / 6.0 * (k1 + 2.0 * k2)
+        z += h / 6.0 * (k1 + 4.0 * k2 + k3)
+    return w, z
+
+
+def _series_inverse(c, terms):
+    """The first `terms` coefficients of 1/c(t), for a power series with c[0] != 0."""
+    out = [Fraction(1) / c[0]]
+    for k in range(1, terms):
+        out.append(-sum(c[j] * out[k - j] for j in range(1, min(k, len(c) - 1) + 1)) / c[0])
+    return out
+
+
+def _series_product(a, b, terms):
+    return [sum(a[j] * b[k - j] for j in range(k + 1) if j < len(a) and k - j < len(b)) for k in range(terms)]
+
+
+def _ordinate_weights(gen, steps):
+    """Ordinate weights of sum_{j < steps} gen[j] nabla^j f_i, newest first."""
+    return [
+        (-1) ** i * sum(gen[j] * math.comb(j, i) for j in range(i, steps))
+        for i in range(steps)
+    ]
+
+
+def test_weights_come_from_the_generating_functions():
+    # with L(t) = -log(1-t)/t, Stormer's t^2/((1-t) log^2(1-t)) is
+    # 1/((1-t) L^2) and Adams-Bashforth's t/((1-t)(-log(1-t))) is
+    # 1/((1-t) L); their backward-difference coefficients turned into
+    # ordinate weights are the march's integer rows over their denominators
+    steps = len(nodal._STORMER)
+    one_minus_t = [Fraction(1), Fraction(-1)]
+    log_ratio = [Fraction(1, j + 1) for j in range(steps)]
+    adams = _series_inverse(_series_product(one_minus_t, log_ratio, steps), steps)
+    stormer = _series_inverse(
+        _series_product(one_minus_t, _series_product(log_ratio, log_ratio, steps), steps), steps
+    )
+    for gen, row, den in (
+        (stormer, nodal._STORMER, nodal._STORMER_DENOMINATOR),
+        (adams, nodal._ADAMS, nodal._ADAMS_DENOMINATOR),
+    ):
+        assert _ordinate_weights(gen, steps) == [Fraction(c, den) for c in row]
+        assert sum(row) == den
+    assert adams[:3] == [1, Fraction(1, 2), Fraction(5, 12)]
+    assert stormer[:4] == [1, 0, Fraction(1, 12), Fraction(1, 12)]
 
 
 class TestSolveAmplitude:
@@ -282,23 +342,47 @@ class TestNodalPair:
             assert [size for size, _ in pieces] == [cells // math.gcd(n, cells)] * (1 + shot)
         assert shots == 1
 
-    def test_kernel_is_fourth_order(self):
-        # one orbit (n = 2 at (170, 85)): doubling the cells doubles the
-        # substeps to the same end point x = 1/2, and the end state's gap to
-        # a 3200-cell reference shrinks 16-fold (16.03, 16.02 measured)
+    def test_march_is_eighth_order(self):
+        # one orbit (n = 2 at (170, 85)): halving the node spacing to the same
+        # end point x = 1/2 shrinks the end state's gap to a 3200-cell
+        # reference about 2^8-fold, approached from above (547.97 and 522.48
+        # measured over 50, 100 and 200 cells; a 4th-order rule gives 16)
         p = ModelParams(mu=170.0, lam=85.0)
         wm = solve_amplitude(2, p)
         ws, zs, _ = nodal._integrate_wz(wm, p, 3200, 2)
         ref = (ws[-1], zs[-1])
         gaps = []
-        for cells in (25, 50, 100):
+        for cells in (50, 100, 200):
             ws, zs, _ = nodal._integrate_wz(wm, p, cells, 2)
             gaps.append(max(abs(ws[-1] - ref[0]), abs(zs[-1] - ref[1])))
         for coarse, fine in zip(gaps, gaps[1:]):
-            assert 15.0 < coarse / fine < 17.0
+            assert 400.0 < coarse / fine < 700.0
         # criterion 7's RK4 march is an independent route to the same state
         w_end, z_end = _rk4_march(wm, p, 0.5, 16000)
         assert abs(w_end - ref[0]) < 1e-12 and abs(z_end - ref[1]) < 1e-12
+
+    @pytest.mark.parametrize("mu, lam", [(50.0, 25.0), (360.0, 180.0), (800.0, 88.0)])
+    def test_march_rounding_stays_linear(self, mu, lam):
+        # 16000 node steps over [0, 1] against a Nystrom run of eight
+        # substeps a node: the end state agrees to 1e-12 (at most 1.6e-13
+        # measured).  Rounding that grows with the square of the step count,
+        # as in the form w_{i+1} = 2 w_i - w_{i-1} + ..., fails this
+        p = ModelParams(mu=mu, lam=lam)
+        wm = solve_amplitude(1, p)
+        ws, zs, _ = nodal._integrate_wz(wm, p, 16000, 1)
+        w_end, z_end = _nystrom_march(wm, p, 16000 * 8)
+        assert abs(ws[-1] - w_end) < 1e-12 and abs(zs[-1] - z_end) < 1e-12
+
+    def test_short_piece_is_all_start_up(self):
+        # fewer than eight intervals: the Nystrom start-up runs the whole
+        # piece, the same nodes as the start of a longer run
+        p = ModelParams(mu=170.0, lam=85.0)
+        wm = solve_amplitude(2, p)
+        short = nodal._integrate_wz(wm, p, 12, 2)[:2]
+        whole = nodal._integrate_wz(wm, p, 12, 1)[:2]
+        for part, full in zip(short, whole):
+            assert part.size == 7
+            assert np.array_equal(part, full[:7])
 
     @pytest.mark.parametrize("mu", [170.0, 360.0, 640.0])
     def test_window_sweep_needs_no_shooting_step(self, mu, monkeypatch):

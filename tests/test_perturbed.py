@@ -414,6 +414,14 @@ class TestCensus:
         assert result.distinct_count == 5
         assert not result.shortfall
 
+    def test_window_count_above_the_cap_is_refused(self):
+        # about 1.6e149 mode windows are open at mu = 1e300; both refuse
+        # before walking them
+        p = ModelParams(mu=1e300, lam=25.0, eps=1e-3)
+        for call in (lambda: perturbed.admissible_lambda(1, p), lambda: perturbed.census(1, p)):
+            with pytest.raises(DomainError, match="exceed the cap of 100000 modes"):
+                call()
+
 
 class TestContinueInEps:
     def test_same_target_is_identity(self, desk, flat_v):

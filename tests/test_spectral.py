@@ -6,6 +6,7 @@ import pytest
 from htbif.errors import DomainError, NoSolutionError
 from htbif.model import ModelParams
 from htbif.spectral import (
+    MAX_MODES,
     eigencurve_table,
     lambda_roots,
     mode_windows,
@@ -183,3 +184,14 @@ class TestModeWindows:
         assert [w.ell for w in mode_windows(p)] == [1]
         with pytest.raises(NoSolutionError):
             window_lambdas(2, p, 5)
+
+    def test_more_windows_than_the_cap_are_refused_before_the_walk(self):
+        # the windows open in order of their thresholds, so mu above
+        # mu_{MAX_MODES + 1} opens more than the cap; at mu = 1e300 about
+        # 1.6e149 would be walked one by one
+        base = ModelParams()
+        cap_mu = mu_threshold(MAX_MODES + 1, base)
+        assert len(mode_windows(ModelParams(mu=cap_mu))) == MAX_MODES
+        for mu in (cap_mu * (1.0 + 1e-12), 1e300):
+            with pytest.raises(DomainError, match=f"open mode windows at mu = .* exceed the cap of {MAX_MODES} modes"):
+                mode_windows(ModelParams(mu=mu))

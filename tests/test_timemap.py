@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +159,22 @@ class TestPhasePlane:
     def test_window_required(self, desk):
         with pytest.raises(DomainError):
             PhasePlane(desk.with_lam(60.0))
+
+    def test_refuses_a_plane_beyond_double_range(self):
+        # at mu = 1e300 the center is 4e298 and the potential lam w^2/2 would
+        # overflow on the way to the homoclinic extent; the refusal comes
+        # first, and just inside the bound the plane builds with no
+        # floating-point warning
+        lam = 25.0
+        w0_max = math.sqrt(sys.float_info.max / (8.0 * lam)) - 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu in (1e300, lam * (1.0 + 1.001 * w0_max)):
+                with pytest.raises(DomainError, match="leaves the double range"):
+                    PhasePlane(ModelParams(mu=mu, lam=lam))
+            plane = PhasePlane(ModelParams(mu=lam * (1.0 + 0.999 * w0_max), lam=lam))
+            assert plane.w0 < plane.w_h < math.inf
+            assert math.isfinite(plane.time_map(0.5 * plane.w0).T)
 
     def test_no_reference_cycles(self, desk):
         # benchmarks pause the collector while operations run, so garbage
