@@ -196,12 +196,19 @@ def fit_expansion(n: int, side: str, p: ModelParams, n_points: int = 2001) -> Ex
     phi = np.cos(n * math.pi * x)
     y1_ref = y1_closed_form(n, side, p, n_points).values
 
+    ladder = [(s, lam_side + eta2_cf * s * s) for s in (0.005 * k for k in range(1, 11))]
+    if not all(math.isfinite(lam) and lam != lam_side for _, lam in ladder):
+        raise DomainError(
+            f"eta2 = {eta2_cf:g} at mu = {p.mu:g}: the ladder offsets eta2 s^2, s = 0.005 .. 0.05, "
+            f"must be finite and move lam off lam_{n}^{side} = {lam_side:g}"
+        )
+
     s_values: list[float] = []
     lam_values: list[float] = []
     remainders: dict[float, np.ndarray] = {}
     converged_points = 0
-    for s in (0.005 * k for k in range(1, 11)):
-        q = p.with_lam(lam_side + eta2_cf * s * s)
+    for s, lam in ladder:
+        q = p.with_lam(lam)
         if not window_holds(n, q):
             continue
         try:

@@ -35,6 +35,7 @@ __all__ = [
     "potential_F",
     "potential_gap",
     "w0_const",
+    "w_minus_log1p",
     "whole",
 ]
 
@@ -301,7 +302,7 @@ def kinetic_d3f(w, p: ModelParams):
 _ATANH_TAIL = tuple(1.0 / (2 * k + 1) for k in range(1, 11))
 
 
-def _w_minus_log1p(w: np.ndarray) -> np.ndarray:
+def w_minus_log1p(w: np.ndarray) -> np.ndarray:
     """w - log(1+w), elementwise and without cancellation for small |w|.
 
     For |w| <= 1/4, u = w/(2+w) satisfies log1p(w) = 2 atanh(u) and
@@ -321,20 +322,18 @@ def _w_minus_log1p(w: np.ndarray) -> np.ndarray:
 def potential_F(w, p: ModelParams):
     """Potential energy F(w) = (lam/2) w^2 - (b*mu/d) [w - ln(1+w)], F' = f."""
     w = _as_checked(w)
-    return _ret(0.5 * p.lam * w * w - p.bmu_over_d * _w_minus_log1p(w))
+    return _ret(0.5 * p.lam * w * w - p.bmu_over_d * w_minus_log1p(w))
 
 
 def potential_gap(delta, p: ModelParams):
-    """Shifted potential F(w0 + delta) - F(w0), stable for small |delta|.
+    """Shifted potential F(w0 + delta) - F(w0), without cancellation as delta -> 0.
 
-    Uses lam*w0 - b*mu/d = -lam to write the gap as
-    -lam*delta + (lam/2) delta^2 + (b*mu/d) log1p(delta / (1 + w0)),
-    which avoids subtracting two nearly equal potential values near the
-    center.  Requires lam in (0, b*mu/d).
+    Since b*mu/d = lam (1 + w0), the gap is (lam/2) delta^2 - lam (1 + w0)
+    m(delta/(1 + w0)) with m = w_minus_log1p, two terms of full relative
+    precision.  Requires lam in (0, b*mu/d).
     """
     w0 = w0_const(p)
     delta = np.asarray(delta, dtype=float)
     if np.any(delta <= -(1.0 + w0)):
         raise DomainError("delta must keep w0 + delta > -1")
-    out = -p.lam * delta + 0.5 * p.lam * delta * delta + p.bmu_over_d * np.log1p(delta / (1.0 + w0))
-    return _ret(out)
+    return _ret(0.5 * p.lam * delta * delta - p.lam * (1.0 + w0) * w_minus_log1p(delta / (1.0 + w0)))

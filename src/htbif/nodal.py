@@ -16,13 +16,14 @@ w_- repairs a piece that closes too steeply.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import IntegrationError, NoSolutionError, ConvergenceError
+from .errors import ConvergenceError, DomainError, IntegrationError, NoSolutionError
 from .model import ModelParams, Profile, grid_points, kinetic_f, potential_F, w0_const
 from .spectral import eta2_closed_form, lambda_roots, mode_windows, mu_threshold, window_holds, window_lambdas
 from .timemap import PhasePlane
@@ -53,6 +54,7 @@ _ENERGY_DRIFT_TOL = 1e-9
 _NEUMANN_TOL = 1e-8
 _ODE_RESIDUAL_TOL = 1e-7
 _AMPLITUDE_TOL = 1e-10  # |n T(w_-) - 1| bound of the amplitude solve
+_LOG_TINY = math.log(sys.float_info.min)  # lowest ln w_- the amplitude solve tries
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +143,13 @@ def _invert_time_map(n: int, plane: PhasePlane) -> float:
     and F(w_-) < 0, so T(w_-) > ln(w0/w_-)/k and n T > 1 + n/k there.  Near
     the saddle T is almost linear in s (slope -1/k), so the root keeps full
     relative precision however small w_- is.
+    The law is loose for large w0 (root e^-286, floor e^-765 at lam = 25,
+    mu = 6e5), so the floor is raised to the smallest normal double at most.
     """
-    k = math.sqrt(plane.bmu_d - plane.p.lam)
+    p = plane.p
+    k = math.sqrt(plane.bmu_d - p.lam)
     log_w0 = math.log(plane.w0)
-    lo, hi = log_w0 - k / n - 1.0, log_w0 + math.log1p(-1e-10)
+    lo, hi = max(log_w0 - k / n - 1.0, _LOG_TINY), log_w0 + math.log1p(-1e-10)
     values = {}
 
     def h(s: float) -> float:
@@ -153,6 +158,11 @@ def _invert_time_map(n: int, plane: PhasePlane) -> float:
         return values[s]
 
     h_lo = h(lo)
+    if h_lo <= 0.0 and lo == _LOG_TINY:
+        raise DomainError(
+            f"the {n}-crossing amplitude at lam = {p.lam:g}, mu = {p.mu:g} lies below the smallest positive "
+            f"normal double {sys.float_info.min:g}: n*T = {h_lo + 1.0:g} <= 1 there already"
+        )
     if h_lo <= 0.0:
         raise ConvergenceError(f"amplitude bracket failed: n*T = {h_lo + 1.0:g} <= 1 at the saddle-law floor")
     root, info = brentq(

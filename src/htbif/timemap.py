@@ -12,16 +12,17 @@ evaluated after substituting w = w0 + theta (w_end - w0), theta = cos(psi):
 the Jacobian sin(psi) cancels the endpoint singularity, leaving a bounded
 integrand for adaptive Gauss-Legendre panels.
 
-Two evaluation routes keep the potential gap F(w_end) - F(w) fully
-cancellation-free:
+Two evaluation routes keep the potential gap F(w_end) - F(w) free of
+cancellation:
 
-* small orbits (|w_end - w0| <= (1 + w0)/4): the gap factors as
-  Delta^2 (1 - theta^2) S(theta) with S an explicit power series around the
-  center, and the singular factor cancels analytically, so the integrand is
-  cos(psi/2) / sqrt((1 + cos(psi)) S(cos(psi)));
-* large orbits: direct potential differences, with the integration variable
-  measured from the turning point (w = w_end - Delta (1 - cos(psi)), built
-  from 2 sin^2(psi/2)) so that no digit of w - w_end is lost.
+* the closed route, for every turning point but a left one below w0/2: with
+  q = 1/(1 + w0), a = q Delta, b = theta a, t = (a - b)/(1 + b) and
+  m(y) = y - log1p(y), the identity m(a) - m(b) = (a - b) b/(1 + b) + m(t)
+  gives the gap as Delta^2 (1 - theta^2) S(theta), S = lam [1/2 - q (b/(1 + b)
+  + m(t)/(a - b))/(a + b)], and the integrand 1/sqrt(2 S(cos(psi)));
+* the direct route, near the saddle: potential differences, with w measured
+  from the turning point (w = w_end - Delta (1 - cos(psi)), built from
+  2 sin^2(psi/2)) so that no digit of w - w_end is lost.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .model import (
     kinetic_f,
     potential_F,
     w0_const,
+    w_minus_log1p,
 )
 from .quadrature import adaptive_gauss
 
@@ -58,9 +60,6 @@ __all__ = [
 # Orbits with w0 - w_minus below this fraction of w0 are ill-conditioned for
 # quadrature and return the center limit directly.
 CENTER_CUTOFF = 1e-8
-
-# Largest |Delta| / (1 + w0) handled by the center series route.
-_SERIES_RADIUS = 0.25
 
 # Stopping width of the turning-point bisections, relative to the offset.
 _BISECT_REL_WIDTH = 4.0 * np.finfo(float).eps
@@ -134,7 +133,9 @@ class PhasePlane:
         object.__setattr__(self, "w_h", w0 + self._homoclinic_offset())
 
     def _gap(self, delta: float) -> float:
-        """Scalar form of potential_gap: F(w0 + delta) - F(w0), cancellation-free."""
+        """F(w0 + delta) - F(w0) in the plain-float three-term form, fast for the
+        bisections but not cancellation-free: its relative error grows like
+        eps/|q delta| (the desk companion offset is 1.1e-9 off at 1 - w_-/w0 = 1e-7)."""
         lam = self.p.lam
         return -lam * delta + 0.5 * lam * delta * delta + self.bmu_d * math.log1p(delta * self.q)
 
@@ -191,62 +192,21 @@ class PhasePlane:
         t = self._half_orbit_time(w_minus) + self._half_orbit_time(w_plus)
         return TimeMapSample(w_minus, w_plus, t, level)
 
-    def _center_series_factor(self, delta: float):
-        """Vectorized S(theta) with gap(theta) = delta^2 (1 - theta^2) S(theta).
-
-        S collects the Taylor coefficients of the shifted potential:
-        S = g2 + sum_{k>=3} g_k delta^{k-2} (1 + theta + ... + theta^{k-1})/(1+theta),
-        g2 = F''(w0)/2,  g_k = (b mu/d) (-1)^{k+1} / (k (1+w0)^k).
-        Converges geometrically for |delta| < (1 + w0).
-        """
-        bmu_d = self.bmu_d
-        q = self.q
-        g2 = 0.5 * (self.p.lam - bmu_d * q * q)
-
-        def S(theta: np.ndarray) -> np.ndarray:
-            acc = np.full_like(theta, g2)
-            sigma = 1.0 + theta + theta * theta  # sum of theta^j, j < 3
-            powt = theta * theta                 # theta^{k-1} at k = 3
-            dp = delta                           # delta^{k-2} at k = 3
-            sign = 1.0                           # (-1)^{k+1} at k = 3
-            qk = q ** 3
-            for k in range(3, 128):
-                gk = sign * bmu_d * qk / k
-                acc += gk * dp * sigma / (1.0 + theta)
-                powt = powt * theta
-                sigma = sigma + powt
-                dp = dp * delta
-                sign = -sign
-                qk = qk * q
-                if abs(gk * dp) * (k + 1) < 1e-20 * abs(g2):
-                    break
-            return acc
-
-        return S
-
     def _half_orbit_time(self, w_end: float) -> float:
         """Travel time from the center ordinate to the turning point w_end.
 
-        The series route needs the turning point well inside the series radius
-        and, on the left side, away from the saddle at 0 (approaching it makes
-        the factored series cancel to zero and lose relative accuracy); the
-        direct route is saddle-stable instead.  The direct route takes w_end
-        itself, not w0 + (w_end - w0): near the saddle that sum rounds the
-        turning point to an ulp of w0, a relative shift that the divergent
-        time map would amplify.
+        Toward the saddle at 0, S tends to zero through a difference of O(1)
+        terms, so a left turning point below w0/2 takes the saddle-stable
+        direct route.  That route takes w_end itself, not w0 + (w_end - w0):
+        near the saddle that sum rounds the turning point to an ulp of w0, a
+        relative shift that the divergent time map would amplify.
         """
-        p = self.p
         w0 = self.w0
         delta = w_end - w0
-        series_ok = abs(delta) <= _SERIES_RADIUS * (1.0 + w0) and not (delta < 0.0 and w_end < 0.5 * w0)
-        if series_ok:
-            S = self._center_series_factor(delta)
-
-            def integrand(psi):
-                theta = np.cos(psi)
-                return np.cos(0.5 * psi) / np.sqrt((1.0 + theta) * S(theta))
-
-        else:
+        if delta == 0.0:  # a companion rounded onto the center: the center limit's half
+            return 0.5 * self.T_c
+        if delta < 0.0 and w_end < 0.5 * w0:
+            p = self.p
             pot_end = float(potential_F(w_end, p))
 
             def integrand(psi):
@@ -255,7 +215,25 @@ class PhasePlane:
                 gap = np.maximum(pot_end - potential_F(w, p), 1e-300)
                 return abs(delta) * np.sin(psi) / np.sqrt(2.0 * gap)
 
+        else:
+            integrand = self._closed_integrand(delta)
         return adaptive_gauss(integrand, 0.0, 0.5 * math.pi)
+
+    def _closed_integrand(self, delta: float):
+        """Vectorized 1/sqrt(2 S(cos(psi))) of the closed route; a - b is formed
+        as 2 a sin^2(psi/2), nonzero for psi > 0, so m(t)/(a - b) is finite."""
+        q = self.q
+        lam = self.p.lam
+        a = q * delta
+
+        def integrand(psi):
+            half = np.sin(0.5 * psi)
+            a_b = 2.0 * a * half * half
+            b = a - a_b
+            S = lam * (0.5 - q * (b / (1.0 + b) + w_minus_log1p(a_b / (1.0 + b)) / a_b) / (a + b))
+            return np.sqrt(0.5 / S)
+
+        return integrand
 
 
 def homoclinic_extent(p: ModelParams) -> float:

@@ -284,6 +284,13 @@ def _refusals():
     for cmd in ("nodal", "perturb", "census"):
         yield pytest.param(cmd, ["--mu", "1e300"] + VALID[cmd][0][2:], id=f"{cmd} --mu 1e300")
     yield pytest.param("diagram", ["--mu", "1e300"], id="diagram --mu 1e300")
+    # the n-crossing amplitude lies below the smallest normal double
+    for mu in ("1e7", "1e100"):
+        yield pytest.param("nodal", ["--mu", mu, "--lambda", "25", "--n", "1"], id=f"nodal --mu {mu}")
+    # eta2 overflows (plus side) or underflows (minus side), so the ladder
+    # cannot move lam off the window end
+    for mu, side in (("1e300", "plus"), ("1e120", "minus"), ("1e150", "minus"), ("1e300", "minus")):
+        yield pytest.param("bifdir", ["--mu", mu, "--n", "1", "--side", side], id=f"bifdir --mu {mu} --side {side}")
 
 
 # a refusal names one of the library's own error types, never a built-in one

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
+from htbif import linstab
 from htbif.errors import DegenerateError, DegeneracyWarning, DomainError
 from htbif.linstab import (
     assert_nondegenerate,
@@ -279,6 +281,19 @@ def test_fit_expansion_insufficient_data():
     p = ModelParams(mu=mu_threshold(1, ModelParams()) * (1.0 + 1e-7))
     with pytest.raises(InsufficientDataError):
         fit_expansion(1, "minus", p, n_points=501)
+
+
+@pytest.mark.parametrize("mu, side, eta2", [(1e300, "plus", "-inf"), (1e150, "minus", "0"), (1e120, "minus", "0")])
+def test_fit_expansion_refuses_a_ladder_that_cannot_move_lam(mu, side, eta2, monkeypatch):
+    # eta2 overflows on the plus side and underflows on the minus side, so the
+    # ladder lam_side + eta2 s^2 is infinite or stays at lam_side; the refusal
+    # names eta2 and mu before any pair is solved
+    def no_pairs(*args):
+        raise AssertionError("nodal_pair called")
+
+    monkeypatch.setattr(linstab, "nodal_pair", no_pairs)
+    with pytest.raises(DomainError, match="^" + re.escape(f"eta2 = {eta2} at mu = {mu:g}: the ladder offsets")):
+        fit_expansion(1, side, ModelParams(mu=mu))
 
 
 def test_degeneracy_warning_fires():

@@ -18,8 +18,8 @@ from htbif.model import (
     potential_F,
     potential_gap,
     w0_const,
+    w_minus_log1p,
 )
-from htbif.model import _w_minus_log1p
 
 
 class TestCoeffFn:
@@ -195,10 +195,22 @@ class TestPotential:
             assert float(potential_gap(delta, desk)) == pytest.approx(direct, rel=1e-9, abs=1e-13)
 
     def test_gap_is_stable_near_zero(self, desk):
-        # the direct difference loses digits here; the gap form must not
-        g = float(potential_gap(1e-9, desk))
-        curvature = 0.5 * desk.lam * (1.0 - desk.d * desk.lam / (desk.b * desk.mu))
-        assert g == pytest.approx(curvature * 1e-18, rel=1e-6)
+        # a direct difference of potentials, or of -lam delta against the
+        # log, loses digits as delta shrinks; the gap form must not.  The
+        # reference is the difference about the exact center b mu/(d lam) - 1
+        # (w0 = 1 at the desk point), at 80 digits: 50 after the 18 that
+        # cancel at |delta| = 1e-9, with a margin.
+        with mpmath.workdps(80):
+            lam, bmu_d = mpmath.mpf(desk.lam), mpmath.mpf(desk.bmu_over_d)
+            w0 = bmu_d / lam - 1
+
+            def F(w):
+                return lam / 2 * w * w - bmu_d * (w - mpmath.log1p(w))
+
+            for delta in (1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.3, -0.9):
+                exact = F(w0 + mpmath.mpf(delta)) - F(w0)
+                err = abs(mpmath.mpf(float(potential_gap(delta, desk))) / exact - 1)
+                assert err <= 1e-14, delta
 
 
 class TestEnergy:
@@ -265,7 +277,7 @@ class TestPotentialKernel:
                     pts.append(w)
             pts = np.array(pts)
             assert np.count_nonzero(np.abs(pts) <= 0.25) == 201
-            for w, v in zip(pts, _w_minus_log1p(pts)):
+            for w, v in zip(pts, w_minus_log1p(pts)):
                 ref = _w_minus_log1p_ref(float(w))
                 assert abs(mpmath.mpf(float(v)) - ref) <= 5.0 * np.spacing(float(ref))
 

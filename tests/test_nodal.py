@@ -153,6 +153,30 @@ class TestSolveAmplitude:
             assert counts["time_map"] <= 25
             assert abs(n * time_map(wm, q).T - 1.0) <= 1e-12
 
+    def test_floor_below_the_double_range_is_raised(self):
+        # the saddle-law floor w0 exp(-k - 1) is about e^-765 here, but the
+        # root is near e^-286: the solve starts from the smallest normal double
+        p = ModelParams(mu=6e5, lam=25.0)
+        wm = solve_amplitude(1, p)
+        assert 1e-300 < wm < 1e-100
+        assert abs(time_map(wm, p).T - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("mu", [1e7, 1e100])
+    def test_amplitude_below_the_double_range_is_refused(self, mu, monkeypatch):
+        # n T <= 1 already at the smallest normal double: one time map, at
+        # that floor, decides, and the refusal names the amplitude
+        calls = []
+        original = PhasePlane.time_map
+
+        def counted(self, w_minus):
+            calls.append(w_minus)
+            return original(self, w_minus)
+
+        monkeypatch.setattr(PhasePlane, "time_map", counted)
+        with pytest.raises(DomainError, match="1-crossing amplitude .* below the smallest positive normal double"):
+            solve_amplitude(1, ModelParams(mu=mu, lam=25.0))
+        assert calls == [pytest.approx(2.2250738585072014e-308, rel=1e-12)]
+
     @pytest.mark.parametrize("mu, lam", NEAR_SADDLE)
     def test_near_saddle_root_keeps_precision(self, mu, lam):
         p = ModelParams(mu=mu, lam=lam)

@@ -133,14 +133,14 @@ def _time_map_cases():
 
 
 def test_time_map_bit_identical_to_depth_first(monkeypatch):
-    series = []
-    original = timemap.PhasePlane._center_series_factor
+    closed = []
+    original = timemap.PhasePlane._closed_integrand
 
     def spy(self, delta):
-        series.append(delta)
+        closed.append(delta)
         return original(self, delta)
 
-    monkeypatch.setattr(timemap.PhasePlane, "_center_series_factor", spy)
+    monkeypatch.setattr(timemap.PhasePlane, "_closed_integrand", spy)
     integrals = 0
     for p, amplitudes in _time_map_cases():
         plane = timemap.PhasePlane(p)
@@ -152,5 +152,5 @@ def test_time_map_bit_identical_to_depth_first(monkeypatch):
             assert level_by_level.T == depth_first.T
             assert level_by_level.w_plus == depth_first.w_plus
             integrals += 4 if plane.w0 - w_minus >= timemap.CENTER_CUTOFF * plane.w0 else 0
-    # both routes ran: the series one and the direct one
-    assert 0 < len(series) < integrals
+    # both routes ran: the closed one and the direct one
+    assert 0 < len(closed) < integrals

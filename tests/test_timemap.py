@@ -3,6 +3,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,123 @@ class TestTimeMapAcrossParameters:
                 slope = (times[i + 1] - times[i]) / math.log(scales[i] / scales[i + 1])
                 worst = max(worst, abs(k * slope - 1.0))
         assert worst < 1e-6
+
+
+# T(w_-) at mu = 200, lam = mu/(1 + w0), b = d = 1, for (w0, w_-/w0), from
+# the parameters as doubles (lam = 200.0 / (1.0 + w0), w_- = ratio * w0, with
+# w0 = b mu/(d lam) - 1 in doubles) at 80 working digits:
+#     F = lambda w: L/2 w^2 - B (w - log1p(w)), B = 200, L = mpf(lam),
+#     center W0 = B/L - 1 (exact), companion w_+ by 400 bisections of
+#     F(w) = F(w_-) on (W0, 3 W0 + 1), and for each w_end in (w_-, w_+),
+#     D = w_end - W0, the integral over psi of
+#     |D| sin(psi) / sqrt(2 (F(w_end) - F(w_end - 2 D sin^2(psi/2))))
+#     by mpmath.quad(..., [0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, pi/2],
+#     method="gauss-legendre"); tanh-sinh at 70 digits agrees to 1e-27.
+T_STRESS_REF = (
+    (1e-3, 1e-8, 46.772477685611634951),
+    (1e-3, 0.3, 8.5949753451084551203),
+    (1e-3, 0.9, 7.0595741717183940501),
+    (1e-3, 1.0 - 1e-6, 7.0318395457752967952),
+    (1e-1, 1e-8, 4.9314664848950613507),
+    (1e-1, 0.3, 0.93238101018432446537),
+    (1e-1, 0.9, 0.77549311631442623293),
+    (1e-1, 1.0 - 1e-6, 0.77272962041476984394),
+    (10.0, 1e-8, 2.0070487133916034996),
+    (10.0, 0.3, 0.79388845741691492301),
+    (10.0, 0.9, 0.77299639114965040924),
+    (10.0, 1.0 - 1e-6, 0.77272962041450648151),
+    (1e3, 1e-8, 7.9516248590296717485),
+    (1e3, 0.3, 7.0340643586882511133),
+    (1e3, 0.9, 7.0318661115347749048),
+    (1e3, 1.0 - 1e-6, 7.0318395457717696352),
+)
+
+
+class TestTimeMapStress:
+    @pytest.mark.parametrize("w0, ratio, ref", T_STRESS_REF)
+    def test_frozen_across_the_window(self, w0, ratio, ref):
+        # lam near b mu/d (w0 -> 0) and small lam (large w0) keep the 1e-10
+        # time-map contract; at w0 = 1e-3 the error is about 2e-11, set by
+        # the companion bisection's three-term gap, and within 3e-13 from
+        # w0 = 0.1 on
+        plane = PhasePlane(ModelParams(mu=200.0, lam=200.0 / (1.0 + w0)))
+        assert plane.time_map(ratio * plane.w0).T == pytest.approx(ref, rel=1e-10)
+
+
+class TestRoutes:
+    """The closed route for S(theta) and the saddle-stable direct route."""
+
+    @staticmethod
+    def _closed_reference(plane, delta, psi):
+        """S(cos(psi)) = lam [1/2 - q (m(a) - m(b))/(a^2 - b^2)] at 60 digits,
+        from the double inputs lam, q, a = q delta."""
+        with mpmath.workdps(60):
+            lam, q = mpmath.mpf(plane.p.lam), mpmath.mpf(plane.q)
+            a = q * mpmath.mpf(delta)
+            b = a * mpmath.cos(mpmath.mpf(psi))
+
+            def m(y):
+                return y - mpmath.log1p(y)
+
+            return lam * (mpmath.mpf(1) / 2 - q * (m(a) - m(b)) / (a * a - b * b))
+
+    def test_direct_route_only_for_a_left_turning_point_below_half_center(self, monkeypatch, desk):
+        closed = []
+        original = PhasePlane._closed_integrand
+
+        def spy(self, delta):
+            closed.append(delta)
+            return original(self, delta)
+
+        monkeypatch.setattr(PhasePlane, "_closed_integrand", spy)
+        for p in (desk, ModelParams(mu=200.0, lam=200.0 / 1.001), ModelParams(mu=200.0, lam=200.0 / 1001.0)):
+            plane = PhasePlane(p)
+            w0, w_h = plane.w0, plane.w_h
+            half = 0.5 * w0
+            cases = {
+                1e-10 * w0: False,
+                0.1 * w0: False,
+                math.nextafter(half, 0.0): False,
+                half: True,
+                0.9 * w0: True,
+                w0 * (1.0 - 1e-7): True,
+                w0 * (1.0 + 1e-7): True,
+                0.5 * (w0 + w_h): True,
+                math.nextafter(w_h, 0.0): True,
+            }
+            for w_end, takes_closed in cases.items():
+                closed.clear()
+                assert plane._half_orbit_time(w_end) > 0.0
+                assert closed == ([w_end - w0] if takes_closed else []), (p.lam, w_end)
+
+    def test_companion_rounded_onto_the_center(self):
+        # at w0 = 1e-5 the companion bisection's gap loses every digit this
+        # close to the center and returns w0 itself; the half orbit to it is
+        # the center limit's half, not the closed form's 0/0
+        plane = PhasePlane(ModelParams(mu=200.0, lam=200.0 / (1.0 + 1e-5)))
+        s = plane.time_map((1.0 - 1e-6) * plane.w0)
+        assert s.w_plus == plane.w0
+        assert s.T == pytest.approx(plane.T_c, rel=1e-6)
+
+    def test_closed_factor_matches_60_digit_reference(self):
+        # w0 from 0.02 to 49, turning points on the right out to w_h and on
+        # the left down to w0/2: the closed route's whole domain
+        rng = np.random.default_rng(19)
+        worst = 0.0
+        for i in range(100):
+            w0 = math.exp(rng.uniform(math.log(0.02), math.log(49.0)))
+            mu = math.exp(rng.uniform(math.log(20.0), math.log(400.0)))
+            plane = PhasePlane(ModelParams(mu=mu, lam=mu / (1.0 + w0)))
+            if i % 2:
+                w_end = plane.w0 + rng.uniform(0.0, 1.0) * (plane.w_h - plane.w0)
+            else:
+                w_end = rng.uniform(0.5, 1.0) * plane.w0
+            delta = w_end - plane.w0
+            psi = rng.uniform(0.0, 0.5 * math.pi, 2)
+            for x, value in zip(psi, plane._closed_integrand(delta)(psi)):
+                S = 0.5 / mpmath.mpf(float(value)) ** 2
+                worst = max(worst, float(abs(S / self._closed_reference(plane, delta, x) - 1)))
+        assert worst < 1e-13
 
 
 class TestABCertify:
