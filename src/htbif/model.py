@@ -35,7 +35,7 @@ __all__ = [
     "potential_F",
     "potential_gap",
     "w0_const",
-    "w_minus_log1p",
+    "w_minus_log1p_over_w",
     "whole",
 ]
 
@@ -302,11 +302,13 @@ def kinetic_d3f(w, p: ModelParams):
 _ATANH_TAIL = tuple(1.0 / (2 * k + 1) for k in range(1, 11))
 
 
-def w_minus_log1p(w: np.ndarray) -> np.ndarray:
-    """w - log(1+w), elementwise and without cancellation for small |w|.
+def w_minus_log1p_over_w(w: np.ndarray) -> np.ndarray:
+    """(w - log(1+w))/w elementwise (0 at w = 0), without cancellation for
+    small |w| and without underflow: it is w/2 to leading order, where
+    w - log1p(w) itself leaves the double range below |w| ~ 1e-154.
 
     For |w| <= 1/4, u = w/(2+w) satisfies log1p(w) = 2 atanh(u) and
-    u w = 2u^2/(1-u), so w - log1p(w) = u (w - 2u^2 P(u^2)) with
+    u w = 2u^2/(1-u), so (w - log1p(w))/w = (w - 2u^2 P(u^2))/(2+w) with
     P(v) = sum_{k>=1} v^(k-1)/(2k+1).  Since |u| <= 1/7, ten terms of P
     leave a truncation below 1e-19 relative; the cost is fixed and each
     element depends on itself alone.  Larger |w| need no care.
@@ -316,24 +318,25 @@ def w_minus_log1p(w: np.ndarray) -> np.ndarray:
     tail = _ATANH_TAIL[-1]
     for c in _ATANH_TAIL[-2::-1]:
         tail = tail * v + c
-    return np.where(np.abs(w) <= 0.25, u * (w - 2.0 * v * tail), w - np.log1p(w))
+    small = np.abs(w) <= 0.25
+    return np.where(small, w - 2.0 * v * tail, w - np.log1p(w)) / np.where(small, 2.0 + w, w)
 
 
 def potential_F(w, p: ModelParams):
     """Potential energy F(w) = (lam/2) w^2 - (b*mu/d) [w - ln(1+w)], F' = f."""
     w = _as_checked(w)
-    return _ret(0.5 * p.lam * w * w - p.bmu_over_d * w_minus_log1p(w))
+    return _ret(0.5 * p.lam * w * w - p.bmu_over_d * w * w_minus_log1p_over_w(w))
 
 
 def potential_gap(delta, p: ModelParams):
     """Shifted potential F(w0 + delta) - F(w0), without cancellation as delta -> 0.
 
-    Since b*mu/d = lam (1 + w0), the gap is (lam/2) delta^2 - lam (1 + w0)
-    m(delta/(1 + w0)) with m = w_minus_log1p, two terms of full relative
-    precision.  Requires lam in (0, b*mu/d).
+    Since b*mu/d = lam (1 + w0), the gap is lam delta [delta/2 - r(delta/(1 + w0))]
+    with r = w_minus_log1p_over_w, two terms of full relative precision.
+    Requires lam in (0, b*mu/d).
     """
     w0 = w0_const(p)
     delta = np.asarray(delta, dtype=float)
     if np.any(delta <= -(1.0 + w0)):
         raise DomainError("delta must keep w0 + delta > -1")
-    return _ret(0.5 * p.lam * delta * delta - p.lam * (1.0 + w0) * w_minus_log1p(delta / (1.0 + w0)))
+    return _ret(p.lam * delta * (0.5 * delta - w_minus_log1p_over_w(delta / (1.0 + w0))))

@@ -9,8 +9,8 @@ decreasing), solved in ln w_- on a bracket that the saddle law guarantees.
 The orbit from (w_-, 0) is even about each turning time x = k/n, so one
 half-period piece on [0, 1/n] carries the pair for every n: the lower
 solution is its even periodic extension, the upper one (from the companion
-turning point w_+) the same extension shifted by 1/n.  One shooting step on
-w_- repairs a piece that closes too steeply.
+turning point w_+) the same extension shifted by 1/n.  The piece is marched
+once; one that closes too steeply for the joined profiles is refused.
 """
 
 from __future__ import annotations
@@ -318,13 +318,10 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = _N_POINTS) -> tuple[Nodal
     nodes are spaced g/(n cells), g = gcd(n, cells) for the n_points - 1
     cells, so lower node i reads the even periodic extension at piece index
     (cells - |n i mod 2 cells - cells|)/g and upper node i the same at
-    n i + cells.  The time map's quadrature can leave the march's half period
-    1e-11 off 1/n near the saddle, so a piece closing with |z| >=
-    _junction_tol gets one Newton step on w_- (dz/dw_- = f(w_end) T'(w_-),
-    T' from two time maps) and is run again.  The piece is certified by
-    energy drift and by its ODE residual read at the output grid's step
-    1/cells (every (n/g)-th node, the lower member's first nodes); its
-    closing slope is both solutions' Neumann residual.
+    n i + cells.  The piece is certified by energy drift and by its ODE
+    residual read at the output grid's step 1/cells (every (n/g)-th node,
+    the lower member's first nodes); its closing slope is both solutions'
+    Neumann residual, refused at or above _junction_tol.
     """
     n_points = grid_points(n_points)
     cells = n_points - 1
@@ -332,20 +329,13 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = _N_POINTS) -> tuple[Nodal
     n = _existing_mode(n, plane)
     w_minus = _invert_time_map(n, plane)
     ws, zs, g = _integrate_wz(w_minus, p, cells, n)
-    tol = _junction_tol(cells)
-    if abs(zs[-1]) >= tol:
-        step = 1e-4 * min(w_minus, plane.w0 - w_minus)
-        dT = (plane.time_map(w_minus + step).T - plane.time_map(w_minus - step).T) / (2.0 * step)
-        slope = float(kinetic_f(ws[-1], p)) * dT
-        if slope != 0.0:
-            w_minus -= float(zs[-1]) / slope
-            ws, zs, g = _integrate_wz(w_minus, p, cells, n)
     _check_energy_drift(ws, zs, w_minus, p)
     stride = n // g
     residual = _ode_residual(ws[::stride], zs[::stride], 1.0 / cells, p)
     if residual >= _ODE_RESIDUAL_TOL:
         raise IntegrationError(f"piece ODE residual {residual:g} exceeds {_ODE_RESIDUAL_TOL:g}")
     z_end = abs(float(zs[-1]))
+    tol = _junction_tol(cells)
     if z_end >= tol:
         raise IntegrationError(f"pair's Neumann residual {z_end:g} exceeds {tol:g}")
     phase = n * np.arange(n_points)

@@ -7,22 +7,13 @@ The half-period map for an orbit with turning points w_- < w0 < w_+ is
     T(w_-) = int_{w_-}^{w0} dw / sqrt(2 [F(w_-) - F(w)])
            + int_{w0}^{w_+} dw / sqrt(2 [F(w_+) - F(w)]),
 
-a pair of integrals with square-root turning-point singularities.  Each is
-evaluated after substituting w = w0 + theta (w_end - w0), theta = cos(psi):
-the Jacobian sin(psi) cancels the endpoint singularity, leaving a bounded
-integrand for adaptive Gauss-Legendre panels.
-
-Two evaluation routes keep the potential gap F(w_end) - F(w) free of
-cancellation:
-
-* the closed route, for every turning point but a left one below w0/2: with
-  q = 1/(1 + w0), a = q Delta, b = theta a, t = (a - b)/(1 + b) and
-  m(y) = y - log1p(y), the identity m(a) - m(b) = (a - b) b/(1 + b) + m(t)
-  gives the gap as Delta^2 (1 - theta^2) S(theta), S = lam [1/2 - q (b/(1 + b)
-  + m(t)/(a - b))/(a + b)], and the integrand 1/sqrt(2 S(cos(psi)));
-* the direct route, near the saddle: potential differences, with w measured
-  from the turning point (w = w_end - Delta (1 - cos(psi)), built from
-  2 sin^2(psi/2)) so that no digit of w - w_end is lost.
+a pair of integrals with square-root turning-point singularities.  Both
+halves take one integrand in the distance x = |w - w_end| from the turning
+point, with a cancellation-free gap F(w_end) - F(w).  Near the saddle that
+gap is linear in x only over a vanishing width, and the substitution
+x = sigma sinh^2(t), exact for a quadratic gap, turns the endpoint singularity
+and the logarithmic spike alike into a nearly constant integrand for adaptive
+Gauss-Legendre panels.
 """
 
 from __future__ import annotations
@@ -42,7 +33,7 @@ from .model import (
     kinetic_f,
     potential_F,
     w0_const,
-    w_minus_log1p,
+    w_minus_log1p_over_w,
 )
 from .quadrature import adaptive_gauss
 
@@ -178,8 +169,8 @@ class PhasePlane:
         relative width of 4 ulp.
         """
         w0 = self.w0
-        if not 0.0 < w_minus < w0:
-            raise DomainError(f"w_minus must lie in (0, w0) = (0, {w0:g}); got {w_minus!r}")
+        if not sys.float_info.min <= w_minus < w0:
+            raise DomainError(f"w_minus must be a normal double in (0, w0) = (0, {w0:g}); got {w_minus!r}")
         return w0 + self._offset(self._gap(w_minus - w0), 0.0, self.w_h - w0)
 
     def time_map(self, w_minus: float) -> TimeMapSample:
@@ -195,45 +186,42 @@ class PhasePlane:
     def _half_orbit_time(self, w_end: float) -> float:
         """Travel time from the center ordinate to the turning point w_end.
 
-        Toward the saddle at 0, S tends to zero through a difference of O(1)
-        terms, so a left turning point below w0/2 takes the saddle-stable
-        direct route.  That route takes w_end itself, not w0 + (w_end - w0):
-        near the saddle that sum rounds the turning point to an ulp of w0, a
-        relative shift that the divergent time map would amplify.
+        With Delta = w_end - w0, x = |w - w_end| and s = +1 on the left half,
+        -1 on the right, the gap F(w_end) - F(w) is lam x G(x),
+        G = A - x/2 + s (1 + w0)/(1 + w_end) r(s x/(1 + w_end)), with
+        A = w_end |Delta|/(1 + w_end) and r = w_minus_log1p_over_w.  No term
+        cancels (their sum loses about log10(1/w0) digits for small w0), and
+        w_end enters itself: w0 + Delta would round a near-saddle turning
+        point to an ulp of w0, which the divergent time map amplifies.
+
+        G = A + C x + O(x^2), C = ((1 + w0)/(1 + w_end)^2 - 1)/2, so as A -> 0
+        the integrand spikes over a width A/C.  The sinh map (Johnston &
+        Elliott, Int. J. Numer. Meth. Eng. 62, 2005) x = sigma sinh^2(t),
+        sigma = A/(A/|Delta| + max(C, 0)), exact for a quadratic x G, leaves
+        sqrt(2 sigma/(lam G)) cosh(t), nearly constant on
+        [0, asinh(sqrt(|Delta|/sigma))]; each step stays in the double range
+        for w_end down to the smallest normal double.
         """
         w0 = self.w0
         delta = w_end - w0
         if delta == 0.0:  # a companion rounded onto the center: the center limit's half
             return 0.5 * self.T_c
-        if delta < 0.0 and w_end < 0.5 * w0:
-            p = self.p
-            pot_end = float(potential_F(w_end, p))
+        span = abs(delta)
+        base = 1.0 + w_end
+        frac = w_end / base
+        a = span * frac
+        c = 0.5 * ((1.0 + w0) / (base * base) - 1.0)
+        root = math.sqrt(a / (frac + max(c, 0.0)))
+        scale = (1.0 if delta < 0.0 else -1.0) / base
+        weight = (1.0 + w0) * scale
 
-            def integrand(psi):
-                half = np.sin(0.5 * psi)
-                w = w_end - delta * (2.0 * half * half)  # w0 + cos(psi) * delta, endpoint-stable
-                gap = np.maximum(pot_end - potential_F(w, p), 1e-300)
-                return abs(delta) * np.sin(psi) / np.sqrt(2.0 * gap)
+        def integrand(t):
+            rx = root * np.sinh(t)
+            x = rx * rx
+            return np.cosh(t) / np.sqrt(a - 0.5 * x + weight * w_minus_log1p_over_w(scale * x))
 
-        else:
-            integrand = self._closed_integrand(delta)
-        return adaptive_gauss(integrand, 0.0, 0.5 * math.pi)
-
-    def _closed_integrand(self, delta: float):
-        """Vectorized 1/sqrt(2 S(cos(psi))) of the closed route; a - b is formed
-        as 2 a sin^2(psi/2), nonzero for psi > 0, so m(t)/(a - b) is finite."""
-        q = self.q
-        lam = self.p.lam
-        a = q * delta
-
-        def integrand(psi):
-            half = np.sin(0.5 * psi)
-            a_b = 2.0 * a * half * half
-            b = a - a_b
-            S = lam * (0.5 - q * (b / (1.0 + b) + w_minus_log1p(a_b / (1.0 + b)) / a_b) / (a + b))
-            return np.sqrt(0.5 / S)
-
-        return integrand
+        t_end = math.asinh(math.sqrt(span) / root)
+        return root * math.sqrt(2.0 / self.p.lam) * adaptive_gauss(integrand, 0.0, t_end)
 
 
 def homoclinic_extent(p: ModelParams) -> float:

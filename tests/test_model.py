@@ -18,7 +18,7 @@ from htbif.model import (
     potential_F,
     potential_gap,
     w0_const,
-    w_minus_log1p,
+    w_minus_log1p_over_w,
 )
 
 
@@ -252,7 +252,7 @@ def _small_w():
 
 
 class TestPotentialKernel:
-    """The cancellation-free w - log1p(w) inside potential_F."""
+    """The cancellation-free (w - log1p(w))/w inside potential_F."""
 
     @settings(max_examples=300, deadline=None)
     @given(w=_small_w())
@@ -265,9 +265,9 @@ class TestPotentialKernel:
         assert err <= 4.0 * np.spacing(float(p.bmu_over_d * g))
 
     def test_branches_agree_across_quarter(self):
-        # |w| <= 1/4 takes the atanh form, |w| > 1/4 takes w - log1p(w), which
-        # loses about 3 bits to cancellation there; both stay within 5 ulp of
-        # the reference on 200 ulp either side, so they agree to 10 ulp
+        # |w| <= 1/4 takes the atanh form, |w| > 1/4 takes (w - log1p(w))/w,
+        # which loses about 3 bits to cancellation there; both stay within
+        # 5 ulp of the reference on 200 ulp either side, so they agree to 10 ulp
         for edge in (0.25, -0.25):
             pts = [edge]
             for toward in (0.0, 2.0 * edge):
@@ -277,9 +277,9 @@ class TestPotentialKernel:
                     pts.append(w)
             pts = np.array(pts)
             assert np.count_nonzero(np.abs(pts) <= 0.25) == 201
-            for w, v in zip(pts, w_minus_log1p(pts)):
-                ref = _w_minus_log1p_ref(float(w))
-                assert abs(mpmath.mpf(float(v)) - ref) <= 5.0 * np.spacing(float(ref))
+            for w, v in zip(pts, w_minus_log1p_over_w(pts)):
+                ref = _w_minus_log1p_ref(float(w)) / float(w)
+                assert abs(mpmath.mpf(float(v)) - ref) <= 5.0 * np.spacing(abs(float(ref)))
 
     def test_pointwise(self, desk):
         rng = np.random.default_rng(3)

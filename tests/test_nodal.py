@@ -320,28 +320,26 @@ class TestNodalPair:
             assert bvp_residual(member.profile, p) < 1e-6
 
     @pytest.mark.parametrize("lam", [209.11904448882018, 44.09085826361496])
-    def test_shooting_step_meets_criterion_6(self, lam):
-        # at these near-saddle amplitudes the time map's quadrature leaves the
-        # marched half period about 1e-11 off 1, so the piece closes with a slope
-        # of 4.6e-10 and 1.6e-9: under the 1e-8 Neumann bound, but
-        # bvp_residual's even ghosts at x = 1 would read 2.2e-6 and 7.3e-6
-        # against criterion 6's 1e-6; one shooting step brings the slope to
-        # the integrator floor
+    def test_near_saddle_piece_meets_criterion_6(self, lam):
+        # near-saddle amplitudes: a time map 1e-11 off here closes the piece
+        # with slopes of 4.6e-10 and 1.6e-9, which bvp_residual's even ghosts
+        # at x = 1 read as 2.2e-6 and 7.3e-6 against criterion 6's 1e-6.  The
+        # piece closes at the integrator floor (1.7e-14 and 1.2e-13 measured;
+        # bvp_residual 1.8e-9 and 8.7e-9)
         p = ModelParams(mu=360.0, lam=lam)
         for member in nodal_pair(1, p):
             assert member.boundary_residual < 1e-12
             assert bvp_residual(member.profile, p) < 1e-6
 
     def test_fixed_integration_count(self, monkeypatch):
-        # one piece of cells/gcd(n, cells) intervals per pair; it repeats
-        # once, after a shooting step, only when the first one closes with a
-        # slope at or above the junction bound
+        # one piece of cells/gcd(n, cells) intervals per pair, near the
+        # saddle too
         pieces = []
         original = nodal._integrate_wz
 
         def counted(w_start, p, cells, n):
             ws, zs, g = original(w_start, p, cells, n)
-            pieces.append((ws.size - 1, abs(float(zs[-1]))))
+            pieces.append(ws.size - 1)
             return ws, zs, g
 
         monkeypatch.setattr(nodal, "_integrate_wz", counted)
@@ -351,20 +349,17 @@ class TestNodalPair:
             (4, ModelParams(mu=700.0, lam=350.0), 2000),
             (6, ModelParams(mu=2000.0, lam=1000.0), 8000),
             (1, ModelParams(mu=360.0, lam=209.11904448882018), 2000),
+            (1, ModelParams(mu=360.0, lam=44.09085826361496), 2000),
         ]
         for n in (1, 2):
             root = lambda_roots(n, p)
             for j in range(8):
                 lam = root.lambda_minus + (j + 0.5) * (root.lambda_plus - root.lambda_minus) / 8
                 cases.append((n, p.with_lam(lam), 2000))
-        shots = 0
         for n, q, cells in cases:
             pieces.clear()
             nodal_pair(n, q, cells + 1)
-            shot = pieces[0][1] >= nodal._junction_tol(cells)
-            shots += shot
-            assert [size for size, _ in pieces] == [cells // math.gcd(n, cells)] * (1 + shot)
-        assert shots == 1
+            assert pieces == [cells // math.gcd(n, cells)]
 
     def test_march_is_eighth_order(self):
         # one orbit (n = 2 at (170, 85)): halving the node spacing to the same
@@ -410,9 +405,9 @@ class TestNodalPair:
 
     @pytest.mark.parametrize("mu", [170.0, 360.0, 640.0])
     def test_window_sweep_needs_no_shooting_step(self, mu, monkeypatch):
-        # every open mode over window_lambdas(j, p, 7) on 2001 points: no
-        # piece closes at or above the junction bound (RK4 substeps also
-        # shot 0 times here).  At mu = 640, 9 of 28 points are refused by
+        # every open mode over window_lambdas(j, p, 7) on 2001 points: one
+        # piece per point, and no pair refused for its closing slope.  At
+        # mu = 640, 9 of 28 points are refused by
         # the residual check, which reads its own stencil's h^4 truncation
         # (1.06e-7 to 2.04e-7), the same with either kernel
         pieces = []
@@ -466,20 +461,44 @@ class TestNodalPair:
         assert upper.profile.values[0] == pytest.approx(PhasePlane(p).companion(lower.w_minus), abs=1e-8)
 
     def test_junction_kink_is_refused(self, monkeypatch):
-        # pieces that start 1e-10 relative off the root on one side and, after
-        # the shooting step, 2e-10 off on the other close at x = 1 with a slope
-        # of about 4e-9: under the 1e-8 Neumann bound but above the junction
-        # bound, where a joined profile would fail criterion 6
+        # a piece that starts 1e-10 relative off the root closes at x = 1 with
+        # a slope of about 2.1e-9: under the 1e-8 Neumann bound but above the
+        # junction bound, where a joined profile would fail criterion 6
         original = nodal._integrate_wz
-        sign = [1.0]
 
         def off_root(w_start, p, cells, n):
-            sign[0] = -sign[0]
-            return original(w_start * (1.0 - sign[0] * 1e-10), p, cells, n)
+            return original(w_start * (1.0 + 1e-10), p, cells, n)
 
         monkeypatch.setattr(nodal, "_integrate_wz", off_root)
         with pytest.raises(IntegrationError, match="Neumann residual"):
             nodal_pair(1, ModelParams(mu=800.0, lam=88.0))
+
+    @pytest.mark.parametrize("mu", [170.0, 360.0, 1200.0])
+    def test_window_sweep_closes_below_the_junction_bound(self, mu, monkeypatch):
+        # every open mode over window_lambdas(j, p, 9) on 2001 points: the
+        # one piece closes below the junction bound (at most 3.1e-2 of it
+        # measured), also where the residual check then refuses the pair
+        # (41 of 45 points at mu = 1200)
+        slopes = []
+        original = nodal._integrate_wz
+
+        def closing(w_start, p, cells, n):
+            ws, zs, g = original(w_start, p, cells, n)
+            slopes.append(abs(float(zs[-1])))
+            return ws, zs, g
+
+        monkeypatch.setattr(nodal, "_integrate_wz", closing)
+        p = ModelParams(mu=mu)
+        points = 0
+        for j in range(1, len(mode_windows(p)) + 1):
+            for lam in window_lambdas(j, p, 9):
+                points += 1
+                try:
+                    nodal_pair(j, p.with_lam(lam), 2001)
+                except IntegrationError as exc:
+                    assert "piece ODE residual" in str(exc)
+        assert len(slopes) == points
+        assert max(slopes) < nodal._junction_tol(2000)
 
     def test_window_exactness_both_ways(self, desk):
         root = lambda_roots(1, desk)

@@ -2,6 +2,7 @@ import gc
 import math
 import sys
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from htbif import quadrature
 from htbif.errors import DomainError
 from htbif.model import ModelParams, potential_F, w0_const
 from htbif.timemap import (
@@ -177,6 +179,16 @@ class TestPhasePlane:
             assert plane.w0 < plane.w_h < math.inf
             assert math.isfinite(plane.time_map(0.5 * plane.w0).T)
 
+    def test_time_map_at_the_edge_of_the_double_range(self):
+        # small lam lets w0 reach 1.5e155, where |Delta| A and the square of
+        # 1 + w_end overflow; at that size the orbit is harmonic and T is
+        # the center limit pi/sqrt(lam) to within 1/w0
+        lam = 1e-3
+        w0_max = math.sqrt(sys.float_info.max / 8.0) / math.sqrt(lam) - 1.0
+        plane = PhasePlane(ModelParams(mu=lam * (1.0 + 0.999 * w0_max), lam=lam))
+        for ratio in (1e-100, 1e-8, 0.5):
+            assert plane.time_map(ratio * plane.w0).T == pytest.approx(plane.T_c, rel=1e-10)
+
     def test_no_reference_cycles(self, desk):
         # benchmarks pause the collector while operations run, so garbage
         # cycles per call would show up as peak memory
@@ -284,80 +296,140 @@ class TestTimeMapStress:
         assert plane.time_map(ratio * plane.w0).T == pytest.approx(ref, rel=1e-10)
 
 
-class TestRoutes:
-    """The closed route for S(theta) and the saddle-stable direct route."""
+def _half_orbit_reference(plane, w_end):
+    """Time from the center to the turning point w_end at 50 digits, from the
+    double parameters: F(w) = L/2 w^2 - B (w - log1p(w)) with L = lam and
+    B = b mu/d, the exact center W0 = B/L - 1, D = w_end - W0, and the
+    integral over psi of |D| sin(psi)/sqrt(2 (F(w_end) - F(w))),
+    w = w_end - 2 D sin^2(psi/2), by mpmath.quad(..., method="gauss-legendre")
+    at 60 digits (the gap at 100), split at 10^k psi*, k = -4..4, where
+    x = |w - w_end| = 2 |D| sin^2(psi*/2) = min(|A/C|, |D|),
+    A = w_end D/(1 + w_end), C = ((1 + W0)/(1 + w_end)^2 - 1)/2: the width
+    of the near-saddle spike.  A run at 80 digits (the gap at 130) agrees
+    to 1e-60."""
+    with mpmath.workdps(100):
+        L, B = mpmath.mpf(plane.p.lam), mpmath.mpf(plane.bmu_d)
+        W0 = B / L - 1
+        we = mpmath.mpf(w_end)
+        D = we - W0
 
-    @staticmethod
-    def _closed_reference(plane, delta, psi):
-        """S(cos(psi)) = lam [1/2 - q (m(a) - m(b))/(a^2 - b^2)] at 60 digits,
-        from the double inputs lam, q, a = q delta."""
+        def F(w):
+            return L / 2 * w * w - B * (w - mpmath.log1p(w))
+
+        top = F(we)
+
+        def integrand(psi):
+            with mpmath.workdps(100):
+                s = mpmath.sin(psi / 2)
+                return abs(D) * mpmath.sin(psi) / mpmath.sqrt(2 * (top - F(we - 2 * D * s * s)))
+
+        A = we * D / (1 + we)
+        C = ((1 + W0) / (1 + we) ** 2 - 1) / 2
+        x = min(abs(A / C), abs(D)) if C else abs(D)
+        spike = 2 * mpmath.asin(mpmath.sqrt(x / (2 * abs(D))))
+        cuts = sorted({spike * mpmath.mpf(10) ** k for k in range(-4, 5)} | {mpmath.mpf(0)})
+        cuts = [c for c in cuts if c < mpmath.pi / 2 * 0.999] + [mpmath.pi / 2]
         with mpmath.workdps(60):
-            lam, q = mpmath.mpf(plane.p.lam), mpmath.mpf(plane.q)
-            a = q * mpmath.mpf(delta)
-            b = a * mpmath.cos(mpmath.mpf(psi))
+            return mpmath.quad(integrand, cuts, method="gauss-legendre")
 
-            def m(y):
-                return y - mpmath.log1p(y)
 
-            return lam * (mpmath.mpf(1) / 2 - q * (m(a) - m(b)) / (a * a - b * b))
+# Left half-orbit times, from _half_orbit_reference, at (mu, lam, w_-/w0)
+# with b = d = 1 and w_- = ratio * w0 in doubles: three near-saddle
+# amplitudes of nodal pairs, where the march needs T to about 1e-13, and
+# w0 = 1e-5, 1e-4 and 3e-4 (lam = 200/(1 + w0)), where the gap's terms are
+# about 1/w0 times larger than the gap.
+HALF_ORBIT_REF = (
+    (360.0, 44.09085826361496, 3.055582374498613e-5, 0.7538114035385475920205, 1e-13),
+    (360.0, 209.11904448882018, 1.2226791893357272e-4, 0.8493959910425666229019, 1e-13),
+    (170.0, 43.21892503787035, 1.9595350012396413e-3, 0.7369544895877300979537, 1e-13),
+    (200.0, 200.0 / (1.0 + 1e-5), 1e-6, 335.0421040803832007981, 1e-10),
+    (200.0, 200.0 / (1.0 + 1e-5), 0.3, 55.96865046578745874795, 1e-10),
+    (200.0, 200.0 / (1.0 + 1e-5), 0.49, 46.83022143342971459055, 1e-10),
+    (200.0, 200.0 / (1.0 + 1e-4), 1e-6, 105.954628042119748728, 1e-10),
+    (200.0, 200.0 / (1.0 + 1e-4), 0.3, 17.69996616514576952789, 1e-10),
+    (200.0, 200.0 / (1.0 + 1e-4), 0.49, 14.81006280275987642023, 1e-10),
+    (200.0, 200.0 / (1.0 + 3e-4), 1e-6, 61.17936294300355165861, 1e-10),
+    (200.0, 200.0 / (1.0 + 3e-4), 0.3, 10.22052339938690303126, 1e-10),
+    (200.0, 200.0 / (1.0 + 3e-4), 0.49, 8.551936389104148023271, 1e-10),
+)
 
-    def test_direct_route_only_for_a_left_turning_point_below_half_center(self, monkeypatch, desk):
-        closed = []
-        original = PhasePlane._closed_integrand
 
-        def spy(self, delta):
-            closed.append(delta)
-            return original(self, delta)
+class TestRoutes:
+    """One saddle-regular route for both half orbits, saddle to center."""
 
-        monkeypatch.setattr(PhasePlane, "_closed_integrand", spy)
-        for p in (desk, ModelParams(mu=200.0, lam=200.0 / 1.001), ModelParams(mu=200.0, lam=200.0 / 1001.0)):
-            plane = PhasePlane(p)
-            w0, w_h = plane.w0, plane.w_h
-            half = 0.5 * w0
-            cases = {
-                1e-10 * w0: False,
-                0.1 * w0: False,
-                math.nextafter(half, 0.0): False,
-                half: True,
-                0.9 * w0: True,
-                w0 * (1.0 - 1e-7): True,
-                w0 * (1.0 + 1e-7): True,
-                0.5 * (w0 + w_h): True,
-                math.nextafter(w_h, 0.0): True,
-            }
-            for w_end, takes_closed in cases.items():
-                closed.clear()
-                assert plane._half_orbit_time(w_end) > 0.0
-                assert closed == ([w_end - w0] if takes_closed else []), (p.lam, w_end)
+    @pytest.mark.parametrize("mu, lam, ratio, ref, rel", HALF_ORBIT_REF)
+    def test_frozen_left_halves(self, mu, lam, ratio, ref, rel):
+        plane = PhasePlane(ModelParams(mu=mu, lam=lam))
+        assert plane._half_orbit_time(ratio * plane.w0) == pytest.approx(ref, rel=rel)
+
+    @pytest.mark.parametrize("w0_range, rel", [((0.1, 50.0), 1e-13), ((1e-5, 0.1), 1e-10)])
+    def test_both_halves_match_50_digit_references(self, w0_range, rel):
+        # at the code's own turning points, saddle to center; the cancellation
+        # in the gap's x^2 coefficient, about 1/w0, sets the looser bound
+        # (at most 1.6e-14 and 1.3e-11 measured on 150 and 60 points)
+        rng = np.random.default_rng(20)
+        lo, hi = np.log(w0_range)
+        worst = 0.0
+        for i in range(12):
+            w0 = math.exp(rng.uniform(lo, hi))
+            mu = math.exp(rng.uniform(math.log(20.0), math.log(400.0)))
+            plane = PhasePlane(ModelParams(mu=mu, lam=mu / (1.0 + w0)))
+            ratio = (
+                10.0 ** rng.uniform(-10.0, -1.0),  # saddle
+                rng.uniform(0.1, 0.9),  # mid
+                1.0 - 10.0 ** rng.uniform(-7.0, -1.0),  # center
+            )[i % 3]
+            w_minus = ratio * plane.w0
+            for w_end in (w_minus, plane.companion(w_minus)):
+                value = plane._half_orbit_time(w_end)
+                worst = max(worst, float(abs(value / _half_orbit_reference(plane, w_end) - 1)))
+        assert worst < rel
+
+    def test_near_saddle_work(self, monkeypatch):
+        # 200 near-saddle time maps drawn as timemap_scan draws them: the
+        # quadrature's panels and integrand calls (one per gauss_panel call)
+        # stay at most the 2748 and 1187 the sinh map takes
+        work = Counter()
+        original = quadrature.gauss_panel
+
+        def counted(f, a, b):
+            work["calls"] += 1
+            work["panels"] += np.size(a)
+            return original(f, a, b)
+
+        monkeypatch.setattr(quadrature, "gauss_panel", counted)
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            mu = math.exp(rng.uniform(math.log(20.0), math.log(400.0)))
+            plane = PhasePlane(ModelParams(mu=mu, lam=rng.uniform(0.05, 0.95) * mu))
+            plane.time_map(10.0 ** rng.uniform(-10.0, -1.0) * plane.w0)
+        assert work["panels"] <= 2748
+        assert work["calls"] <= 1187
+
+    def test_saddle_law_down_to_the_smallest_normal_double(self):
+        # at mu = 1e7, lam = 25 (k = 3162.3) the amplitude solve reaches the
+        # floor of the double range; x = (sqrt(sigma) sinh(t))^2 and the
+        # kernel m(y)/y keep every step finite and the gap positive, so T
+        # steps by ln(w1/w2)/k (0.0728142 per 100 decades) to 1e-10
+        p = ModelParams(mu=1e7, lam=25.0)
+        plane = PhasePlane(p)
+        k = math.sqrt(p.bmu_over_d - p.lam)
+        points = (1e-100, 1e-200, sys.float_info.min)
+        times = [plane.time_map(w).T for w in points]
+        assert all(map(math.isfinite, times))
+        for w1, w2, t1, t2 in zip(points, points[1:], times, times[1:]):
+            assert t2 - t1 == pytest.approx(math.log(w1 / w2) / k, rel=1e-10)
+        with pytest.raises(DomainError, match="normal double"):
+            plane.time_map(5e-324)
 
     def test_companion_rounded_onto_the_center(self):
         # at w0 = 1e-5 the companion bisection's gap loses every digit this
         # close to the center and returns w0 itself; the half orbit to it is
-        # the center limit's half, not the closed form's 0/0
+        # the center limit's half, not the integrand's 0/0
         plane = PhasePlane(ModelParams(mu=200.0, lam=200.0 / (1.0 + 1e-5)))
         s = plane.time_map((1.0 - 1e-6) * plane.w0)
         assert s.w_plus == plane.w0
         assert s.T == pytest.approx(plane.T_c, rel=1e-6)
-
-    def test_closed_factor_matches_60_digit_reference(self):
-        # w0 from 0.02 to 49, turning points on the right out to w_h and on
-        # the left down to w0/2: the closed route's whole domain
-        rng = np.random.default_rng(19)
-        worst = 0.0
-        for i in range(100):
-            w0 = math.exp(rng.uniform(math.log(0.02), math.log(49.0)))
-            mu = math.exp(rng.uniform(math.log(20.0), math.log(400.0)))
-            plane = PhasePlane(ModelParams(mu=mu, lam=mu / (1.0 + w0)))
-            if i % 2:
-                w_end = plane.w0 + rng.uniform(0.0, 1.0) * (plane.w_h - plane.w0)
-            else:
-                w_end = rng.uniform(0.5, 1.0) * plane.w0
-            delta = w_end - plane.w0
-            psi = rng.uniform(0.0, 0.5 * math.pi, 2)
-            for x, value in zip(psi, plane._closed_integrand(delta)(psi)):
-                S = 0.5 / mpmath.mpf(float(value)) ** 2
-                worst = max(worst, float(abs(S / self._closed_reference(plane, delta, x) - 1)))
-        assert worst < 1e-13
 
 
 class TestABCertify:
