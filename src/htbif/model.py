@@ -263,7 +263,8 @@ def _ret(arr):
 
 
 def w0_const(p: ModelParams) -> float:
-    """Constant positive steady state b*mu/(d*lam) - 1 of the limit problem."""
+    """Constant positive steady state b*mu/(d*lam) - 1 of the limit problem, formed as
+    (b*mu - d*lam)/(d*lam), which rounds only once for b = d = 1 and lam >= mu/2."""
     if not p.mu > 0.0:
         raise DomainError(f"constant state requires mu > 0, got mu = {p.mu!r}")
     hi = p.bmu_over_d
@@ -271,7 +272,7 @@ def w0_const(p: ModelParams) -> float:
         raise DomainError(
             f"constant positive state exists only for lam in (0, b*mu/d) = (0, {hi:g}); got lam = {p.lam!r}"
         )
-    return p.b * p.mu / (p.d * p.lam) - 1.0
+    return (p.b * p.mu - p.d * p.lam) / (p.d * p.lam)
 
 
 def kinetic_f(w, p: ModelParams):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,9 +52,6 @@ __all__ = [
 # Orbits with w0 - w_minus below this fraction of w0 are ill-conditioned for
 # quadrature and return the center limit directly.
 CENTER_CUTOFF = 1e-8
-
-# Stopping width of the turning-point bisections, relative to the offset.
-_BISECT_REL_WIDTH = 4.0 * np.finfo(float).eps
 
 # The phase plane reaches |F| ~ 2 lam w0^2 at its homoclinic extent w_h ~ 2 w0;
 # PhasePlane refuses parameters where four times that, 8 lam (1 + w0)^2, is
@@ -92,18 +90,18 @@ class PhasePlane:
     """Phase-plane context of the limit problem at one parameter set.
 
     Built once per ModelParams, it holds the center w0, b mu/d,
-    q = 1/(1 + w0), the homoclinic extent w_h and the center limit T_c of
-    the time map, so that repeated companion and time-map evaluations at the
-    same parameters re-derive none of them.  Its bisections run on plain
-    floats.  The module-level homoclinic_extent and time_map are thin
-    wrappers that build a context per call.
+    q = 1/(1 + w0) and the center limit T_c of the time map, and finds the
+    homoclinic extent w_h on first read, so that repeated companion and
+    time-map evaluations at the same parameters re-derive none of them.
+    Both turning-point solves take Newton steps on plain floats against the
+    model's cancellation-free gap.  The module-level homoclinic_extent and
+    time_map are thin wrappers that build a context per call.
     """
 
     p: ModelParams
     w0: float = field(init=False)
     bmu_d: float = field(init=False)
     q: float = field(init=False)
-    w_h: float = field(init=False)
     T_c: float = field(init=False)
 
     def __post_init__(self):
@@ -121,57 +119,51 @@ class PhasePlane:
             ("T_c", time_map_center(self.p)),
         ):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "w_h", w0 + self._homoclinic_offset())
 
-    def _gap(self, delta: float) -> float:
-        """F(w0 + delta) - F(w0) in the plain-float three-term form, fast for the
-        bisections but not cancellation-free: its relative error grows like
-        eps/|q delta| (the desk companion offset is 1.1e-9 off at 1 - w_-/w0 = 1e-7)."""
-        lam = self.p.lam
-        return -lam * delta + 0.5 * lam * delta * delta + self.bmu_d * math.log1p(delta * self.q)
+    @cached_property
+    def w_h(self) -> float:
+        """Homoclinic extent: the turning point on the saddle's level F = 0."""
+        return self.w0 + self._offset(0.0)
 
-    def _offset(self, target: float, lo: float, hi: float) -> float:
-        """Offset in [lo, hi] where the increasing gap reaches target.
+    def _offset(self, w_minus: float) -> float:
+        """Offset d = w_+ - w0 of the turning point on the level of w_minus in [0, w0).
 
-        Bisection to a relative width of 4 ulp, so small offsets keep full
-        relative precision; chosen for its unconditional convergence on the
-        guaranteed sign change.
+        The target F(w_minus) - F(w0) is the left half orbit's gap.  Right of
+        the center, gap(d) = lam d (d/2 - r(q d)) with r = w_minus_log1p_over_w,
+        and 0 < r(y) < y/2 for y > 0 brackets d by lam w0 q d^2/2 < gap < lam d^2/2.
+        Newton's method on sqrt(gap), with gap' = f(w0 + d) = lam d (w0 + d)/(1 + w0 + d),
+        starts from the mirror offset w0 - w_minus, bisects any step that leaves
+        the bracket, and stops on a step below 4 ulp of d or not under half the
+        previous one: the gap's rounding (about eps/w0 relative) is reached.
         """
-        gap = self._gap
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if gap(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _BISECT_REL_WIDTH * hi:
-                break
-        return 0.5 * (lo + hi)
-
-    def _homoclinic_offset(self) -> float:
-        """w_h - w0, bracketed by geometric expansion, then bisected."""
-        target = -float(potential_F(self.w0, self.p))  # = |F(w0)| > 0
-        lo = 0.0
-        hi = max(self.w0, 1.0)
-        for _ in range(1024):
-            if self._gap(hi) > target:
-                break
-            lo = hi
-            hi *= 2.0
-        else:  # pragma: no cover - F grows without bound, cannot happen
-            raise DomainError("failed to bracket the homoclinic extent")
-        return self._offset(target, lo, hi)
+        w0, q, lam = self.w0, self.q, self.p.lam
+        span = w0 - w_minus
+        target = lam * span * float(self._gap_over_x(w_minus)[1](span))
+        sqrt_target = math.sqrt(target)
+        lo = sqrt_target * math.sqrt(2.0 / lam)
+        hi = lo / math.sqrt(w0 * q)
+        d, last = min(max(span, lo), hi), math.inf
+        while True:
+            gap = lam * d * (0.5 * d - float(w_minus_log1p_over_w(q * d)))
+            lo, hi = (d, hi) if gap < target else (lo, d)
+            slope = lam * d * ((w0 + d) / (1.0 + w0 + d))
+            step = 2.0 * (math.sqrt(gap) - sqrt_target) * (math.sqrt(gap) / slope)
+            if not lo <= d - step <= hi:
+                step = 0.5 * (d - (lo if d - step < lo else hi))
+            if abs(step) <= 4.0 * sys.float_info.epsilon * d or not abs(step) < 0.5 * last:
+                return d - step
+            d, last = d - step, abs(step)
 
     def companion(self, w_minus: float) -> float:
         """Turning point w_+ in (w0, w_h) on the same energy level as w_minus.
 
-        Solves F(w_+) = F(w_minus) by bisection in the offset from w0 to a
-        relative width of 4 ulp.
+        Solves F(w_+) = F(w_minus) in the offset from w0 by safeguarded
+        Newton steps on the model's cancellation-free gap.
         """
         w0 = self.w0
         if not sys.float_info.min <= w_minus < w0:
             raise DomainError(f"w_minus must be a normal double in (0, w0) = (0, {w0:g}); got {w_minus!r}")
-        return w0 + self._offset(self._gap(w_minus - w0), 0.0, self.w_h - w0)
+        return w0 + self._offset(w_minus)
 
     def time_map(self, w_minus: float) -> TimeMapSample:
         """Half-period map at the left turning point w_minus in (0, w0)."""
@@ -183,17 +175,28 @@ class PhasePlane:
         t = self._half_orbit_time(w_minus) + self._half_orbit_time(w_plus)
         return TimeMapSample(w_minus, w_plus, t, level)
 
-    def _half_orbit_time(self, w_end: float) -> float:
-        """Travel time from the center ordinate to the turning point w_end.
+    def _gap_over_x(self, w_end: float):
+        """(A, G) with F(w_end) - F(w) = lam x G(x) at x = |w - w_end| from the
+        turning point w_end, and A = G(0).
 
-        With Delta = w_end - w0, x = |w - w_end| and s = +1 on the left half,
-        -1 on the right, the gap F(w_end) - F(w) is lam x G(x),
+        With Delta = w_end - w0 and s = +1 on the left half, -1 on the right,
         G = A - x/2 + s (1 + w0)/(1 + w_end) r(s x/(1 + w_end)), with
         A = w_end |Delta|/(1 + w_end) and r = w_minus_log1p_over_w.  No term
         cancels (their sum loses about log10(1/w0) digits for small w0), and
         w_end enters itself: w0 + Delta would round a near-saddle turning
         point to an ulp of w0, which the divergent time map amplifies.
+        """
+        delta = w_end - self.w0
+        base = 1.0 + w_end
+        a = abs(delta) * (w_end / base)
+        scale = (1.0 if delta < 0.0 else -1.0) / base
+        weight = (1.0 + self.w0) * scale
+        return a, lambda x: a - 0.5 * x + weight * w_minus_log1p_over_w(scale * x)
 
+    def _half_orbit_time(self, w_end: float) -> float:
+        """Travel time from the center ordinate to the turning point w_end.
+
+        The gap F(w_end) - F(w) is lam x G(x) (see _gap_over_x), and
         G = A + C x + O(x^2), C = ((1 + w0)/(1 + w_end)^2 - 1)/2, so as A -> 0
         the integrand spikes over a width A/C.  The sinh map (Johnston &
         Elliott, Int. J. Numer. Meth. Eng. 62, 2005) x = sigma sinh^2(t),
@@ -202,23 +205,15 @@ class PhasePlane:
         [0, asinh(sqrt(|Delta|/sigma))]; each step stays in the double range
         for w_end down to the smallest normal double.
         """
-        w0 = self.w0
-        delta = w_end - w0
-        if delta == 0.0:  # a companion rounded onto the center: the center limit's half
-            return 0.5 * self.T_c
-        span = abs(delta)
+        span = abs(w_end - self.w0)
         base = 1.0 + w_end
-        frac = w_end / base
-        a = span * frac
-        c = 0.5 * ((1.0 + w0) / (base * base) - 1.0)
-        root = math.sqrt(a / (frac + max(c, 0.0)))
-        scale = (1.0 if delta < 0.0 else -1.0) / base
-        weight = (1.0 + w0) * scale
+        a, gap_over_x = self._gap_over_x(w_end)
+        c = 0.5 * ((1.0 + self.w0) / (base * base) - 1.0)
+        root = math.sqrt(a / (w_end / base + max(c, 0.0)))
 
         def integrand(t):
             rx = root * np.sinh(t)
-            x = rx * rx
-            return np.cosh(t) / np.sqrt(a - 0.5 * x + weight * w_minus_log1p_over_w(scale * x))
+            return np.cosh(t) / np.sqrt(gap_over_x(rx * rx))
 
         t_end = math.asinh(math.sqrt(span) / root)
         return root * math.sqrt(2.0 / self.p.lam) * adaptive_gauss(integrand, 0.0, t_end)
@@ -230,9 +225,10 @@ def homoclinic_extent(p: ModelParams) -> float:
 
 
 def time_map_center(p: ModelParams) -> float:
-    """Center limit pi / sqrt(lam (1 - d lam/(b mu))) of the half-period map."""
-    w0_const(p)  # validates the phase-plane domain
-    return math.pi / math.sqrt(p.lam * (1.0 - p.d * p.lam / (p.b * p.mu)))
+    """Center limit pi / sqrt(f'(w0)), f'(w0) = lam w0/(1 + w0), of the half-period map;
+    lam (1 - d lam/(b mu)) would cancel to an error of eps/w0 as w0 -> 0."""
+    w0 = w0_const(p)  # validates the phase-plane domain
+    return math.pi / math.sqrt(p.lam * w0 / (1.0 + w0))
 
 
 def time_map(w_minus: float, p: ModelParams) -> TimeMapSample:
@@ -244,12 +240,13 @@ def ab_certify(p: ModelParams) -> ABReport:
     """Check the pointwise inequalities behind the time-map monotonicity.
 
     On 10,000 evenly spaced points of [0, w_h]: f' f''' - (5/3) f''^2 < 0
-    past the critical point alpha = sqrt(b mu/(d lam)) - 1 of f', and
-    f f'' - 3 f'^2 <= 0 up to alpha; also that f' has only the simple zero
-    alpha in (0, w_h).  Violations are reported, never raised.
+    past the critical point alpha = sqrt(1 + w0) - 1 = w0/(1 + sqrt(1 + w0)) of
+    f', and f f'' - 3 f'^2 <= 0 up to alpha; also that f' has only the simple
+    zero alpha in (0, w_h).  Violations are reported, never raised.
     """
     w_h = homoclinic_extent(p)  # validates the phase-plane domain
-    alpha = math.sqrt(p.b * p.mu / (p.d * p.lam)) - 1.0
+    w0 = w0_const(p)
+    alpha = w0 / (1.0 + math.sqrt(1.0 + w0))
     grid = np.linspace(0.0, w_h, 10_000)
 
     fp = kinetic_df(grid, p)

@@ -132,24 +132,28 @@ class TestSolveAmplitude:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_work_per_solve(self, n, monkeypatch):
-        # one phase-plane context per solve: w_h is found once, and Brent
-        # needs far fewer time maps than the ~37 of a bisection
+        # one phase-plane context per solve, which never solves for w_h, and
+        # Brent needs far fewer time maps than the ~37 of a bisection
         counts = Counter()
-        for name in ("_homoclinic_offset", "time_map"):
-            original = getattr(PhasePlane, name)
+        original_time_map, original_w_h = PhasePlane.time_map, PhasePlane.w_h.func
 
-            def counted(self, *args, _original=original, _name=name):
-                counts[_name] += 1
-                return _original(self, *args)
+        def time_map_counted(self, w_minus):
+            counts["time_map"] += 1
+            return original_time_map(self, w_minus)
 
-            monkeypatch.setattr(PhasePlane, name, counted)
+        def w_h_counted(self):
+            counts["w_h"] += 1
+            return original_w_h(self)
+
+        monkeypatch.setattr(PhasePlane, "time_map", time_map_counted)
+        monkeypatch.setattr(PhasePlane, "w_h", property(w_h_counted))
         p = ModelParams(mu=170.0)
         root = lambda_roots(n, p)
         for j in range(8):
             q = p.with_lam(root.lambda_minus + (j + 0.5) * (root.lambda_plus - root.lambda_minus) / 8)
             counts.clear()
             wm = solve_amplitude(n, q)
-            assert counts["_homoclinic_offset"] == 1
+            assert counts["w_h"] == 0
             assert counts["time_map"] <= 25
             assert abs(n * time_map(wm, q).T - 1.0) <= 1e-12
 

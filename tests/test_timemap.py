@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from htbif import quadrature
+from htbif import model, quadrature, timemap
 from htbif.errors import DomainError
 from htbif.model import ModelParams, potential_F, w0_const
 from htbif.timemap import (
@@ -78,6 +78,49 @@ class TestCompanion:
             fm = float(potential_F(wm, desk))
             assert abs(float(potential_F(wp, desk)) - fm) <= 1e-12 * (1.0 + abs(fm))
 
+    @pytest.mark.parametrize("ratio", [1e-8, 0.3, 0.9, 1.0 - 1e-6])
+    @pytest.mark.parametrize("w0", [1e-3, 1e-4, 1e-6])
+    def test_offset_against_100_digit_references(self, w0, ratio):
+        # lam near b mu/d, where the gap's terms are 1/w0 times larger than the
+        # gap: the offset w_+ - w0 stays within 1e-9 (at most 2.6e-10
+        # measured, at w_-/w0 = 1 - 1e-6, where the rounding of w0 itself
+        # is that large against the offset)
+        plane = PhasePlane(ModelParams(mu=200.0, lam=200.0 / (1.0 + w0)))
+        w_minus = ratio * plane.w0
+        center, ref = _companion_reference(plane, w_minus)
+        assert abs((plane.companion(w_minus) - center) / (ref - center) - 1) < 1e-9
+
+    def test_gap_evaluations_per_companion(self, monkeypatch):
+        # 200 companions drawn from the timemap_scan ranges (mu log-uniform on
+        # [20, 400], lam/mu on [0.05, 0.95], w_-/w0 near the saddle, mid-orbit
+        # and near the center): Newton takes at most 6 gap evaluations
+        # (measured at this bound), where a bisection took 50 to 73; building
+        # the plane takes none, since w_h is solved for only when read
+        calls = Counter()
+        original = timemap.w_minus_log1p_over_w
+
+        def counted(w):
+            calls["gap"] += 1
+            return original(w)
+
+        for module in (timemap, model):
+            monkeypatch.setattr(module, "w_minus_log1p_over_w", counted)
+        rng = np.random.default_rng(21)
+        worst = 0
+        for i in range(200):
+            mu = math.exp(rng.uniform(math.log(20.0), math.log(400.0)))
+            calls.clear()
+            plane = PhasePlane(ModelParams(mu=mu, lam=rng.uniform(0.05, 0.95) * mu))
+            assert calls["gap"] == 0
+            ratio = (
+                10.0 ** rng.uniform(-10.0, -1.0),
+                rng.uniform(0.1, 0.9),
+                1.0 - 10.0 ** rng.uniform(-7.0, -1.0),
+            )[i % 3]
+            plane.companion(ratio * plane.w0)
+            worst = max(worst, calls["gap"] - 1)  # less the target's one
+        assert worst <= 6
+
     def test_domain(self, desk):
         with pytest.raises(DomainError):
             PhasePlane(desk).companion(1.5)
@@ -94,6 +137,21 @@ class TestTimeMapCenter:
         mu1 = 4.0 * math.pi ** 2
         p = ModelParams(lam=2.0 * math.pi ** 2, mu=mu1)
         assert time_map_center(p) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("w0", [1e-3, 1e-6, 1e-8])
+    def test_closed_forms_within_two_ulp_near_the_window_end(self, w0):
+        # w0, T_c and ab_certify's alpha against 50-digit values from the same
+        # doubles; b mu/(d lam) - 1, lam (1 - d lam/(b mu)) and
+        # sqrt(b mu/(d lam)) - 1 cancel to errors of eps/w0 (6.6e-10 at 1e-8)
+        p = ModelParams(mu=200.0, lam=200.0 / (1.0 + w0))
+        with mpmath.workdps(50):
+            center = mpmath.mpf(p.mu) / mpmath.mpf(p.lam) - 1
+            for value, exact in (
+                (w0_const(p), center),
+                (time_map_center(p), mpmath.pi / mpmath.sqrt(mpmath.mpf(p.lam) * center / (1 + center))),
+                (ab_certify(p).alpha, mpmath.sqrt(1 + center) - 1),
+            ):
+                assert abs(value - exact) <= 2 * math.ulp(float(exact))
 
     def test_diverges_at_window_ends(self, desk):
         assert time_map_center(desk.with_lam(1e-8)) > 1e3
@@ -189,6 +247,17 @@ class TestPhasePlane:
         for ratio in (1e-100, 1e-8, 0.5):
             assert plane.time_map(ratio * plane.w0).T == pytest.approx(plane.T_c, rel=1e-10)
 
+    @pytest.mark.parametrize("lam, mu", [(25.0, 2.37e154), (1e-8, 1e-8 * (1.0 + 4.7e149))])
+    def test_saddle_far_below_a_huge_center(self, lam, mu):
+        # w0 = 9.5e152 and 4.7e149: the gap is formed from w_- itself, so no
+        # q delta rounds to -1 (a math.log1p(-1) domain error once), and the
+        # harmonic orbit's T is the center limit
+        plane = PhasePlane(ModelParams(mu=mu, lam=lam))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ratio in (1e-100, 1e-300):
+                assert plane.time_map(ratio * plane.w0).T == pytest.approx(plane.T_c, rel=1e-10)
+
     def test_no_reference_cycles(self, desk):
         # benchmarks pause the collector while operations run, so garbage
         # cycles per call would show up as peak memory
@@ -257,7 +326,7 @@ class TestTimeMapAcrossParameters:
 
 # T(w_-) at mu = 200, lam = mu/(1 + w0), b = d = 1, for (w0, w_-/w0), from
 # the parameters as doubles (lam = 200.0 / (1.0 + w0), w_- = ratio * w0, with
-# w0 = b mu/(d lam) - 1 in doubles) at 80 working digits:
+# w0 = w0_const in doubles).  From w0 = 1e-3 on, at 80 working digits:
 #     F = lambda w: L/2 w^2 - B (w - log1p(w)), B = 200, L = mpf(lam),
 #     center W0 = B/L - 1 (exact), companion w_+ by 400 bisections of
 #     F(w) = F(w_-) on (W0, 3 W0 + 1), and for each w_end in (w_-, w_+),
@@ -265,7 +334,21 @@ class TestTimeMapAcrossParameters:
 #     |D| sin(psi) / sqrt(2 (F(w_end) - F(w_end - 2 D sin^2(psi/2))))
 #     by mpmath.quad(..., [0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, pi/2],
 #     method="gauss-legendre"); tanh-sinh at 70 digits agrees to 1e-27.
+# Below w0 = 1e-3, both halves from _half_orbit_reference, with w_+ from
+# _companion_reference.
 T_STRESS_REF = (
+    (1e-6, 1e-8, 1478.2490889226307900),
+    (1e-6, 0.3, 271.56379240483471449),
+    (1e-6, 0.9, 223.02144974780043185),
+    (1e-6, 1.0 - 1e-6, 222.14436906634816182),
+    (1e-5, 1e-8, 467.46576211087142383),
+    (1e-5, 0.3, 85.876675758704237751),
+    (1e-5, 0.9, 70.526206956795562064),
+    (1e-5, 1.0 - 1e-6, 70.248849791539782927),
+    (1e-4, 1e-8, 147.83310109542719601),
+    (1e-4, 0.3, 27.158690217601208161),
+    (1e-4, 0.9, 22.304343855236052008),
+    (1e-4, 1.0 - 1e-6, 22.216636132264376613),
     (1e-3, 1e-8, 46.772477685611634951),
     (1e-3, 0.3, 8.5949753451084551203),
     (1e-3, 0.9, 7.0595741717183940501),
@@ -289,18 +372,44 @@ class TestTimeMapStress:
     @pytest.mark.parametrize("w0, ratio, ref", T_STRESS_REF)
     def test_frozen_across_the_window(self, w0, ratio, ref):
         # lam near b mu/d (w0 -> 0) and small lam (large w0) keep the 1e-10
-        # time-map contract; at w0 = 1e-3 the error is about 2e-11, set by
-        # the companion bisection's three-term gap, and within 3e-13 from
-        # w0 = 0.1 on
+        # time-map contract; the error is at most 2.7e-11 at w0 = 1e-6, where
+        # the gap's terms are 1/w0 times larger than the gap, 3.4e-14 at
+        # w0 = 1e-3 and 6.7e-16 from w0 = 0.1 on
         plane = PhasePlane(ModelParams(mu=200.0, lam=200.0 / (1.0 + w0)))
         assert plane.time_map(ratio * plane.w0).T == pytest.approx(ref, rel=1e-10)
 
 
+def _mp_potential(plane):
+    """F(w) = L/2 w^2 - B (w - log1p(w)) with L = lam and B = b mu/d from the
+    double parameters, and the exact center W0 = B/L - 1, at the working
+    precision."""
+    L, B = mpmath.mpf(plane.p.lam), mpmath.mpf(plane.bmu_d)
+
+    def F(w):
+        return L / 2 * w * w - B * (w - mpmath.log1p(w))
+
+    return F, B / L - 1
+
+
+def _companion_reference(plane, w_minus):
+    """(W0, w_+) at 100 digits: the exact center and the turning point on the
+    level of w_minus, by 330 bisections of F(w) = F(w_minus) on
+    (W0, 3 W0 + 1), which leave a width below 1e-99 (3 W0 + 1)."""
+    with mpmath.workdps(100):
+        F, W0 = _mp_potential(plane)
+        level = F(mpmath.mpf(w_minus))
+        lo, hi = W0, 3 * W0 + 1
+        for _ in range(330):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if F(mid) < level else (lo, mid)
+        return W0, (lo + hi) / 2
+
+
 def _half_orbit_reference(plane, w_end):
     """Time from the center to the turning point w_end at 50 digits, from the
-    double parameters: F(w) = L/2 w^2 - B (w - log1p(w)) with L = lam and
-    B = b mu/d, the exact center W0 = B/L - 1, D = w_end - W0, and the
-    integral over psi of |D| sin(psi)/sqrt(2 (F(w_end) - F(w))),
+    double parameters: F and the exact center W0 from _mp_potential,
+    D = w_end - W0, and the integral over psi of
+    |D| sin(psi)/sqrt(2 (F(w_end) - F(w))),
     w = w_end - 2 D sin^2(psi/2), by mpmath.quad(..., method="gauss-legendre")
     at 60 digits (the gap at 100), split at 10^k psi*, k = -4..4, where
     x = |w - w_end| = 2 |D| sin^2(psi*/2) = min(|A/C|, |D|),
@@ -308,14 +417,9 @@ def _half_orbit_reference(plane, w_end):
     of the near-saddle spike.  A run at 80 digits (the gap at 130) agrees
     to 1e-60."""
     with mpmath.workdps(100):
-        L, B = mpmath.mpf(plane.p.lam), mpmath.mpf(plane.bmu_d)
-        W0 = B / L - 1
+        F, W0 = _mp_potential(plane)
         we = mpmath.mpf(w_end)
         D = we - W0
-
-        def F(w):
-            return L / 2 * w * w - B * (w - mpmath.log1p(w))
-
         top = F(we)
 
         def integrand(psi):
@@ -422,14 +526,16 @@ class TestRoutes:
         with pytest.raises(DomainError, match="normal double"):
             plane.time_map(5e-324)
 
-    def test_companion_rounded_onto_the_center(self):
-        # at w0 = 1e-5 the companion bisection's gap loses every digit this
-        # close to the center and returns w0 itself; the half orbit to it is
-        # the center limit's half, not the integrand's 0/0
+    def test_companion_off_the_center(self):
+        # at w0 = 1e-5 and w_-/w0 = 1 - 1e-6 the offset w_+ - w0 is 1e-6 w0;
+        # the companion keeps it (2.9e-11 measured), so the right half orbit
+        # never starts at the center itself
         plane = PhasePlane(ModelParams(mu=200.0, lam=200.0 / (1.0 + 1e-5)))
-        s = plane.time_map((1.0 - 1e-6) * plane.w0)
-        assert s.w_plus == plane.w0
-        assert s.T == pytest.approx(plane.T_c, rel=1e-6)
+        w_minus = (1.0 - 1e-6) * plane.w0
+        w_plus = plane.companion(w_minus)
+        center, ref = _companion_reference(plane, w_minus)
+        assert w_plus > plane.w0
+        assert abs((w_plus - center) / (ref - center) - 1) < 1e-9
 
 
 class TestABCertify:
