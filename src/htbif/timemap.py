@@ -138,7 +138,8 @@ class PhasePlane:
         """
         w0, q, lam = self.w0, self.q, self.p.lam
         span = w0 - w_minus
-        target = lam * span * float(self._gap_over_x(w_minus)[1](span))
+        _, left_gap_over_x = self._gap_over_x(w_minus)
+        target = lam * span * float(left_gap_over_x(span))
         sqrt_target = math.sqrt(target)
         lo = sqrt_target * math.sqrt(2.0 / lam)
         hi = lo / math.sqrt(w0 * q)
