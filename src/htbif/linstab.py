@@ -11,6 +11,12 @@ is a symmetric tridiagonal matrix.  Its O(h^2) eigenvalue error grows like
 gets back the V-free part (Paine, de Hoog & Anderssen), so Morse counts and
 the degeneracy test hold near window ends.
 
+A potential that reads the same reversed, such as both members of an
+even-n pair and every constant state, makes the tridiagonal commute with the
+reversal of the grid.  Its eigenvectors are then even or odd about x = 1/2,
+and the matrix splits exactly into an even and an odd block of half size
+whose values interlace; both are solved in place of the whole matrix.
+
 Near a bifurcation point lam_n^(+/-) the branch admits the expansion
 
     lam(s) = lam_n +/- eta1 s + eta2 s^2 + O(s^3),
@@ -115,17 +121,47 @@ def neumann_tridiagonal(V: Profile):
     return diag, off
 
 
-def _corrected_eigenvalues(V: Profile, **select) -> np.ndarray:
-    """Corrected eigenvalues of -D^2 + V, lowest first, chosen by ``select``.
+def _eigenvalues(diag, off, select="a", select_range=None) -> np.ndarray:
+    try:
+        return eigvalsh_tridiagonal(diag, off, select=select, select_range=select_range)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - symmetric tridiagonal
+        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+
+
+def _corrected_eigenvalues(V: Profile, select="a", select_range=None) -> np.ndarray:
+    """Corrected eigenvalues of -D^2 + V, lowest first: all of them, the lowest
+    m for select="i" over (0, m - 1), or those in a value range for select="v".
+
+    A palindromic V (V[i] == V[N-1-i]; N = 2c + 1 is odd for every Profile)
+    makes the tridiagonal T commute with the reversal, so T splits exactly
+    into its even part, nodes 0..c with the coupling to the center node scaled
+    by sqrt 2, and its odd part, nodes 0..c-1 with Dirichlet at the center
+    (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  The odd block is the
+    even block's leading principal submatrix, so their values interlace
+    strictly and the k-th of T is the (k // 2)-th of the even block for even k
+    and of the odd block for odd k: the lowest m are the lowest ceil(m/2) even
+    and floor(m/2) odd values.  Both blocks are half the size of T; any other
+    V takes one call on T.
 
     The k-th (0-based) gains (k pi)^2 - (4/h^2) sin^2(k pi h/2), the exact
     minus the discrete value at V = 0 (Paine, de Hoog & Anderssen); that never
     falls with k, so the corrected values ascend strictly like the raw ones.
     """
-    try:
-        vals = eigvalsh_tridiagonal(*neumann_tridiagonal(V), **select)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - symmetric tridiagonal
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    diag, off = neumann_tridiagonal(V)
+    if not np.array_equal(V.values, V.values[::-1]):
+        vals = _eigenvalues(diag, off, select, select_range)
+    else:
+        c = V.n_points // 2
+        even_off = off[:c].copy()
+        even_off[-1] *= math.sqrt(2.0)
+        even_range = odd_range = select_range
+        if select == "i":
+            m = select_range[1] + 1
+            even_range, odd_range = (0, (m - 1) // 2), (0, m // 2 - 1)
+        parts = [_eigenvalues(diag[: c + 1], even_off, select, even_range)]
+        if select != "i" or m > 1:
+            parts.append(_eigenvalues(diag[:c], off[: c - 1], select, odd_range))
+        vals = np.sort(np.concatenate(parts))
     k_pi = math.pi * np.arange(vals.size)
     return vals + (k_pi ** 2 - 4.0 * (V.n_points - 1.0) ** 2 * np.sin(0.5 * V.h * k_pi) ** 2)
 
@@ -135,7 +171,11 @@ def sturm_spectrum(V: Profile, m: int) -> Spectrum:
 
     When the m-th is negative the count runs past m, and values and count come
     from one whole-spectrum call: LAPACK values are good to about ulp ||T||
-    (4e-9 at 2001 points), so two calls never share one decision near zero.
+    by bisection and to a few ulp ||T|| over the whole spectrum, ||T|| the
+    largest absolute row sum of the whole tridiagonal (about 4.4/h^2 + max |V|,
+    so ulp ||T|| is 4e-9 at 2001 points); two calls never share one decision
+    near zero.  The blocks of a palindromic V are T restricted to
+    invariant subspaces, so their norms are no larger than ||T||.
     """
     m = whole(m, 1, "eigenvalue count m")
     if m > V.n_points:

@@ -303,7 +303,7 @@ def kinetic_d3f(w, p: ModelParams):
 _ATANH_TAIL = tuple(1.0 / (2 * k + 1) for k in range(1, 11))
 
 
-def w_minus_log1p_over_w(w: np.ndarray) -> np.ndarray:
+def w_minus_log1p_over_w(w):
     """(w - log(1+w))/w elementwise (0 at w = 0), without cancellation for
     small |w| and without underflow: it is w/2 to leading order, where
     w - log1p(w) itself leaves the double range below |w| ~ 1e-154.
@@ -313,14 +313,26 @@ def w_minus_log1p_over_w(w: np.ndarray) -> np.ndarray:
     P(v) = sum_{k>=1} v^(k-1)/(2k+1).  Since |u| <= 1/7, ten terms of P
     leave a truncation below 1e-19 relative; the cost is fixed and each
     element depends on itself alone.  Larger |w| need no care.
+
+    A Python float takes one branch by a plain test and returns a float
+    equal bit for bit to the array's element; on a float, the two np.where
+    calls on 0-d arrays would take most of the time.
     """
-    u = w / (2.0 + w)
+    if isinstance(w, float):
+        if abs(w) <= 0.25:
+            return (w - _atanh_tail_term(w / (2.0 + w))) / (2.0 + w)
+        return float((w - np.log1p(w)) / w)
+    small = np.abs(w) <= 0.25
+    return np.where(small, w - _atanh_tail_term(w / (2.0 + w)), w - np.log1p(w)) / np.where(small, 2.0 + w, w)
+
+
+def _atanh_tail_term(u):
+    """2 u^2 P(u^2) = (2 atanh(u) - 2u)/u, with the ten terms of P."""
     v = u * u
     tail = _ATANH_TAIL[-1]
     for c in _ATANH_TAIL[-2::-1]:
         tail = tail * v + c
-    small = np.abs(w) <= 0.25
-    return np.where(small, w - 2.0 * v * tail, w - np.log1p(w)) / np.where(small, 2.0 + w, w)
+    return 2.0 * v * tail
 
 
 def potential_F(w, p: ModelParams):

@@ -55,7 +55,11 @@ CENTER_CUTOFF = 1e-8
 
 # The phase plane reaches |F| ~ 2 lam w0^2 at its homoclinic extent w_h ~ 2 w0;
 # PhasePlane refuses parameters where four times that, 8 lam (1 + w0)^2, is
-# not below the largest double.
+# not below the largest double.  At the bottom, the companion's smallest
+# target is the gap one relative ulp from the center, lam w0 q (eps w0)^2/2
+# with q = 1/(1 + w0); PhasePlane refuses parameters where that is below the
+# smallest normal double, as the well's depth (lam w0^3/6 for small w0) then
+# is within a factor 1/eps^2 of underflow.
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -112,10 +116,16 @@ class PhasePlane:
                 f"the phase plane at lam = {lam:g}, w0 = {w0:g} leaves the double range: "
                 f"8 lam (1 + w0)^2 must stay below {_FLOAT_MAX:g}"
             )
+        q = 1.0 / (1.0 + w0)
+        if not 0.5 * lam * w0 * q * (sys.float_info.epsilon * w0) ** 2 >= sys.float_info.min:
+            raise DomainError(
+                f"the phase plane at lam = {lam:g}, w0 = {w0:g} leaves the double range: the gap one "
+                f"ulp from the center, lam w0 (eps w0)^2/(2 (1 + w0)), must be at least {sys.float_info.min:g}"
+            )
         for name, value in (
             ("w0", w0),
             ("bmu_d", self.p.bmu_over_d),
-            ("q", 1.0 / (1.0 + w0)),
+            ("q", q),
             ("T_c", time_map_center(self.p)),
         ):
             object.__setattr__(self, name, value)

@@ -158,6 +158,127 @@ class TestSpectrumOracle:
             assert_nondegenerate(w, q)
 
 
+def _full_call(V: Profile, **select) -> np.ndarray:
+    """Oracle: the library's corrected values from one LAPACK call on the
+    whole tridiagonal, with its correction formula and rounding order."""
+    vals = eigvalsh_tridiagonal(*neumann_tridiagonal(V), **select)
+    k_pi = math.pi * np.arange(vals.size)
+    return vals + (k_pi ** 2 - 4.0 * (V.n_points - 1.0) ** 2 * np.sin(0.5 * V.h * k_pi) ** 2)
+
+
+def _ulp_norm(V: Profile) -> float:
+    """ulp of ||T||, the largest absolute row sum of the whole tridiagonal."""
+    diag, off = neumann_tridiagonal(V)
+    rows = np.abs(diag) + np.append(np.abs(off), 0.0) + np.insert(np.abs(off), 0, 0.0)
+    return float(np.spacing(rows.max()))
+
+
+@pytest.fixture(scope="module")
+def palindromes():
+    """Both members' potentials at n = 2 (mu = 170, 360) and n = 4 (mu = 640),
+    each a palindrome on 2001 points, by (mu, branch)."""
+    out = {}
+    for mu, lam, n in ((170.0, 85.0, 2), (360.0, 180.0, 2), (640.0, 300.0, 4)):
+        p = ModelParams(mu=mu, lam=lam)
+        for sol in nodal_pair(n, p):
+            out[mu, sol.branch] = (nodal_potential(sol.profile, p), n, degeneracy_tolerance(lam))
+    return out
+
+
+@pytest.fixture(scope="module")
+def non_palindromes():
+    """Potentials that do not read the same reversed: both members at n = 1
+    and n = 3, and a constant one with one end node a single ulp off."""
+    out = []
+    for mu, lam, n in ((170.0, 85.0, 1), (360.0, 180.0, 3)):
+        p = ModelParams(mu=mu, lam=lam)
+        out += [nodal_potential(sol.profile, p) for sol in nodal_pair(n, p)]
+    flat = np.full(2001, -30.0)
+    flat[0] = np.nextafter(flat[0], 0.0)
+    return out + [Profile(flat)]
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """(size, values) of every eigvalsh_tridiagonal call linstab makes."""
+    calls = []
+
+    def spy(diag, off, **select):
+        vals = eigvalsh_tridiagonal(diag, off, **select)
+        calls.append((diag.size, vals))
+        return vals
+
+    monkeypatch.setattr(linstab, "eigvalsh_tridiagonal", spy)
+    return calls
+
+
+class TestPalindromeSplit:
+    """A palindromic potential is solved as an even block of c + 1 and an
+    odd block of c nodes (N = 2c + 1); any other takes one full call."""
+
+    def test_block_sizes(self, palindromes, non_palindromes, solver_calls):
+        V, n, _ = palindromes[360.0, "lower"]
+        sturm_spectrum(V, n + 2)
+        assert [size for size, _ in solver_calls] == [1001, 1000]
+        for V in non_palindromes:
+            solver_calls.clear()
+            sturm_spectrum(V, 4)
+            assert [size for size, _ in solver_calls] == [2001]
+
+    @pytest.mark.parametrize("key", [(mu, b) for mu in (170.0, 360.0, 640.0) for b in ("lower", "upper")])
+    def test_matches_one_full_call(self, palindromes, key):
+        # by index and by value, bisection on the blocks and on T agree to
+        # ulp ||T||; the whole spectrum (MRRR), which sturm_spectrum takes
+        # for m <= n, scatters by up to 3.1 ulp ||T|| around bisection on T
+        # and on the blocks alike
+        V, n, tol = palindromes[key]
+        ulp = _ulp_norm(V)
+        full_whole = _full_call(V)
+        assert np.count_nonzero(full_whole < 0.0) == n
+        for m in range(1, 2 * n + 3):
+            spec = sturm_spectrum(V, m)
+            full = _full_call(V, select="i", select_range=(0, m - 1))
+            bound = ulp if m > n else 4.0 * ulp
+            np.testing.assert_allclose(spec.eigenvalues, full, rtol=0.0, atol=bound)
+            assert spec.morse_index == n
+        by_value = linstab._corrected_eigenvalues(V, select="v", select_range=(-np.inf, tol))
+        full = _full_call(V, select="v", select_range=(-np.inf, tol))
+        assert by_value.size == full.size == n
+        np.testing.assert_allclose(by_value, full, rtol=0.0, atol=ulp)
+        whole = linstab._corrected_eigenvalues(V)
+        bisection = _full_call(V, select="i", select_range=(0, 39))
+        np.testing.assert_allclose(whole[:40], bisection, rtol=0.0, atol=4.0 * ulp)
+        np.testing.assert_allclose(full_whole[:40], bisection, rtol=0.0, atol=4.0 * ulp)
+        assert whole.size == V.n_points
+        assert np.count_nonzero(whole < 0.0) == n
+
+    @pytest.mark.parametrize("select", [{"select": "i", "select_range": (0, 5)}, {}])
+    def test_merged_values_alternate_between_blocks(self, palindromes, solver_calls, select):
+        # the odd block is the even block's leading principal submatrix, so
+        # the values interlace strictly: even, odd, even, ...
+        for V, _, _ in palindromes.values():
+            solver_calls.clear()
+            vals = linstab._corrected_eigenvalues(V, **select)
+            (even_size, even), (odd_size, odd) = solver_calls
+            assert (even_size, odd_size) == (1001, 1000)
+            merged = np.sort(np.concatenate([even, odd]))
+            assert np.array_equal(merged[0::2], even) and np.array_equal(merged[1::2], odd)
+            assert np.all(np.diff(vals) > 0.0)
+
+    def test_one_value_takes_no_odd_block(self, solver_calls):
+        V = Profile.constant(5.0, 2001)
+        spec = sturm_spectrum(V, 1)
+        assert [size for size, _ in solver_calls] == [1001]
+        assert spec.morse_index == 0
+        assert spec.eigenvalues[0] == pytest.approx(5.0, rel=0.0, abs=_ulp_norm(V))
+
+    def test_other_potentials_are_bit_identical_to_one_full_call(self, non_palindromes):
+        for V in non_palindromes:
+            for select in ({"select": "i", "select_range": (0, 4)},
+                           {"select": "v", "select_range": (-np.inf, 1e-3)}, {}):
+                assert np.array_equal(linstab._corrected_eigenvalues(V, **select), _full_call(V, **select))
+
+
 class TestMorseIndexNodal:
     def test_near_window_ends_equals_mode(self, desk):
         root = lambda_roots(1, desk)

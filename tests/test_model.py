@@ -300,3 +300,24 @@ class TestPotentialKernel:
     def test_empty_array_accepted(self, desk):
         assert potential_F(np.array([]), desk).shape == (0,)
         assert kinetic_f(np.empty((0, 3)), desk).shape == (0, 3)
+
+    def test_float_path_equals_array_path_bit_for_bit(self):
+        # a Python float takes one branch by a plain test; on seeded points
+        # across |w| = 1/4, negative w down to near -1, w near 1e-300 and large
+        # w, it returns a float equal to the array's element
+        rng = np.random.default_rng(22)
+        quarter = 0.25 * (1.0 + rng.uniform(-1e-12, 1e-12, 2000))
+        w = np.concatenate([
+            rng.uniform(-0.3, 0.3, 4000),
+            quarter,
+            -quarter,
+            [0.25, -0.25, 0.0],
+            -1.0 + 10.0 ** rng.uniform(-15.0, 0.0, 2000),
+            10.0 ** rng.uniform(-300.0, -1.0, 2000),
+            -(10.0 ** rng.uniform(-300.0, -1.0, 2000)),
+            [1e-300, -1e-300, 5e-324],
+            10.0 ** rng.uniform(-1.0, 300.0, 2000),
+        ])
+        singles = [w_minus_log1p_over_w(x) for x in w.tolist()]
+        assert all(type(v) is float for v in singles)
+        assert np.array_equal(np.array(singles).view(np.int64), w_minus_log1p_over_w(w).view(np.int64))

@@ -237,6 +237,30 @@ class TestPhasePlane:
             assert plane.w0 < plane.w_h < math.inf
             assert math.isfinite(plane.time_map(0.5 * plane.w0).T)
 
+    @pytest.mark.parametrize("lam, rel", [(1e-300, 1e-15), (1e-250, 1e-12)])
+    def test_refuses_a_plane_whose_gaps_underflow(self, lam, rel):
+        # at mu = lam (1 + rel) the well's depth, about lam w0^3/6, underflows
+        # (lam = 1e-300) or lies within 1/eps^2 of the smallest normal double
+        # (lam = 1e-250); companion(0.5 w0) raised a bare ZeroDivisionError at
+        # the first and time_map a QuadratureError at the second
+        p = ModelParams(mu=lam * (1.0 + rel), lam=lam)
+        for call in (lambda: PhasePlane(p), lambda: time_map(0.5 * w0_const(p), p)):
+            with pytest.raises(DomainError, match="leaves the double range: the gap one ulp from the center"):
+                call()
+
+    def test_builds_just_above_the_underflow_bound(self):
+        # at w0 = 1e-3 the bound lam w0 (eps w0)^2/(2 (1 + w0)) >= the smallest
+        # normal double puts lam at 9.0e-268; just above it the companion one
+        # ulp below the center is finite and right of it
+        w0 = 1e-3
+        lam_min = 2.0 * sys.float_info.min * (1.0 + w0) / (w0 * (sys.float_info.epsilon * w0) ** 2)
+        with pytest.raises(DomainError, match="leaves the double range"):
+            PhasePlane(ModelParams(mu=0.99 * lam_min * (1.0 + w0), lam=0.99 * lam_min))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plane = PhasePlane(ModelParams(mu=1.01 * lam_min * (1.0 + w0), lam=1.01 * lam_min))
+            assert plane.w0 < plane.companion(math.nextafter(plane.w0, 0.0)) < plane.w_h
+
     def test_time_map_at_the_edge_of_the_double_range(self):
         # small lam lets w0 reach 1.5e155, where |Delta| A and the square of
         # 1 + w_end overflow; at that size the orbit is harmonic and T is
