@@ -114,7 +114,7 @@ def criterion_04_monotone_divergence() -> CriterionResult:
     # with the grid decreasing (which `ok` also requires) its largest T is at grid[0]
     t_grid_max = plane.time_map(float(grid[0])).T
     above_grid = near[-1] > t_grid_max
-    ratio = plane.time_map(1e-6 * w0).T / plane.T_c
+    ratio = plane.time_map(1e-6 * w0).T / timemap.time_map_center(p)
     ok = decreasing and law_ok and growing and above_grid
     return _result(
         4, "time-map monotonicity and divergence", ok,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import acceptance, linstab, nodal, perturbed, spectral, timemap
 from .errors import ConvergenceError, DomainError, IntegrationError, NoSolutionError
-from .model import CoeffFn, ModelParams, Profile, w0_const, whole
+from .model import CoeffFn, ModelParams, Profile, potential_F, w0_const, whole
 
 __all__ = ["build_parser", "emit_diagram", "main"]
 
@@ -154,7 +154,7 @@ def _run_timemap(p, args):
     rows = []
     for j in range(1, samples + 1):
         s = plane.time_map(w0 * j / (samples + 1.0))
-        rows.append((s.w_minus, s.w_plus, s.T, s.energy_level))
+        rows.append((s.w_minus, s.w_plus, s.T, float(potential_F(s.w_minus, p))))
     _write_csv(args.output, ["w_minus", "w_plus", "T", "energy_level"], rows)
 
 

@@ -104,16 +104,15 @@ def solve_amplitude(n: int, p: ModelParams) -> float:
     1e-10, found by Brent's method in ln w_- against one PhasePlane context of p.
 
     Raises NoSolutionError outside the existence window, reporting which
-    precondition failed (mu at or below the mode threshold, or lam outside
-    the open root window).
+    precondition failed (mu at or below the mode threshold, lam outside the
+    open root window, or a window too thin for the time map to resolve).
     """
-    plane = PhasePlane(p)
-    return _invert_time_map(_existing_mode(n, plane), plane)
+    plane = PhasePlane(p)  # validates the phase-plane domain first
+    return _invert_time_map(_existing_mode(n, p), plane)
 
 
-def _existing_mode(n, plane: PhasePlane) -> int:
+def _existing_mode(n, p: ModelParams) -> int:
     """n as an int, once the n-crossing existence window is known to hold lam."""
-    p = plane.p
     holds = window_holds(n, p)  # validates n
     n = int(n)
     if not holds:
@@ -127,10 +126,6 @@ def _existing_mode(n, plane: PhasePlane) -> int:
             f"no {n}-crossing solution: lam = {p.lam:g} outside the window "
             f"({root.lambda_minus:g}, {root.lambda_plus:g})"
         )
-    if n * plane.T_c >= 1.0:
-        raise NoSolutionError(
-            f"no {n}-crossing solution: amplitude window is below numerical resolution at lam = {p.lam:g}"
-        )
     return n
 
 
@@ -138,11 +133,13 @@ def _invert_time_map(n: int, plane: PhasePlane) -> float:
     """Brent's method for n T(e^s) = 1 in s = ln w_- on the bracket
     [ln w0 - k/n - 1, ln w0 + log1p(-1e-10)], k = sqrt(b mu/d - lam).
 
-    The top lies inside the center cutoff, where n T = n T_c < 1.  The floor
-    cannot miss: w - log1p(w) <= w^2/2 on (0, w0) gives F(w) >= -k^2 w^2/2,
-    and F(w_-) < 0, so T(w_-) > ln(w0/w_-)/k and n T > 1 + n/k there.  Near
-    the saddle T is almost linear in s (slope -1/k), so the root keeps full
-    relative precision however small w_- is.
+    Inside the window n T_c < 1 at the center, and T at the top is within
+    rounding of T_c; a window too thin for that (n T >= 1 at the top, which
+    Brent's method would return as the root) is refused as below numerical
+    resolution.  The floor cannot miss: w - log1p(w) <= w^2/2 on (0, w0)
+    gives F(w) >= -k^2 w^2/2, and F(w_-) < 0, so T(w_-) > ln(w0/w_-)/k and
+    n T > 1 + n/k there.  Near the saddle T is almost linear in s (slope
+    -1/k), so the root keeps full relative precision however small w_- is.
     The law is loose for large w0 (root e^-286, floor e^-765 at lam = 25,
     mu = 6e5), so the floor is raised to the smallest normal double at most.
     """
@@ -165,6 +162,10 @@ def _invert_time_map(n: int, plane: PhasePlane) -> float:
         )
     if h_lo <= 0.0:
         raise ConvergenceError(f"amplitude bracket failed: n*T = {h_lo + 1.0:g} <= 1 at the saddle-law floor")
+    if h(hi) >= 0.0:
+        raise NoSolutionError(
+            f"no {n}-crossing solution: amplitude window is below numerical resolution at lam = {p.lam:g}"
+        )
     root, info = brentq(
         h, lo, hi, xtol=2.0 * np.finfo(float).eps, rtol=4.0 * np.finfo(float).eps,
         maxiter=200, full_output=True, disp=False,
@@ -326,7 +327,7 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = _N_POINTS) -> tuple[Nodal
     n_points = grid_points(n_points)
     cells = n_points - 1
     plane = PhasePlane(p)
-    n = _existing_mode(n, plane)
+    n = _existing_mode(n, p)
     w_minus = _invert_time_map(n, plane)
     ws, zs, g = _integrate_wz(w_minus, p, cells, n)
     _check_energy_drift(ws, zs, w_minus, p)
@@ -361,9 +362,9 @@ def _finalize(n, branch, w_minus, ws, residual, p, w0) -> NodalSolution:
 def max_crossing_number(p: ModelParams) -> int:
     """Largest n whose existence window contains lam (0 when only w0 exists).
     The open windows nest (lam_n^- rises and lam_n^+ falls with n), so this
-    counts those that hold lam."""
+    counts those that window_holds finds holding lam."""
     w0_const(p)  # validates the window
-    return sum(root.lambda_minus < p.lam < root.lambda_plus for root in mode_windows(p))
+    return sum(window_holds(root.ell, p) for root in mode_windows(p))
 
 
 def enumerate_solutions(p: ModelParams) -> SolutionSet:

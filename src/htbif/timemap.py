@@ -13,7 +13,9 @@ point, with a cancellation-free gap F(w_end) - F(w).  Near the saddle that
 gap is linear in x only over a vanishing width, and the substitution
 x = sigma sinh^2(t), exact for a quadratic gap, turns the endpoint singularity
 and the logarithmic spike alike into a nearly constant integrand for adaptive
-Gauss-Legendre panels.
+Gauss-Legendre panels.  The same quadrature runs for every w_- in (0, w0),
+up to one ulp below the center, where it meets the center limit
+pi/sqrt(f'(w0)) to rounding.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .model import (
     kinetic_d3f,
     kinetic_df,
     kinetic_f,
-    potential_F,
     w0_const,
     w_minus_log1p_over_w,
 )
@@ -49,8 +50,8 @@ __all__ = [
     "time_map_center",
 ]
 
-# Orbits with w0 - w_minus below this fraction of w0 are ill-conditioned for
-# quadrature and return the center limit directly.
+# A width below the center, as a fraction of w0, that no code here reads:
+# bench/test_inputs.py asserts that its timemap_scan draws stay outside it.
 CENTER_CUTOFF = 1e-8
 
 # The phase plane reaches |F| ~ 2 lam w0^2 at its homoclinic extent w_h ~ 2 w0;
@@ -65,12 +66,11 @@ _FLOAT_MAX = sys.float_info.max
 
 @dataclass(frozen=True)
 class TimeMapSample:
-    """One half-period evaluation: turning points, time, and energy level."""
+    """One half-period evaluation: the turning points and the time between them."""
 
     w_minus: float
     w_plus: float
     T: float
-    energy_level: float
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,10 @@ class ABReport:
 class PhasePlane:
     """Phase-plane context of the limit problem at one parameter set.
 
-    Built once per ModelParams, it holds the center w0, b mu/d,
-    q = 1/(1 + w0) and the center limit T_c of the time map, and finds the
-    homoclinic extent w_h on first read, so that repeated companion and
-    time-map evaluations at the same parameters re-derive none of them.
+    Built once per ModelParams, it holds the center w0, b mu/d and
+    q = 1/(1 + w0), and finds the homoclinic extent w_h on first read, so
+    that repeated companion and time-map evaluations at the same parameters
+    re-derive none of them.
     Both turning-point solves take Newton steps on plain floats against the
     model's cancellation-free gap.  The module-level homoclinic_extent and
     time_map are thin wrappers that build a context per call.
@@ -106,7 +106,6 @@ class PhasePlane:
     w0: float = field(init=False)
     bmu_d: float = field(init=False)
     q: float = field(init=False)
-    T_c: float = field(init=False)
 
     def __post_init__(self):
         w0 = w0_const(self.p)
@@ -122,12 +121,7 @@ class PhasePlane:
                 f"the phase plane at lam = {lam:g}, w0 = {w0:g} leaves the double range: the gap one "
                 f"ulp from the center, lam w0 (eps w0)^2/(2 (1 + w0)), must be at least {sys.float_info.min:g}"
             )
-        for name, value in (
-            ("w0", w0),
-            ("bmu_d", self.p.bmu_over_d),
-            ("q", q),
-            ("T_c", time_map_center(self.p)),
-        ):
+        for name, value in (("w0", w0), ("bmu_d", self.p.bmu_over_d), ("q", q)):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -169,22 +163,20 @@ class PhasePlane:
         """Turning point w_+ in (w0, w_h) on the same energy level as w_minus.
 
         Solves F(w_+) = F(w_minus) in the offset from w0 by safeguarded
-        Newton steps on the model's cancellation-free gap.
+        Newton steps on the model's cancellation-free gap.  One ulp below a
+        power-of-two center the offset is half an ulp of w0 above it, and
+        w0 + offset rounds onto w0 itself, so w_+ is at least the next double
+        above w0.
         """
         w0 = self.w0
         if not sys.float_info.min <= w_minus < w0:
             raise DomainError(f"w_minus must be a normal double in (0, w0) = (0, {w0:g}); got {w_minus!r}")
-        return w0 + self._offset(w_minus)
+        return max(w0 + self._offset(w_minus), math.nextafter(w0, math.inf))
 
     def time_map(self, w_minus: float) -> TimeMapSample:
         """Half-period map at the left turning point w_minus in (0, w0)."""
         w_plus = self.companion(w_minus)
-        level = float(potential_F(w_minus, self.p))
-        if self.w0 - w_minus < CENTER_CUTOFF * self.w0:
-            # quadrature loses significance this close to the center
-            return TimeMapSample(w_minus, w_plus, self.T_c, level)
-        t = self._half_orbit_time(w_minus) + self._half_orbit_time(w_plus)
-        return TimeMapSample(w_minus, w_plus, t, level)
+        return TimeMapSample(w_minus, w_plus, self._half_orbit_time(w_minus) + self._half_orbit_time(w_plus))
 
     def _gap_over_x(self, w_end: float):
         """(A, G) with F(w_end) - F(w) = lam x G(x) at x = |w - w_end| from the

@@ -19,7 +19,7 @@ from htbif.nodal import (
     trace_loop,
 )
 from htbif.spectral import eta2_closed_form, lambda_roots, mode_windows, mu_threshold, window_lambdas
-from htbif.timemap import PhasePlane, time_map, time_map_center
+from htbif.timemap import PhasePlane, TimeMapSample, time_map, time_map_center
 
 # 60-digit reference for the 1-crossing amplitude at desk scale
 W_MINUS_REF = 0.3038014537941711793078
@@ -156,6 +156,20 @@ class TestSolveAmplitude:
             assert counts["w_h"] == 0
             assert counts["time_map"] <= 25
             assert abs(n * time_map(wm, q).T - 1.0) <= 1e-12
+
+    def test_window_below_resolution_is_refused(self, desk, monkeypatch):
+        # n T = 1 exactly at the bracket top w0 (1 - 1e-10), where Brent's
+        # method would return the top itself as the root: the solve refuses
+        original = PhasePlane.time_map
+
+        def flat_at_the_top(self, w_minus):
+            s = original(self, w_minus)
+            return TimeMapSample(s.w_minus, s.w_plus, 1.0) if w_minus > (1.0 - 1e-9) * self.w0 else s
+
+        monkeypatch.setattr(PhasePlane, "time_map", flat_at_the_top)
+        for solve in (solve_amplitude, nodal_pair):
+            with pytest.raises(NoSolutionError, match="below numerical resolution"):
+                solve(1, desk)
 
     def test_floor_below_the_double_range_is_raised(self):
         # the saddle-law floor w0 exp(-k - 1) is about e^-765 here, but the

@@ -163,9 +163,9 @@ class TestTimeMap:
         s = time_map(0.5, desk)
         assert s.T == pytest.approx(T_HALF_REF, rel=1e-12)
         assert s.w_plus == pytest.approx(COMPANION_HALF_REF, rel=1e-13)
-        assert s.energy_level == pytest.approx(float(potential_F(0.5, desk)), rel=1e-15)
-        assert s.energy_level < 0.0
-        assert abs(float(potential_F(s.w_plus, desk)) - s.energy_level) < 1e-12 * (1 + abs(s.energy_level))
+        level = float(potential_F(s.w_minus, desk))
+        assert level < 0.0
+        assert abs(float(potential_F(s.w_plus, desk)) - level) < 1e-12 * (1 + abs(level))
 
     def test_near_saddle_frozen(self, desk):
         assert time_map(1e-6, desk).T == pytest.approx(T_NEAR_SADDLE_REF, rel=1e-9)
@@ -196,8 +196,64 @@ class TestTimeMap:
             assert time_map(wm, desk).T > tc
 
     def test_regularized_region_returns_center(self, desk):
+        # the quadrature itself, 1e-9 w0 below the center, rounds to T_c
         w0 = w0_const(desk)
         assert time_map(w0 * (1.0 - 1e-9), desk).T == time_map_center(desk)
+
+    def test_companion_one_ulp_below_the_center(self, desk):
+        # the offset is below half an ulp of w0 = 1, so w0 + offset would
+        # round onto the center; the companion keeps to (w0, w_h)
+        assert w0_const(desk) == 1.0
+        assert PhasePlane(desk).companion(math.nextafter(1.0, 0.0)) > 1.0
+
+    def test_one_ulp_below_the_center_takes_the_quadrature(self, desk, monkeypatch):
+        calls = []
+        original = timemap.adaptive_gauss
+
+        def counted(f, a, b):
+            calls.append((a, b))
+            return original(f, a, b)
+
+        monkeypatch.setattr(timemap, "adaptive_gauss", counted)
+        t = time_map(math.nextafter(1.0, 0.0), desk).T
+        assert len(calls) == 2
+        assert abs(t - time_map_center(desk)) <= 1e-14
+
+    def test_meets_the_center_limit_from_one_ulp_to_1e8_w0_below(self, monkeypatch):
+        # the quadrature, two integrals per time map, keeps |T/T_c - 1| <=
+        # 1e-12 in the last 1e-8 w0 below the center, on random planes (mu
+        # 5..2000, lam 0.02..0.999 mu, so w0 >= 1e-3), on power-of-two
+        # centers, whose ulp below is half the ulp above, and on the plane at
+        # the edge of the double range (w0 = 1.5e155); at most 6.7e-16,
+        # 8.5e-15 and 2.2e-16 measured
+        calls = Counter()
+        original = timemap.adaptive_gauss
+
+        def counted(f, a, b):
+            calls["integrals"] += 1
+            return original(f, a, b)
+
+        monkeypatch.setattr(timemap, "adaptive_gauss", counted)
+        rng = np.random.default_rng(23)
+        planes = []
+        for _ in range(40):
+            mu = math.exp(rng.uniform(math.log(5.0), math.log(2000.0)))
+            planes.append(ModelParams(mu=mu, lam=rng.uniform(0.02, 0.999) * mu))
+        planes += [ModelParams(mu=lam * (1.0 + 2.0 ** k), lam=lam) for k in range(-9, 40, 4) for lam in (0.25, 3.0)]
+        lam = 1e-3
+        w0_max = math.sqrt(sys.float_info.max / 8.0) / math.sqrt(lam) - 1.0
+        planes.append(ModelParams(mu=lam * (1.0 + 0.999 * w0_max), lam=lam))
+        worst = 0.0
+        for p in planes:
+            plane = PhasePlane(p)
+            w0, tc = plane.w0, time_map_center(p)
+            below = math.nextafter(w0, 0.0)
+            for w_minus in (below, *(min(w0 * (1.0 - 10.0 ** rng.uniform(-16.0, -8.0)), below) for _ in range(4))):
+                worst = max(worst, abs(plane.time_map(w_minus).T / tc - 1.0))
+                calls["maps"] += 1
+        assert planes[-1].mu / planes[-1].lam > 1e155
+        assert calls["integrals"] == 2 * calls["maps"]
+        assert worst <= 1e-12
 
     def test_energy_conservation_against_orbit(self, desk):
         # marching the Cauchy problem for time T must land on (w_plus, 0)
@@ -214,7 +270,6 @@ class TestPhasePlane:
     def test_wrappers_agree_with_context(self, desk):
         plane = PhasePlane(desk)
         assert plane.w_h == homoclinic_extent(desk)
-        assert plane.T_c == time_map_center(desk)
         assert plane.time_map(0.5) == time_map(0.5, desk)
 
     def test_window_required(self, desk):
@@ -269,7 +324,7 @@ class TestPhasePlane:
         w0_max = math.sqrt(sys.float_info.max / 8.0) / math.sqrt(lam) - 1.0
         plane = PhasePlane(ModelParams(mu=lam * (1.0 + 0.999 * w0_max), lam=lam))
         for ratio in (1e-100, 1e-8, 0.5):
-            assert plane.time_map(ratio * plane.w0).T == pytest.approx(plane.T_c, rel=1e-10)
+            assert plane.time_map(ratio * plane.w0).T == pytest.approx(time_map_center(plane.p), rel=1e-10)
 
     @pytest.mark.parametrize("lam, mu", [(25.0, 2.37e154), (1e-8, 1e-8 * (1.0 + 4.7e149))])
     def test_saddle_far_below_a_huge_center(self, lam, mu):
@@ -280,7 +335,7 @@ class TestPhasePlane:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for ratio in (1e-100, 1e-300):
-                assert plane.time_map(ratio * plane.w0).T == pytest.approx(plane.T_c, rel=1e-10)
+                assert plane.time_map(ratio * plane.w0).T == pytest.approx(time_map_center(plane.p), rel=1e-10)
 
     def test_no_reference_cycles(self, desk):
         # benchmarks pause the collector while operations run, so garbage
@@ -614,7 +669,9 @@ class TestMonotoneCheck:
 
     @pytest.mark.parametrize(
         "fracs, verdict",
-        [((1e-8, 0.3, 0.7, 0.99), True), ((1.0 - 1e-9, 1.0 - 5e-10), False)],  # 2nd: both at T_c
+        # 2nd: T = T_c at 1 - 1e-9 and one ulp above T_c at 1 - 5e-10, a
+        # rounding-level rise next to the center that the verdict refuses
+        [((1e-8, 0.3, 0.7, 0.99), True), ((1.0 - 1e-9, 1.0 - 5e-10), False)],
     )
     def test_verdict_matches_wrapper_calls(self, desk, fracs, verdict):
         grid = w0_const(desk) * np.asarray(fracs)
