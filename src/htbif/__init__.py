@@ -3,15 +3,19 @@ saturating predator-prey model on the unit interval.
 
 Modules
 -------
-model      parameters, coefficient functions, scalar kinetics and potential,
-           the integer check every layer shares (whole)
-spectral   eigencurves, mode windows, constant-state Morse index, expansion
-           closed forms
-timemap    phase-plane half-period map, center limit, monotonicity certificate
-nodal      exact n-crossing solution pairs, solution loops
-linstab    Neumann operator, Sturm spectra, Morse indices, expansion checks
-perturbed  coupled-system Newton solves, corrections, coexistence census
-cli        command-line front end (CSV/JSON/SVG emission)
+errors      the typed exceptions and the degeneracy warning
+model       parameters, coefficient functions, scalar kinetics and potential,
+            the integer check every layer shares (whole)
+quadrature  adaptive Gauss-Legendre panels
+spectral    eigencurves, mode windows, constant-state Morse index, expansion
+            closed forms
+timemap     phase-plane half-period map, center limit, monotonicity certificate
+nodal       exact n-crossing solution pairs, the labelled limit states,
+            solution loops
+linstab     Neumann operator, Sturm spectra, Morse indices, expansion checks
+perturbed   coupled-system Newton solves, corrections, coexistence census
+acceptance  the 15 acceptance criteria behind --seed-check
+cli         command-line front end (CSV/JSON/SVG emission)
 """
 
 from .errors import (
@@ -60,7 +64,6 @@ from .timemap import (
 from .nodal import (
     LoopPoint,
     NodalSolution,
-    SolutionSet,
     bvp_residual,
     crossing_count,
     enumerate_solutions,

@@ -138,11 +138,12 @@ def criterion_05_ab_certification() -> CriterionResult:
 def criterion_06_exact_multiplicity() -> CriterionResult:
     p = DESK
     sols = nodal.enumerate_solutions(p)
-    residuals = [nodal.bvp_residual(prof, p) for prof in sols.profiles()]
-    lower, upper = sols.pairs[0] if sols.pairs else (None, None)
-    count_ok = sols.count == 3 and len(sols.pairs) == 1
+    residuals = [nodal.bvp_residual(prof, p) for _, prof in sols]
+    w0 = w0_const(p)
+    crossings = [nodal.crossing_count(prof.values, w0) for _, prof in sols[1:3]] or ["-", "-"]
+    count_ok = len(sols) == 3
     res_ok = max(residuals) < 1e-6
-    crossings_ok = lower is not None and lower.crossings == 1 and upper.crossings == 1
+    crossings_ok = crossings == [1, 1]
     outside_ok = True
     for lam_out in (10.0, 40.0):
         try:
@@ -153,8 +154,8 @@ def criterion_06_exact_multiplicity() -> CriterionResult:
     ok = count_ok and res_ok and crossings_ok and outside_ok
     return _result(
         6, "exact multiplicity at kappa=1", ok,
-        f"count={sols.count} max bvp residual={max(residuals):.3e} "
-        f"crossings=({lower.crossings if lower else '-'},{upper.crossings if upper else '-'}) "
+        f"count={len(sols)} max bvp residual={max(residuals):.3e} "
+        f"crossings=({crossings[0]},{crossings[1]}) "
         f"no-solution outside window={outside_ok}",
     )
 

@@ -175,7 +175,8 @@ def _run_morse(p, args):
                      spectral.tau0(m_const - 1, q.lam, q), spectral.tau0(m_const, q.lam, q)))
         try:
             lower, upper = nodal.nodal_pair(n, q, args.n_points)
-        except (NoSolutionError, ConvergenceError, IntegrationError):
+        except (NoSolutionError, ConvergenceError, IntegrationError) as exc:
+            warnings.warn(f"morse skipped lam = {lam:g}: {exc}", stacklevel=2)
             continue
         for sol in (lower, upper):
             spec = linstab.sturm_spectrum(linstab.nodal_potential(sol.profile, q), n + 1)
@@ -209,7 +210,7 @@ def _state_payload(s):
 
 def _run_perturb(p, args):
     v_flat = Profile.constant(p.mu / p.d, args.n_points)
-    seeds = perturbed.limit_seeds(args.n, p, args.n_points)
+    seeds = nodal.limit_seeds(args.n, p, args.n_points)
     states = [perturbed.newton_solve(seed, v_flat, p, origin=origin) for origin, seed in seeds]
     _write_json(args.output, {
         "kind": "perturb",

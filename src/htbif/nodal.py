@@ -1,7 +1,8 @@
 """Construction of the exact pairs of n-crossing positive solutions of the
 limit problem by time-map inversion, an eighth-order Stormer/Adams march of
 the half-period piece (one force evaluation per node), the shifted companion
-solution, and the closed solution loops over the lam window.
+solution, the labelled limit states (the constant and every pair) and the
+closed solution loops over the lam window.
 
 An n-crossing solution exists iff n * T(w0) < 1; its starting amplitude is
 the unique w_- in (0, w0) with n * T(w_-) = 1 (the time map is strictly
@@ -31,10 +32,10 @@ from .timemap import PhasePlane
 __all__ = [
     "LoopPoint",
     "NodalSolution",
-    "SolutionSet",
     "bvp_residual",
     "crossing_count",
     "enumerate_solutions",
+    "limit_seeds",
     "nodal_pair",
     "solve_amplitude",
     "trace_loop",
@@ -79,24 +80,6 @@ class LoopPoint:
     w_minus_lower: float
     sup_norm_lower: float
     sup_norm_upper: float
-
-
-@dataclass(frozen=True, eq=False)
-class SolutionSet:
-    """All positive solutions at one (lam, mu): the constant plus nodal pairs."""
-
-    constant: Profile
-    pairs: tuple
-
-    @property
-    def count(self) -> int:
-        return 1 + 2 * len(self.pairs)
-
-    def profiles(self) -> list[Profile]:
-        out = [self.constant]
-        for lower, upper in self.pairs:
-            out.extend([lower.profile, upper.profile])
-        return out
 
 
 def solve_amplitude(n: int, p: ModelParams) -> float:
@@ -359,6 +342,19 @@ def _finalize(n, branch, w_minus, ws, residual, p, w0) -> NodalSolution:
     return NodalSolution(n, branch, w_minus, Profile(ws), p.lam, p.mu, residual, crossings)
 
 
+def limit_seeds(n: int, p: ModelParams, n_points: int) -> list[tuple[str, Profile]]:
+    """The 2n+1 limit states with their origin labels, which seed the census:
+    the constant w0, then the lower and upper member of every j-crossing pair,
+    j = 1..n.  DomainError unless n is an integer >= 1."""
+    window_holds(n, p)  # validates n
+    seeds = [("constant", Profile.constant(w0_const(p), n_points))]
+    for j in range(1, int(n) + 1):
+        lower, upper = nodal_pair(j, p, n_points)
+        seeds.append((f"nodal({j},lower)", lower.profile))
+        seeds.append((f"nodal({j},upper)", upper.profile))
+    return seeds
+
+
 def max_crossing_number(p: ModelParams) -> int:
     """Largest n whose existence window contains lam (0 when only w0 exists).
     The open windows nest (lam_n^- rises and lam_n^+ falls with n), so this
@@ -367,11 +363,11 @@ def max_crossing_number(p: ModelParams) -> int:
     return sum(window_holds(root.ell, p) for root in mode_windows(p))
 
 
-def enumerate_solutions(p: ModelParams) -> SolutionSet:
-    """Every positive solution of the limit problem at (lam, mu), on the _N_POINTS grid."""
-    w0 = w0_const(p)
-    pairs = [nodal_pair(n, p) for n in range(1, max_crossing_number(p) + 1)]
-    return SolutionSet(Profile.constant(w0, _N_POINTS), tuple(pairs))
+def enumerate_solutions(p: ModelParams) -> list[tuple[str, Profile]]:
+    """Every positive solution of the limit problem at (lam, mu), labelled, on the
+    _N_POINTS grid: limit_seeds over the windows holding lam, or the constant alone."""
+    n = max_crossing_number(p)
+    return limit_seeds(n, p, _N_POINTS) if n else [("constant", Profile.constant(w0_const(p), _N_POINTS))]
 
 
 def trace_loop(n: int, p: ModelParams, n_lambda: int = 41) -> list[LoopPoint]:

@@ -43,8 +43,8 @@ from .errors import (
     PositivityError,
 )
 from .linstab import assert_nondegenerate
-from .model import ModelParams, Profile, w0_const, whole
-from .nodal import nodal_pair
+from .model import ModelParams, Profile, whole
+from .nodal import limit_seeds
 from .spectral import mode_windows, mu_threshold, window_holds
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "continue_in_eps",
     "first_order_corrections",
     "jacobian_banded",
-    "limit_seeds",
     "newton_solve",
     "residual",
     "residual_fine",
@@ -416,19 +415,6 @@ def admissible_lambda(n: int, p: ModelParams, margin: float | None = None) -> No
                     f"lam = {p.lam:g} is within {margin:g} of the bifurcation value "
                     f"lam_{root.ell} = {lam_root:g}"
                 )
-
-
-def limit_seeds(n: int, p: ModelParams, n_points: int) -> list[tuple[str, Profile]]:
-    """The 2n+1 limit seeds of the census with their origin labels: the
-    constant w0, then the lower and upper member of every j-crossing pair,
-    j = 1..n.  DomainError unless n is an integer >= 1."""
-    window_holds(n, p)  # validates n
-    seeds = [("constant", Profile.constant(w0_const(p), n_points))]
-    for j in range(1, int(n) + 1):
-        lower, upper = nodal_pair(j, p, n_points)
-        seeds.append((f"nodal({j},lower)", lower.profile))
-        seeds.append((f"nodal({j},upper)", upper.profile))
-    return seeds
 
 
 def census(n: int, p: ModelParams, n_points: int = 2001) -> CensusResult:

@@ -15,7 +15,7 @@ x = sigma sinh^2(t), exact for a quadratic gap, turns the endpoint singularity
 and the logarithmic spike alike into a nearly constant integrand for adaptive
 Gauss-Legendre panels.  The same quadrature runs for every w_- in (0, w0),
 up to one ulp below the center, where it meets the center limit
-pi/sqrt(f'(w0)) to rounding.
+pi/sqrt(f'(w0)) to rounding.  Planes with w0 below 1e-6 are refused.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ __all__ = [
     "time_map",
     "time_map_center",
 ]
+
+# Smallest center w0 at which time_map runs.  The gap's terms cancel to about
+# eps/w0 relative, so T reads 1.4e-10 off at w0 = 9e-7, and up to 1.3e-10 off
+# near the saddle at 1e-6 itself, against its 1e-10 contract.  The slack admits
+# lam = mu/(1 + 1e-6), whose w0 rounds to 1e-6 (1 - 1.3e-10).
+_W0_FLOOR = 1e-6 * (1.0 - 1e-9)
 
 # A width below the center, as a fraction of w0, that no code here reads:
 # bench/test_inputs.py asserts that its timemap_scan draws stay outside it.
@@ -174,7 +180,10 @@ class PhasePlane:
         return max(w0 + self._offset(w_minus), math.nextafter(w0, math.inf))
 
     def time_map(self, w_minus: float) -> TimeMapSample:
-        """Half-period map at the left turning point w_minus in (0, w0)."""
+        """Half-period map at the left turning point w_minus in (0, w0), for w0 >= _W0_FLOOR."""
+        if self.w0 < _W0_FLOOR:
+            raise DomainError(f"the time map is refused below w0 = 1e-06, where it leaves its 1e-10 relative "
+                              f"contract; w0 = {self.w0:g} at lam = {self.p.lam!r}, mu = {self.p.mu!r}")
         w_plus = self.companion(w_minus)
         return TimeMapSample(w_minus, w_plus, self._half_orbit_time(w_minus) + self._half_orbit_time(w_plus))
 

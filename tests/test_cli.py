@@ -84,6 +84,20 @@ class TestMorseCSV:
                 assert cells[2] == "1"
 
 
+    def test_skipped_lams_are_warned(self, tmp_path, capsys):
+        # 15 of the 25 mode-3 lams at mu = 640 have no pair on 2001 points;
+        # each is one stderr line, and the rows and the exit status stay
+        out = tmp_path / "morse.csv"
+        assert run_cli(["morse", "--mu", "640", "--n", "3", "-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        solved = {row[0] for row in rows if row[1] == "nodal-lower"}
+        assert len({row[0] for row in rows}) == 25 and len(solved) == 10
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 15
+        pattern = r"htbif morse: UserWarning: morse skipped lam = (\S+): piece ODE residual \S+ exceeds 1e-07"
+        skipped = [float(re.fullmatch(pattern, line).group(1)) for line in lines]
+        assert all(min(abs(float(lam) - s) for lam in solved) > 1e-3 * s for s in skipped)
+
     def test_threshold_mu_has_no_window(self, tmp_path, capsys):
         # at mu = mu_1 the mode-1 root pair is a double root: no window, no rows
         out = tmp_path / "morse.csv"
@@ -287,6 +301,10 @@ def _refusals():
     # the n-crossing amplitude lies below the smallest normal double
     for mu in ("1e7", "1e100"):
         yield pytest.param("nodal", ["--mu", mu, "--lambda", "25", "--n", "1"], id=f"nodal --mu {mu}")
+    # the plane's center lies below the time map's 1e-6 floor: a QuadratureError
+    # at w0 = 2e-10, and values about 1e-9 off with exit 0 at w0 = 1e-7, before
+    for mu, lam in (("50", "49.99999999"), ("1", "0.9999999")):
+        yield pytest.param("timemap", ["--mu", mu, "--lambda", lam], id=f"timemap --mu {mu} --lambda {lam}")
     # eta2 overflows (plus side) or underflows (minus side), so the ladder
     # cannot move lam off the window end
     for mu, side in (("1e300", "plus"), ("1e120", "minus"), ("1e150", "minus"), ("1e300", "minus")):

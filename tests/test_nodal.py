@@ -276,6 +276,34 @@ class TestNodalPair:
         shift = 2000 // 2  # 2/n = 1/2 is 1000 grid cells
         assert np.max(np.abs(vals[:-shift] - vals[shift:])) < 1e-8
 
+    @pytest.mark.parametrize(
+        "mu, lam, n, n_points", [(360.0, 100.0, 1, 2001), (360.0, 180.0, 3, 2001), (1200.0, 840.2, 5, 4001)]
+    )
+    def test_odd_mode_upper_is_the_reversed_lower(self, mu, lam, n, n_points):
+        # for odd n the shift by 1/n maps x to 1 - x, so both members read
+        # the same piece nodes in reverse order (3 does not divide 2000)
+        lower, upper = nodal_pair(n, ModelParams(mu=mu, lam=lam), n_points)
+        assert np.array_equal(upper.profile.values, lower.profile.values[::-1])
+
+    @pytest.mark.parametrize("mu, lam, n", [(170.0, 85.0, 2), (360.0, 100.0, 2), (700.0, 350.0, 4)])
+    def test_even_mode_members_are_symmetric(self, mu, lam, n):
+        # for even n each member is even about x = 1/2, bit for bit
+        for member in nodal_pair(n, ModelParams(mu=mu, lam=lam), 2001):
+            assert np.array_equal(member.profile.values, member.profile.values[::-1])
+
+    def test_window_top_below_the_time_map_floor(self):
+        # at mu = 1e7 the mode-1 window ends at w0 = 9.87e-7, so its top 0.13
+        # of lam lies below the time map's 1e-6 floor: the pair solves just
+        # above the floor and is refused by name inside that sliver
+        p = ModelParams(mu=1e7)
+        top = lambda_roots(1, p).lambda_plus
+        floor_lam = p.mu / (1.0 + 1e-6)
+        assert w0_const(p.with_lam(top)) < 1e-6 and floor_lam < top
+        lower, upper = nodal_pair(1, p.with_lam(floor_lam - 1.0))
+        assert lower.crossings == upper.crossings == 1
+        with pytest.raises(DomainError, match="refused below w0 = 1e-06"):
+            nodal_pair(1, p.with_lam(0.5 * (floor_lam + top)))
+
     def test_misaligned_grid_reflects_one_piece(self):
         # 3 does not divide 2000: the piece has 2000 intervals of 1/6000, and
         # both members read it at every third node
@@ -574,14 +602,28 @@ class TestCrossingCount:
 class TestEnumerateSolutions:
     def test_exact_count_at_desk(self, desk):
         sols = enumerate_solutions(desk)
-        assert sols.count == 3
-        assert len(sols.profiles()) == 3
+        assert [origin for origin, _ in sols] == ["constant", "nodal(1,lower)", "nodal(1,upper)"]
+        w0 = w0_const(desk)
+        assert [crossing_count(prof.values, w0) for _, prof in sols] == [0, 1, 1]
+        assert all(prof.n_points == 2001 for _, prof in sols)
 
     def test_five_solutions_in_overlap(self):
         # mu above the second threshold, lam inside both windows
         p = ModelParams(mu=170.0, lam=85.0)
         sols = enumerate_solutions(p)
-        assert sols.count == 5
+        assert [origin for origin, _ in sols] == [
+            "constant", "nodal(1,lower)", "nodal(1,upper)", "nodal(2,lower)", "nodal(2,upper)",
+        ]
+        w0 = w0_const(p)
+        assert [crossing_count(prof.values, w0) for _, prof in sols] == [0, 1, 1, 2, 2]
+
+    def test_constant_alone_outside_every_window(self):
+        p = ModelParams(mu=50.0, lam=5.0)
+        assert max_crossing_number(p) == 0
+        [(origin, constant)] = enumerate_solutions(p)
+        assert origin == "constant"
+        assert constant.n_points == 2001
+        assert np.all(constant.values == w0_const(p))
 
 
 class TestTraceLoop:

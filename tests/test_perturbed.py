@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
-from htbif import perturbed
+from htbif import nodal, perturbed
 from htbif.errors import (
     DegenerateError,
     DomainError,
@@ -413,6 +413,23 @@ class TestCensus:
         result = census(2, p, n_points=1001)
         assert result.distinct_count == 5
         assert not result.shortfall
+
+    def test_seeds_come_from_the_one_limit_state_builder(self, monkeypatch):
+        # census builds its seeds with nodal.limit_seeds, one nodal_pair per
+        # crossing count, in the order and with the labels enumerate_solutions gives
+        assert perturbed.limit_seeds is nodal.limit_seeds
+        calls = []
+        real = nodal.nodal_pair
+
+        def spy(n, p, n_points):
+            calls.append(n)
+            return real(n, p, n_points)
+
+        monkeypatch.setattr(nodal, "nodal_pair", spy)
+        p = ModelParams(mu=170.0, lam=85.0, eps=1e-3)
+        result = census(2, p)
+        assert calls == [1, 2]
+        assert [s.origin for s in result.states] == [origin for origin, _ in nodal.enumerate_solutions(p)]
 
     def test_window_count_above_the_cap_is_refused(self):
         # about 1.6e149 mode windows are open at mu = 1e300; both refuse

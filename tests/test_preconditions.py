@@ -14,8 +14,8 @@ from htbif.cli import main
 from htbif.errors import DomainError
 from htbif.linstab import fit_expansion, sturm_spectrum
 from htbif.model import ModelParams, Profile, w0_const
-from htbif.nodal import nodal_pair, solve_amplitude, trace_loop
-from htbif.perturbed import admissible_lambda, census, continue_in_eps, limit_seeds, newton_solve
+from htbif.nodal import limit_seeds, nodal_pair, solve_amplitude, trace_loop
+from htbif.perturbed import admissible_lambda, census, continue_in_eps, newton_solve
 from htbif.spectral import eta2_closed_form, window_lambdas, y1_closed_form
 
 DESK = ModelParams()

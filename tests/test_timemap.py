@@ -458,6 +458,19 @@ class TestTimeMapStress:
         assert plane.time_map(ratio * plane.w0).T == pytest.approx(ref, rel=1e-10)
 
 
+    @pytest.mark.parametrize("mu", [20.0, 200.0, 2e5])
+    def test_refused_just_below_the_floor(self, mu):
+        # at w0 = 9.99e-7 the map ran on without error, about 1e-10 off
+        # (1.4e-10 at 9e-7); the refusal names the floor and the contract,
+        # and the companion and the homoclinic extent still answer
+        plane = PhasePlane(ModelParams(mu=mu, lam=mu / (1.0 + 0.999e-6)))
+        floor = r"refused below w0 = 1e-06, where it leaves its 1e-10 relative contract"
+        for call in (lambda: plane.time_map(0.5 * plane.w0), lambda: time_map(0.5 * plane.w0, plane.p)):
+            with pytest.raises(DomainError, match=floor):
+                call()
+        assert plane.w0 < plane.companion(0.5 * plane.w0) < plane.w_h
+
+
 def _mp_potential(plane):
     """F(w) = L/2 w^2 - B (w - log1p(w)) with L = lam and B = b mu/d from the
     double parameters, and the exact center W0 = B/L - 1, at the working
