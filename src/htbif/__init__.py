@@ -6,12 +6,13 @@ Modules
 errors      the typed exceptions and the degeneracy warning
 model       parameters, coefficient functions, scalar kinetics and potential,
             the integer check every layer shares (whole)
-quadrature  adaptive Gauss-Legendre panels
+quadrature  adaptive Gauss-Legendre panels over a batch of integrals, Simpson's
+            rule
 spectral    eigencurves, mode windows, constant-state Morse index, expansion
             closed forms
 timemap     phase-plane half-period map, center limit, monotonicity certificate
-nodal       exact n-crossing solution pairs, the labelled limit states,
-            solution loops
+nodal       exact n-crossing solution pairs (amplitudes by Brent's method),
+            the labelled limit states, solution loops
 linstab     Neumann operator, Sturm spectra, Morse indices, expansion checks
 perturbed   coupled-system Newton solves, corrections, coexistence census
 acceptance  the 15 acceptance criteria behind --seed-check

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import linstab, nodal, perturbed, spectral, timemap
 from .errors import NoSolutionError
 from .model import ModelParams, Profile, w0_const
+from .quadrature import simpson
 
 __all__ = ["CriterionResult", "run_all", "format_report", "CRITERIA"]
 
@@ -273,7 +273,7 @@ def criterion_11_integral_identity() -> CriterionResult:
     lam = spectral.lambda_roots(1, p).lambda_minus
     y1 = spectral.y1_closed_form(1, side, p, 2001)
     x = y1.x
-    val = float(simpson(np.cos(math.pi * x) ** 2 * y1.values, x=x))
+    val = simpson(np.cos(math.pi * x) ** 2 * y1.values, x)
     ref = -(5.0 * lam / 24.0) * (p.d * lam / (math.pi * p.b * p.mu)) ** 2
     rel = abs(val - ref) / abs(ref)
     return _result(11, "closed-form integral identity", rel < 1e-8, f"rel err = {rel:.3e}")

@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import (
@@ -49,6 +48,7 @@ from .errors import (
 )
 from .model import ModelParams, Profile, grid_points, w0_const, whole
 from .nodal import NodalSolution, nodal_pair
+from .quadrature import simpson
 from .spectral import eta2_closed_form, lambda_roots, window_holds, y1_closed_form
 
 __all__ = [
@@ -260,7 +260,7 @@ def fit_expansion(n: int, side: str, p: ModelParams, n_points: int = 2001) -> Ex
         rem_pair = []
         for sol in (lower, upper):
             u = sol.profile.values - w0
-            s_est = 2.0 * float(simpson(u * phi, x=x))
+            s_est = 2.0 * simpson(u * phi, x)
             s_values.append(s_est)
             lam_values.append(q.lam)
             rem_pair.append((u - s_est * phi) / (s_est * s_est))
@@ -279,6 +279,6 @@ def fit_expansion(n: int, side: str, p: ModelParams, n_points: int = 2001) -> Ex
 
     s_probe = min(remainders, key=lambda s: abs(s - 0.02))
     diff = remainders[s_probe] - y1_ref
-    l2 = math.sqrt(float(simpson(diff * diff, x=x)))
-    l2_ref = math.sqrt(float(simpson(y1_ref * y1_ref, x=x)))
+    l2 = math.sqrt(simpson(diff * diff, x))
+    l2_ref = math.sqrt(simpson(y1_ref * y1_ref, x))
     return ExpansionCheck(n, side, eta1_est, eta2_est, eta2_cf, l2 / l2_ref)

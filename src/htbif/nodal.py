@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, IntegrationError, NoSolutionError
 from .model import ModelParams, Profile, grid_points, kinetic_f, potential_F, w0_const
@@ -56,6 +55,9 @@ _NEUMANN_TOL = 1e-8
 _ODE_RESIDUAL_TOL = 1e-7
 _AMPLITUDE_TOL = 1e-10  # |n T(w_-) - 1| bound of the amplitude solve
 _LOG_TINY = math.log(sys.float_info.min)  # lowest ln w_- the amplitude solve tries
+_BRENT_XTOL = 2.0 * sys.float_info.epsilon  # Brent's absolute and relative tolerances in ln w_-
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_STEPS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +132,9 @@ def _invert_time_map(n: int, plane: PhasePlane) -> float:
     k = math.sqrt(plane.bmu_d - p.lam)
     log_w0 = math.log(plane.w0)
     lo, hi = max(log_w0 - k / n - 1.0, _LOG_TINY), log_w0 + math.log1p(-1e-10)
-    values = {}
 
     def h(s: float) -> float:
-        if s not in values:
-            values[s] = n * plane.time_map(math.exp(s)).T - 1.0
-        return values[s]
+        return n * plane.time_map(math.exp(s)).T - 1.0
 
     h_lo = h(lo)
     if h_lo <= 0.0 and lo == _LOG_TINY:
@@ -145,18 +144,56 @@ def _invert_time_map(n: int, plane: PhasePlane) -> float:
         )
     if h_lo <= 0.0:
         raise ConvergenceError(f"amplitude bracket failed: n*T = {h_lo + 1.0:g} <= 1 at the saddle-law floor")
-    if h(hi) >= 0.0:
+    h_hi = h(hi)
+    if h_hi >= 0.0:
         raise NoSolutionError(
             f"no {n}-crossing solution: amplitude window is below numerical resolution at lam = {p.lam:g}"
         )
-    root, info = brentq(
-        h, lo, hi, xtol=2.0 * np.finfo(float).eps, rtol=4.0 * np.finfo(float).eps,
-        maxiter=200, full_output=True, disp=False,
-    )
-    residual = abs(h(root))
-    if not info.converged or residual >= _AMPLITUDE_TOL:
-        raise ConvergenceError(f"amplitude solve stalled with |n*T - 1| = {residual:g} >= {_AMPLITUDE_TOL:g}")
+    root, h_root = _brent(h, lo, hi, h_lo, h_hi)
+    if not abs(h_root) < _AMPLITUDE_TOL:
+        raise ConvergenceError(f"amplitude solve stalled with |n*T - 1| = {abs(h_root):g} >= {_AMPLITUDE_TOL:g}")
     return math.exp(root)
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float) -> tuple[float, float]:
+    """Root of f on [a, b] by Brent's method, given fa = f(a) and fb = f(b),
+    nonzero and of opposite signs, as (root, f(root)); f is called only
+    inside the bracket.
+
+    A transcription of scipy's brentq.c (inverse quadratic or secant steps,
+    bisection when a step is not short enough) with xtol = 2 eps,
+    rtol = 4 eps and at most 200 steps, which returns the same root bit for
+    bit.  Raises ConvergenceError when the steps run out.
+    """
+    x_pre, x_cur, f_pre, f_cur = a, b, fa, fb
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_BRENT_STEPS):
+        if f_cur == 0.0:
+            return x_cur, f_cur
+        if (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur, f_cur
+        short = False
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            short = 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta)
+        s_pre, s_cur = (s_cur, s_try) if short else (s_bis, s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
+        f_cur = f(x_cur)
+    raise ConvergenceError(f"Brent's method did not converge in {_BRENT_STEPS} steps: |f| = {abs(f_cur):g} at the last")
 
 
 def _integrate_wz(w_start: float, p: ModelParams, cells: int, n: int):

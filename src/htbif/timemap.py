@@ -13,8 +13,11 @@ point, with a cancellation-free gap F(w_end) - F(w).  Near the saddle that
 gap is linear in x only over a vanishing width, and the substitution
 x = sigma sinh^2(t), exact for a quadratic gap, turns the endpoint singularity
 and the logarithmic spike alike into a nearly constant integrand for adaptive
-Gauss-Legendre panels.  The same quadrature runs for every w_- in (0, w0),
-up to one ulp below the center, where it meets the center limit
+Gauss-Legendre panels.  The two halves are one batch of the quadrature: each
+half orbit's coefficients are a row of a table the integrand reads, so a time
+map makes one integrand call, holding both halves whole and bisected, plus
+one per further refinement level.  The same quadrature runs for every w_- in
+(0, w0), up to one ulp below the center, where it meets the center limit
 pi/sqrt(f'(w0)) to rounding.  Planes with w0 below 1e-6 are refused.
 """
 
@@ -148,8 +151,7 @@ class PhasePlane:
         """
         w0, q, lam = self.w0, self.q, self.p.lam
         span = w0 - w_minus
-        _, left_gap_over_x = self._gap_over_x(w_minus)
-        target = lam * span * float(left_gap_over_x(span))
+        target = lam * span * _gap_over_x(*self._gap_coefficients(w_minus), span)
         sqrt_target = math.sqrt(target)
         lo = sqrt_target * math.sqrt(2.0 / lam)
         hi = lo / math.sqrt(w0 * q)
@@ -185,50 +187,62 @@ class PhasePlane:
             raise DomainError(f"the time map is refused below w0 = 1e-06, where it leaves its 1e-10 relative "
                               f"contract; w0 = {self.w0:g} at lam = {self.p.lam!r}, mu = {self.p.mu!r}")
         w_plus = self.companion(w_minus)
-        return TimeMapSample(w_minus, w_plus, self._half_orbit_time(w_minus) + self._half_orbit_time(w_plus))
+        left, right = self._half_orbit_times(w_minus, w_plus)
+        return TimeMapSample(w_minus, w_plus, left + right)
 
-    def _gap_over_x(self, w_end: float):
-        """(A, G) with F(w_end) - F(w) = lam x G(x) at x = |w - w_end| from the
-        turning point w_end, and A = G(0).
+    def _gap_coefficients(self, w_end: float) -> tuple[float, float, float]:
+        """(A, weight, scale) with F(w_end) - F(w) = lam x G(x) at x = |w - w_end|
+        from the turning point w_end, G = _gap_over_x(A, weight, scale, x) and A = G(0).
 
         With Delta = w_end - w0 and s = +1 on the left half, -1 on the right,
-        G = A - x/2 + s (1 + w0)/(1 + w_end) r(s x/(1 + w_end)), with
-        A = w_end |Delta|/(1 + w_end) and r = w_minus_log1p_over_w.  No term
-        cancels (their sum loses about log10(1/w0) digits for small w0), and
-        w_end enters itself: w0 + Delta would round a near-saddle turning
-        point to an ulp of w0, which the divergent time map amplifies.
+        A = w_end |Delta|/(1 + w_end), scale = s/(1 + w_end) and
+        weight = (1 + w0) scale.  w_end enters itself: w0 + Delta would round
+        a near-saddle turning point to an ulp of w0, which the divergent time
+        map amplifies.
         """
         delta = w_end - self.w0
         base = 1.0 + w_end
-        a = abs(delta) * (w_end / base)
         scale = (1.0 if delta < 0.0 else -1.0) / base
-        weight = (1.0 + self.w0) * scale
-        return a, lambda x: a - 0.5 * x + weight * w_minus_log1p_over_w(scale * x)
+        return abs(delta) * (w_end / base), (1.0 + self.w0) * scale, scale
 
-    def _half_orbit_time(self, w_end: float) -> float:
-        """Travel time from the center ordinate to the turning point w_end.
+    def _half_orbit_times(self, *w_ends: float) -> list[float]:
+        """Travel times from the center ordinate to each turning point w_end,
+        integrated as one batch.
 
-        The gap F(w_end) - F(w) is lam x G(x) (see _gap_over_x), and
+        The gap F(w_end) - F(w) is lam x G(x) (see _gap_coefficients), and
         G = A + C x + O(x^2), C = ((1 + w0)/(1 + w_end)^2 - 1)/2, so as A -> 0
         the integrand spikes over a width A/C.  The sinh map (Johnston &
         Elliott, Int. J. Numer. Meth. Eng. 62, 2005) x = sigma sinh^2(t),
         sigma = A/(A/|Delta| + max(C, 0)), exact for a quadratic x G, leaves
         sqrt(2 sigma/(lam G)) cosh(t), nearly constant on
         [0, asinh(sqrt(|Delta|/sigma))]; each step stays in the double range
-        for w_end down to the smallest normal double.
+        for w_end down to the smallest normal double.  Each half orbit is one
+        row (sqrt(sigma), A, weight, scale) of the table the integrand reads.
         """
-        span = abs(w_end - self.w0)
-        base = 1.0 + w_end
-        a, gap_over_x = self._gap_over_x(w_end)
-        c = 0.5 * ((1.0 + self.w0) / (base * base) - 1.0)
-        root = math.sqrt(a / (w_end / base + max(c, 0.0)))
+        rows, ends = [], []
+        for w_end in w_ends:
+            a, weight, scale = self._gap_coefficients(w_end)
+            base = 1.0 + w_end
+            c = 0.5 * ((1.0 + self.w0) / (base * base) - 1.0)
+            root = math.sqrt(a / (w_end / base + max(c, 0.0)))
+            rows.append((root, a, weight, scale))
+            ends.append(math.asinh(math.sqrt(abs(w_end - self.w0)) / root))
+        table = np.array(rows)
 
-        def integrand(t):
+        def integrand(t, which):
+            root, a, weight, scale = table[which].T[:, :, None]
             rx = root * np.sinh(t)
-            return np.cosh(t) / np.sqrt(gap_over_x(rx * rx))
+            return np.cosh(t) / np.sqrt(_gap_over_x(a, weight, scale, rx * rx))
 
-        t_end = math.asinh(math.sqrt(span) / root)
-        return root * math.sqrt(2.0 / self.p.lam) * adaptive_gauss(integrand, 0.0, t_end)
+        times = adaptive_gauss(integrand, [0.0] * len(ends), ends)
+        return [root * math.sqrt(2.0 / self.p.lam) * time for (root, *_), time in zip(rows, times)]
+
+
+def _gap_over_x(a, weight, scale, x):
+    """G(x) = A - x/2 + weight r(scale x), r = w_minus_log1p_over_w, on floats
+    or broadcasting arrays.  No term cancels (their sum loses about
+    log10(1/w0) digits for small w0)."""
+    return a - 0.5 * x + weight * w_minus_log1p_over_w(scale * x)
 
 
 def homoclinic_extent(p: ModelParams) -> float:

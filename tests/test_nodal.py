@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from htbif import nodal
 from htbif.acceptance import _rk4_march
-from htbif.errors import DomainError, IntegrationError, NoSolutionError
+from htbif.errors import ConvergenceError, DomainError, IntegrationError, NoSolutionError
 from htbif.model import ModelParams, Profile, kinetic_f, potential_F, w0_const
 from htbif.nodal import (
     bvp_residual,
@@ -201,6 +202,66 @@ class TestSolveAmplitude:
         wm = solve_amplitude(1, p)
         assert wm < 1e-8 * w0_const(p)
         assert abs(time_map(wm, p).T - 1.0) <= 1e-12
+
+
+def _scipy_brent(f, a, b):
+    """The oracle: scipy's brentq at the tolerances of nodal._brent."""
+    eps = np.finfo(float).eps
+    return brentq(f, a, b, xtol=2.0 * eps, rtol=4.0 * eps, maxiter=200)
+
+
+def _brackets():
+    """(f, a, b): smooth, flat, steep, multiple and nearly discontinuous roots."""
+    rng = np.random.default_rng(26)
+    for _ in range(80):
+        r = rng.uniform(-5.0, 5.0)
+        a, b = r - 10.0 ** rng.uniform(-12.0, 1.0), r + 10.0 ** rng.uniform(-12.0, 1.0)
+        c = 10.0 ** rng.uniform(-3.0, 3.0)
+        yield lambda x, r=r, c=c: c * (x - r) + (x - r) ** 3, a, b
+        yield lambda x, r=r: math.tanh(50.0 * (x - r)), a, b
+        yield lambda x, r=r: (x - r) ** 3, a, b
+        yield lambda x, r=r, c=c: math.exp(min(c, 30.0) * (x - r)) - 1.0, a, b
+        yield lambda x, r=r: math.atan(1e8 * (x - r)) - 0.3, a, b
+        yield lambda x, r=r: math.sin(x - r) - 1e-3 * (x - r) ** 2, b, a
+
+
+class TestBrent:
+    def test_bit_identical_to_scipy(self):
+        cases = 0
+        for f, a, b in _brackets():
+            fa, fb = f(a), f(b)
+            if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):
+                continue
+            calls = []
+            root, f_root = nodal._brent(lambda x: calls.append(x) or f(x), a, b, fa, fb)
+            oracle_calls = []
+            oracle = _scipy_brent(lambda x: oracle_calls.append(x) or f(x), a, b)
+            assert root == oracle
+            assert f_root == f(root)
+            # the same steps, less the two end values passed in
+            assert oracle_calls == [a, b] + calls
+            cases += 1
+        assert cases > 400
+
+    @pytest.mark.parametrize("mu, n", [(170.0, 1), (170.0, 2), (360.0, 3), (1200.0, 1)])
+    def test_amplitude_root_bit_identical_to_scipy(self, mu, n):
+        p = ModelParams(mu=mu)
+        root = lambda_roots(n, p)
+        for lam in np.linspace(root.lambda_minus, root.lambda_plus, 5)[1:-1]:
+            plane = PhasePlane(p.with_lam(lam))
+
+            def h(s):
+                return n * plane.time_map(math.exp(s)).T - 1.0
+
+            k = math.sqrt(plane.bmu_d - plane.p.lam)
+            lo, hi = math.log(plane.w0) - k / n - 1.0, math.log(plane.w0) + math.log1p(-1e-10)
+            assert nodal._brent(h, lo, hi, h(lo), h(hi))[0] == _scipy_brent(h, lo, hi)
+            assert solve_amplitude(n, plane.p) == math.exp(_scipy_brent(h, lo, hi))
+
+    def test_runs_out_of_steps_by_name(self, monkeypatch):
+        monkeypatch.setattr(nodal, "_BRENT_STEPS", 3)
+        with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
+            nodal._brent(lambda x: (x - 0.3) ** 3, 0.0, 1.0, -0.3 ** 3, 0.7 ** 3)
 
 
 class TestIntegrateCauchy:

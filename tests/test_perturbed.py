@@ -210,6 +210,22 @@ class TestNewtonSolve:
             # quadratic decay until the banded-solve floor below tolerance
             assert nxt <= max(10.0 * prev * prev, 1e-10)
 
+    def test_every_limit_seed_converges_past_the_predator_cancellation(self):
+        # at mu = 3000 the predator's -mu v and d v^2 are each about 9e6 at
+        # the limit v = mu/d and cancel to a rounding error of about 2e-9;
+        # formed as d v ((v_b - mu/d) + v_f), every one of the 17 limit seeds
+        # reaches the 1e-9 certificate (7.9e-10 at worst measured; with the
+        # two terms apart, 16 of them stopped at 2.2e-9 to 4.3e-9)
+        p = ModelParams(mu=3000.0, lam=1500.0)
+        seeds = nodal.limit_seeds(nodal.max_crossing_number(p), p, 8001)
+        v_flat = Profile.constant(p.mu / p.d, 8001)
+        q = p.with_eps(1e-3)
+        assert len(seeds) == 17
+        for origin, seed in seeds:
+            state = newton_solve(seed, v_flat, q, origin=origin)
+            assert state.residual_sup < 1e-9
+            assert residual_fine(state, q) < 1e-9
+
     # a pair carried as base + fine enters Newton through a ladder's start state
 
     def test_domain_check_reads_the_two_part_iterate(self, desk, flat_v):

@@ -216,7 +216,8 @@ class TestTimeMap:
 
         monkeypatch.setattr(timemap, "adaptive_gauss", counted)
         t = time_map(math.nextafter(1.0, 0.0), desk).T
-        assert len(calls) == 2
+        # one batched call: both half orbits
+        assert [len(a) for a, _ in calls] == [2]
         assert abs(t - time_map_center(desk)) <= 1e-14
 
     def test_meets_the_center_limit_from_one_ulp_to_1e8_w0_below(self, monkeypatch):
@@ -230,7 +231,8 @@ class TestTimeMap:
         original = timemap.adaptive_gauss
 
         def counted(f, a, b):
-            calls["integrals"] += 1
+            calls["batches"] += 1
+            calls["integrals"] += len(a)
             return original(f, a, b)
 
         monkeypatch.setattr(timemap, "adaptive_gauss", counted)
@@ -252,6 +254,7 @@ class TestTimeMap:
                 worst = max(worst, abs(plane.time_map(w_minus).T / tc - 1.0))
                 calls["maps"] += 1
         assert planes[-1].mu / planes[-1].lam > 1e155
+        assert calls["batches"] == calls["maps"]
         assert calls["integrals"] == 2 * calls["maps"]
         assert worst <= 1e-12
 
@@ -556,7 +559,9 @@ class TestRoutes:
     @pytest.mark.parametrize("mu, lam, ratio, ref, rel", HALF_ORBIT_REF)
     def test_frozen_left_halves(self, mu, lam, ratio, ref, rel):
         plane = PhasePlane(ModelParams(mu=mu, lam=lam))
-        assert plane._half_orbit_time(ratio * plane.w0) == pytest.approx(ref, rel=rel)
+        w_minus = ratio * plane.w0
+        left, _ = plane._half_orbit_times(w_minus, plane.companion(w_minus))
+        assert left == pytest.approx(ref, rel=rel)
 
     @pytest.mark.parametrize("w0_range, rel", [((0.1, 50.0), 1e-13), ((1e-5, 0.1), 1e-10)])
     def test_both_halves_match_50_digit_references(self, w0_range, rel):
@@ -575,23 +580,23 @@ class TestRoutes:
                 rng.uniform(0.1, 0.9),  # mid
                 1.0 - 10.0 ** rng.uniform(-7.0, -1.0),  # center
             )[i % 3]
-            w_minus = ratio * plane.w0
-            for w_end in (w_minus, plane.companion(w_minus)):
-                value = plane._half_orbit_time(w_end)
+            w_ends = (ratio * plane.w0, plane.companion(ratio * plane.w0))
+            for w_end, value in zip(w_ends, plane._half_orbit_times(*w_ends)):
                 worst = max(worst, float(abs(value / _half_orbit_reference(plane, w_end) - 1)))
         assert worst < rel
 
     def test_near_saddle_work(self, monkeypatch):
         # 200 near-saddle time maps drawn as timemap_scan draws them: the
         # quadrature's panels and integrand calls (one per gauss_panel call)
-        # stay at most the 2748 and 1187 the sinh map takes
+        # stay at most the 2748 and 587 the sinh map takes with both half
+        # orbits in one batch (1187 calls with one integral per call)
         work = Counter()
         original = quadrature.gauss_panel
 
-        def counted(f, a, b):
+        def counted(f, a, b, which):
             work["calls"] += 1
-            work["panels"] += np.size(a)
-            return original(f, a, b)
+            work["panels"] += len(a)
+            return original(f, a, b, which)
 
         monkeypatch.setattr(quadrature, "gauss_panel", counted)
         rng = np.random.default_rng(11)
@@ -600,7 +605,32 @@ class TestRoutes:
             plane = PhasePlane(ModelParams(mu=mu, lam=rng.uniform(0.05, 0.95) * mu))
             plane.time_map(10.0 ** rng.uniform(-10.0, -1.0) * plane.w0)
         assert work["panels"] <= 2748
-        assert work["calls"] <= 1187
+        assert work["calls"] <= 587
+
+    def test_timemap_scan_work(self, monkeypatch):
+        # 300 time maps drawn as timemap_scan draws them, a near-saddle, a
+        # mid-orbit and a near-center amplitude per plane: one integrand call
+        # per map holds both half orbits whole and halved, so a map takes
+        # 1 + (levels past the first) calls; 2532 panels and 483 calls
+        # measured (1383 calls with one integral per call)
+        work = Counter()
+        original = quadrature.gauss_panel
+
+        def counted(f, a, b, which):
+            work["calls"] += 1
+            work["panels"] += len(a)
+            return original(f, a, b, which)
+
+        monkeypatch.setattr(quadrature, "gauss_panel", counted)
+        rng = np.random.default_rng(26)
+        for _ in range(100):
+            mu = math.exp(rng.uniform(math.log(20.0), math.log(400.0)))
+            plane = PhasePlane(ModelParams(mu=mu, lam=rng.uniform(0.05, 0.95) * mu))
+            saddle, mid, center = 10.0 ** rng.uniform(-10.0, -1.0), rng.uniform(0.1, 0.9), 10.0 ** rng.uniform(-7.0, -1.0)
+            for ratio in (saddle, mid, 1.0 - center):
+                plane.time_map(ratio * plane.w0)
+        assert work["panels"] <= 2532
+        assert work["calls"] <= 483
 
     def test_saddle_law_down_to_the_smallest_normal_double(self):
         # at mu = 1e7, lam = 25 (k = 3162.3) the amplitude solve reaches the
