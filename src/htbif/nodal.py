@@ -11,7 +11,8 @@ The orbit from (w_-, 0) is even about each turning time x = k/n, so one
 half-period piece on [0, 1/n] carries the pair for every n: the lower
 solution is its even periodic extension, the upper one (from the companion
 turning point w_+) the same extension shifted by 1/n.  The piece is marched
-once; one that closes too steeply for the joined profiles is refused.
+once and certified by one ODE residual read across its own reflections, so
+a piece that closes too steeply for the joined profiles is refused by it.
 """
 
 from __future__ import annotations
@@ -51,8 +52,10 @@ _STORMER_DENOMINATOR = 60480
 _ADAMS = (434241, -1152169, 2183877, -2664477, 2102243, -1041723, 295767, -36799)
 _ADAMS_DENOMINATOR = 120960
 _ENERGY_DRIFT_TOL = 1e-9
-_NEUMANN_TOL = 1e-8
 _ODE_RESIDUAL_TOL = 1e-7
+# weights of the central 8th-order first derivative at offsets 1..4
+# (Fornberg, Math. Comp. 51 (1988)); twice their sum is 1.269
+_CENTRAL8 = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
 _AMPLITUDE_TOL = 1e-10  # |n T(w_-) - 1| bound of the amplitude solve
 _LOG_TINY = math.log(sys.float_info.min)  # lowest ln w_- the amplitude solve tries
 _BRENT_XTOL = 2.0 * sys.float_info.epsilon  # Brent's absolute and relative tolerances in ln w_-
@@ -281,6 +284,12 @@ def crossing_count(values: np.ndarray, level: float) -> int:
     return int(np.count_nonzero(np.diff(signs)))
 
 
+def _fold(t, m: int):
+    """Index in [0, m] that integer t reads in the even extension of nodes
+    0..m, periodic with period 2m: m - |t mod 2m - m|."""
+    return m - np.abs(t % (2 * m) - m)
+
+
 def bvp_residual(profile: Profile, p: ModelParams) -> float:
     """Sup norm of -w'' - f(w) over the grid, with w'' from the 5-point
     fourth-order stencil.
@@ -291,7 +300,7 @@ def bvp_residual(profile: Profile, p: ModelParams) -> float:
     """
     w = profile.values
     h = profile.h
-    ext = np.concatenate(([w[2], w[1]], w, [w[-2], w[-3]]))
+    ext = w[_fold(np.arange(-2, w.size + 2), w.size - 1)]
     # group as paired differences so the stencil cancellation costs no digits
     d1 = (ext[1:-3] - ext[2:-2]) + (ext[3:-1] - ext[2:-2])    # +/- 1 neighbors
     d2 = (ext[:-4] - ext[2:-2]) + (ext[4:] - ext[2:-2])       # +/- 2 neighbors
@@ -300,49 +309,41 @@ def bvp_residual(profile: Profile, p: ModelParams) -> float:
     return float(np.max(np.abs(res)))
 
 
-def _derivative4(u: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative; one-sided stencils at the two edge nodes.
+def _ode_residual(ws: np.ndarray, zs: np.ndarray, stride: int, h: float, p: ModelParams) -> float:
+    """Sup residual of w' = z, z' = -f(w) at every node of the piece, each
+    derivative the central 8th-order stencil on every stride-th node at step h.
 
-    First-derivative stencils amplify per-node rounding by O(1/h) only, so
-    this stays three orders below the same check built on second
-    differences.
-    """
-    du = np.empty_like(u)
-    du[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)
-    for i in (0, 1):
-        du[i] = (-25.0 * u[i] + 48.0 * u[i + 1] - 36.0 * u[i + 2] + 16.0 * u[i + 3] - 3.0 * u[i + 4]) / (12.0 * h)
-    for i in (-1, -2):
-        du[i] = (25.0 * u[i] - 48.0 * u[i - 1] + 36.0 * u[i - 2] - 16.0 * u[i - 3] + 3.0 * u[i - 4]) / (12.0 * h)
-    return du
+    Ghosts come from the piece's own reflection about both turning points (w
+    even, z odd), as the profiles are built, so no row is one-sided.  A
+    closing slope z_end makes the odd ghosts jump by 2 z_end, which the
+    closing node reads as 1.269 |z_end|/h, so this also refuses a piece too
+    steep for the joined profiles."""
+    m = ws.size - 1
+    reach = len(_CENTRAL8) * stride
+    t = np.arange(-reach, m + reach + 1)
+    i = _fold(t, m)
+    w_ext, z_ext = ws[i], np.where(t % (2 * m) > m, -zs[i], zs[i])
 
+    def slope(u):
+        return sum(c * (u[reach + k * stride:][:m + 1] - u[reach - k * stride:][:m + 1])
+                   for k, c in enumerate(_CENTRAL8, 1)) / h
 
-def _ode_residual(ws: np.ndarray, zs: np.ndarray, h: float, p: ModelParams) -> float:
-    """Sup residual of w' = z, z' = -f(w) at node spacing h: the second-order
-    equation's residual, read from the (w, z) pair so no second difference is formed."""
-    r1 = _derivative4(ws, h) - zs
-    r2 = _derivative4(zs, h) + kinetic_f(ws, p)
+    r1 = slope(w_ext) - zs
+    r2 = slope(z_ext) + kinetic_f(ws, p)
     return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
-
-
-def _junction_tol(cells: int) -> float:
-    """Largest slope a piece may leave at its closing turning point: a profile
-    reflected there (by the pair's construction or bvp_residual's ghosts)
-    jumps by 2z in z, an ODE residual 14|z|/(12h) that must stay below the
-    piece's own bound (bvp_residual reads twice that).  At most _NEUMANN_TOL."""
-    return min(_NEUMANN_TOL, _ODE_RESIDUAL_TOL * 6.0 / (7.0 * cells))
 
 
 def nodal_pair(n: int, p: ModelParams, n_points: int = _N_POINTS) -> tuple[NodalSolution, NodalSolution]:
     """The two n-crossing positive solutions at (lam, mu).
 
     One march of the piece [0, 1/n] from (w_-, 0), ending at w_+, builds both.  Its
-    nodes are spaced g/(n cells), g = gcd(n, cells) for the n_points - 1
-    cells, so lower node i reads the even periodic extension at piece index
-    (cells - |n i mod 2 cells - cells|)/g and upper node i the same at
-    n i + cells.  The piece is certified by energy drift and by its ODE
-    residual read at the output grid's step 1/cells (every (n/g)-th node,
-    the lower member's first nodes); its closing slope is both solutions'
-    Neumann residual, refused at or above _junction_tol.
+    m = cells/g intervals are g/(n cells) long, g = gcd(n, cells) for the
+    n_points - 1 cells, so with s = n/g lower node i reads the piece's even
+    periodic extension at _fold(s i, m) and upper node i at s i + m.  The
+    piece is certified by energy drift and by its ODE residual, read on
+    every s-th node at the output grid's step 1/cells across the same
+    reflections, which also bounds the closing slope: both solutions'
+    Neumann residual.
     """
     n_points = grid_points(n_points)
     cells = n_points - 1
@@ -351,18 +352,15 @@ def nodal_pair(n: int, p: ModelParams, n_points: int = _N_POINTS) -> tuple[Nodal
     w_minus = _invert_time_map(n, plane)
     ws, zs, g = _integrate_wz(w_minus, p, cells, n)
     _check_energy_drift(ws, zs, w_minus, p)
-    stride = n // g
-    residual = _ode_residual(ws[::stride], zs[::stride], 1.0 / cells, p)
+    stride, m = n // g, cells // g
+    residual = _ode_residual(ws, zs, stride, 1.0 / cells, p)
     if residual >= _ODE_RESIDUAL_TOL:
         raise IntegrationError(f"piece ODE residual {residual:g} exceeds {_ODE_RESIDUAL_TOL:g}")
     z_end = abs(float(zs[-1]))
-    tol = _junction_tol(cells)
-    if z_end >= tol:
-        raise IntegrationError(f"pair's Neumann residual {z_end:g} exceeds {tol:g}")
-    phase = n * np.arange(n_points)
+    phase = stride * np.arange(n_points)
     lower, upper = (
-        _finalize(n, branch, w_minus, ws[(cells - np.abs(t % (2 * cells) - cells)) // g], z_end, p, plane.w0)
-        for branch, t in (("lower", phase), ("upper", phase + cells))
+        _finalize(n, branch, w_minus, ws[_fold(t, m)], z_end, p, plane.w0)
+        for branch, t in (("lower", phase), ("upper", phase + m))
     )
     w_plus = plane.companion(w_minus)
     if abs(upper.profile.values[0] - w_plus) > 1e-8 * max(1.0, w_plus):

@@ -394,8 +394,8 @@ class TestNodalPair:
     @pytest.mark.parametrize("mu", [640.0, 800.0, 1200.0])
     def test_three_modes_across_the_window(self, mu):
         # many-mode regime on 4001 points: 3 does not divide the 4000 cells,
-        # and every point's piece meets the 1e-7 residual at the grid step and
-        # the junction bound (2.1e-11) with its one-half-period closing slope
+        # and every point's piece meets the 1e-7 residual at the grid step,
+        # which also bounds its closing slope by 1e-7/(1.269 cells) = 2.0e-11
         p = ModelParams(mu=mu)
         for lam in window_lambdas(3, p, 9):
             q = p.with_lam(lam)
@@ -403,19 +403,40 @@ class TestNodalPair:
                 assert member.crossings == 3
                 assert bvp_residual(member.profile, q) < 1e-6
 
-    def test_off_grid_residual_reads_the_grid_step(self):
+    def test_off_grid_residual_reads_the_grid_step(self, monkeypatch):
         # the piece's nodes are 1/6000 apart, but its residual is read at the
-        # profiles' step 1/2000, where the truncation (7.9e-7) fails the bound
+        # profiles' step h = 1/2000 (2.9e-11 here).  A march defect of d in z
+        # at node 1, off the output grid, reads there as 0.8 d/h: 4.8e-8 for
+        # d = 3e-11, which the piece's own step would read as 2.9e-7, and
+        # 1.6e-7 for d = 1e-10
+        original = nodal._integrate_wz
+        p = ModelParams(mu=1200.0, lam=600.0)
+
+        def with_defect(d):
+            def march(w_start, q, cells, n):
+                ws, zs, g = original(w_start, q, cells, n)
+                zs = zs.copy()
+                zs[1] += d
+                return ws, zs, g
+
+            monkeypatch.setattr(nodal, "_integrate_wz", march)
+
+        with_defect(3e-11)
+        nodal_pair(3, p, 2001)
+        ws, zs, _ = nodal._integrate_wz(solve_amplitude(3, p), p, 2000, 3)
+        assert nodal._ode_residual(ws, zs, 1, 1.0 / 6000.0, p) >= 1e-7
+        with_defect(1e-10)
         with pytest.raises(IntegrationError, match="piece ODE residual"):
-            nodal_pair(3, ModelParams(mu=1200.0, lam=600.0), 2001)
+            nodal_pair(3, p, 2001)
 
     def test_near_saddle_pair(self):
         # the closing slope is the first-order shooting error
         # |z(1/n)| = |f(w_+)| |1/n - T_RK(w_-)|: the Brent root's |1 - n T(w_-)|/n
         # plus a 2e-13 allowance in time for the gap between the march's half
         # period and the quadrature one (3.9e-14 here, no shooting step); it
-        # also stays under the junction bound that keeps the joined profiles
-        # within criterion 6
+        # also stays under the bound 1e-7/(1.269 cells) that the piece's
+        # residual puts on it, which keeps the joined profiles within
+        # criterion 6
         n, p = 1, ModelParams(mu=800.0, lam=88.0)
         wm = solve_amplitude(n, p)
         lower, upper = nodal_pair(n, p)
@@ -423,7 +444,7 @@ class TestNodalPair:
         bound = abs(float(kinetic_f(PhasePlane(p).companion(wm), p))) * (gap + 2e-13)
         for member in (lower, upper):
             assert member.boundary_residual <= bound
-            assert member.boundary_residual < nodal._junction_tol(2000)
+            assert member.boundary_residual < 1e-7 / (1.269 * 2000)
             assert bvp_residual(member.profile, p) < 1e-6
 
     @pytest.mark.parametrize("lam", [209.11904448882018, 44.09085826361496])
@@ -513,10 +534,8 @@ class TestNodalPair:
     @pytest.mark.parametrize("mu", [170.0, 360.0, 640.0])
     def test_window_sweep_needs_no_shooting_step(self, mu, monkeypatch):
         # every open mode over window_lambdas(j, p, 7) on 2001 points: one
-        # piece per point, and no pair refused for its closing slope.  At
-        # mu = 640, 9 of 28 points are refused by
-        # the residual check, which reads its own stencil's h^4 truncation
-        # (1.06e-7 to 2.04e-7), the same with either kernel
+        # piece per point, and every pair solves (at mu = 640 the 8th-order
+        # residual reads at most 8.9e-10 against its 1e-7 bound)
         pieces = []
         original = nodal._integrate_wz
 
@@ -526,19 +545,13 @@ class TestNodalPair:
 
         monkeypatch.setattr(nodal, "_integrate_wz", counted)
         p = ModelParams(mu=mu)
-        points = refused = 0
+        points = 0
         for j in range(1, len(mode_windows(p)) + 1):
             for lam in window_lambdas(j, p, 7):
                 points += 1
-                try:
-                    lower, upper = nodal_pair(j, p.with_lam(lam), 2001)
-                except IntegrationError as exc:
-                    assert mu == 640.0 and "piece ODE residual" in str(exc)
-                    refused += 1
-                    continue
+                lower, upper = nodal_pair(j, p.with_lam(lam), 2001)
                 assert lower.crossings == upper.crossings == j
         assert len(pieces) == points
-        assert refused == (9 if mu == 640.0 else 0)
 
     def test_piece_repeats_the_whole_integration(self):
         # when n divides the cells the piece is the first 2000/n + 1 nodes of
@@ -569,23 +582,25 @@ class TestNodalPair:
 
     def test_junction_kink_is_refused(self, monkeypatch):
         # a piece that starts 1e-10 relative off the root closes at x = 1 with
-        # a slope of about 2.1e-9: under the 1e-8 Neumann bound but above the
-        # junction bound, where a joined profile would fail criterion 6
+        # a slope of about 2.1e-9, where a joined profile would fail
+        # criterion 6; the odd ghosts jump by twice that, which the residual
+        # at the closing node reads as 1.269 |z|/h = 5.25e-6
         original = nodal._integrate_wz
 
         def off_root(w_start, p, cells, n):
             return original(w_start * (1.0 + 1e-10), p, cells, n)
 
         monkeypatch.setattr(nodal, "_integrate_wz", off_root)
-        with pytest.raises(IntegrationError, match="Neumann residual"):
+        with pytest.raises(IntegrationError, match="piece ODE residual"):
             nodal_pair(1, ModelParams(mu=800.0, lam=88.0))
 
-    @pytest.mark.parametrize("mu", [170.0, 360.0, 1200.0])
+    @pytest.mark.parametrize("mu", [170.0, 360.0, 640.0, 800.0, 1200.0])
     def test_window_sweep_closes_below_the_junction_bound(self, mu, monkeypatch):
-        # every open mode over window_lambdas(j, p, 9) on 2001 points: the
-        # one piece closes below the junction bound (at most 3.1e-2 of it
-        # measured), also where the residual check then refuses the pair
-        # (41 of 45 points at mu = 1200)
+        # every open mode over window_lambdas(j, p, 9) on 2001 points, into
+        # the many-states regime (36, 36 and 45 points at mu = 640, 800 and
+        # 1200): every pair solves, and its one piece closes below the bound
+        # 1e-7/(1.269 cells) = 3.9e-11 that its residual implies (at most
+        # 3.4e-2 of it measured)
         slopes = []
         original = nodal._integrate_wz
 
@@ -600,12 +615,10 @@ class TestNodalPair:
         for j in range(1, len(mode_windows(p)) + 1):
             for lam in window_lambdas(j, p, 9):
                 points += 1
-                try:
-                    nodal_pair(j, p.with_lam(lam), 2001)
-                except IntegrationError as exc:
-                    assert "piece ODE residual" in str(exc)
+                lower, upper = nodal_pair(j, p.with_lam(lam), 2001)
+                assert lower.crossings == upper.crossings == j
         assert len(slopes) == points
-        assert max(slopes) < nodal._junction_tol(2000)
+        assert max(slopes) < 1e-7 / (1.269 * 2000)
 
     def test_window_exactness_both_ways(self, desk):
         root = lambda_roots(1, desk)
@@ -642,10 +655,114 @@ class TestNodalPair:
             for member in nodal_pair(n, q, n_points):
                 values = member.profile.values
                 assert crossing_count(values, w0) == member.crossings == n
-                assert member.boundary_residual < nodal._junction_tol(cells)
+                assert member.boundary_residual < 1e-7 / (1.269 * cells)
                 assert float(np.min(values)) > 0.0
                 assert bvp_residual(member.profile, q) < 1e-6
         assert misaligned > 0 if n_points == 2001 else misaligned == 0
+
+
+CENTRAL8 = (Fraction(4, 5), Fraction(-1, 5), Fraction(4, 105), Fraction(-1, 280))
+
+
+def _reflected_residual(ws, zs, stride, h, p):
+    """Reference for nodal._ode_residual: the same central stencil on one
+    explicit period 2m of the piece's even (w) and odd (z) extension."""
+    m = ws.size - 1
+    even = np.concatenate((ws, ws[-2:0:-1]))
+    odd = np.concatenate((zs, -zs[-2:0:-1]))
+    t = np.arange(m + 1)
+
+    def slope(u):
+        return sum(
+            float(c) * (np.take(u, t + k * stride, mode="wrap") - np.take(u, t - k * stride, mode="wrap"))
+            for k, c in enumerate(CENTRAL8, 1)
+        ) / h
+
+    r1 = slope(even) - zs
+    r2 = slope(odd) + kinetic_f(ws, p)
+    return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+
+
+class TestPieceResidual:
+    def test_central_weights_are_eighth_order(self):
+        # sum_k c_k (k^j - (-k)^j) is the derivative of x^j at 0 for j <= 8,
+        # and twice the weights' sum is the 1.269 that reads a closing slope
+        for j in range(1, 9):
+            assert sum(c * (k ** j - (-k) ** j) for k, c in enumerate(CENTRAL8, 1)) == (j == 1)
+        assert nodal._CENTRAL8 == tuple(float(c) for c in CENTRAL8)
+        assert round(float(2 * sum(CENTRAL8)), 3) == 1.269
+
+    def test_fold_is_the_even_periodic_extension(self):
+        for m in range(1, 8):
+            period = list(range(m + 1)) + list(range(m - 1, 0, -1))
+            t = np.arange(-5 * m - 3, 5 * m + 4)
+            assert nodal._fold(t, m).tolist() == [period[i % (2 * m)] for i in t]
+
+    def test_bvp_residual_ghosts_are_the_fold(self, desk):
+        # the two ghost nodes at each end are w[2], w[1] and w[-2], w[-3],
+        # bit for bit as written out
+        lower, upper = nodal_pair(1, desk, 2001)
+        for w in (lower.profile, upper.profile, Profile(1.0 + 0.1 * np.cos(np.linspace(0.0, 3.0, 9)))):
+            v = w.values
+            ext = np.concatenate(([v[2], v[1]], v, [v[-2], v[-3]]))
+            d1 = (ext[1:-3] - ext[2:-2]) + (ext[3:-1] - ext[2:-2])
+            d2 = (ext[:-4] - ext[2:-2]) + (ext[4:] - ext[2:-2])
+            ref = float(np.max(np.abs(-(16.0 * d1 - d2) / (12.0 * w.h * w.h) - kinetic_f(v, desk))))
+            assert bvp_residual(w, desk) == ref
+
+    @pytest.mark.parametrize(
+        "n, mu, lam, n_points", [(1, 170.0, 85.0, 2001), (1, 170.0, 85.0, 4001), (3, 360.0, 180.0, 2001)]
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_closing_slope_at_the_old_junction_bound_is_refused(self, n, mu, lam, n_points, sign, monkeypatch):
+        # a good piece bent by a linear ramp in z so that it closes with the
+        # slope 6e-7/(7 cells): the odd ghosts jump by twice that, and the
+        # residual alone reads it as 1.269 * 6e-7/7 = 1.09e-7, also for n = 3
+        # on 2001 points, where the piece's end is no output node
+        original = nodal._integrate_wz
+        cells = n_points - 1
+        z_end = sign * 6e-7 / (7.0 * cells)
+
+        def bent(w_start, p, cells, n):
+            ws, zs, g = original(w_start, p, cells, n)
+            return ws, zs + (z_end - zs[-1]) * np.linspace(0.0, 1.0, zs.size), g
+
+        monkeypatch.setattr(nodal, "_integrate_wz", bent)
+        with pytest.raises(IntegrationError, match="piece ODE residual"):
+            nodal_pair(n, ModelParams(mu=mu, lam=lam), n_points)
+
+    @pytest.mark.parametrize("n, mu, lam", [(1, 170.0, 85.0), (3, 1200.0, 600.0)])
+    def test_piece_marched_at_another_lam_is_refused(self, n, mu, lam):
+        # marched at lam (1 + 1e-9) and read at lam: the piece misses its
+        # turning time and closes with a slope of about 2.6e-9, read as
+        # 7.3e-6 and 7.5e-6; the same piece marched at lam passes
+        p = ModelParams(mu=mu, lam=lam)
+        wm = solve_amplitude(n, p)
+        for q, refused in ((p, False), (p.with_lam(lam * (1.0 + 1e-9)), True)):
+            ws, zs, g = nodal._integrate_wz(wm, q, 2000, n)
+            assert (nodal._ode_residual(ws, zs, n // g, 1.0 / 2000, p) >= 1e-7) == refused
+
+    @pytest.mark.parametrize("cells, n", [(2, 1), (2, 2), (6, 4), (4, 3), (10, 3), (2, 5)])
+    def test_piece_shorter_than_the_stencil_reach(self, cells, n):
+        # m < 4 n/g: the ghosts fold more than once across the piece, down
+        # to a one-interval piece, and no index runs off it
+        p = ModelParams(mu=170.0, lam=85.0)
+        ws, zs, g = nodal._integrate_wz(solve_amplitude(1, p), p, cells, n)
+        assert ws.size - 1 < 4 * (n // g)
+        got = nodal._ode_residual(ws, zs, n // g, 1.0 / cells, p)
+        assert got == pytest.approx(_reflected_residual(ws, zs, n // g, 1.0 / cells, p), rel=1e-12)
+
+    def test_grids_below_nine_points_are_refused_by_energy_drift(self):
+        # below 9 points the slope bound 1e-7/(1.269 cells) implied by the
+        # residual exceeds 1e-8; every pair there is refused by the march's
+        # energy drift first
+        for n_points in (3, 5, 7):
+            assert 1e-7 / (1.269 * (n_points - 1)) > 1e-8
+            for mu, lam in ((50.0, 25.0), (170.0, 85.0), (360.0, 180.0)):
+                p = ModelParams(mu=mu, lam=lam)
+                for n in range(1, max_crossing_number(p) + 1):
+                    with pytest.raises(IntegrationError, match="energy drift"):
+                        nodal_pair(n, p, n_points)
 
 
 class TestCrossingCount:

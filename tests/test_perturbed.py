@@ -27,7 +27,7 @@ from htbif.perturbed import (
     residual,
     residual_fine,
 )
-from htbif.spectral import lambda_roots
+from htbif.spectral import lambda_roots, mode_windows
 
 POLISH_TOL = 1e-12  # residual of the polished constant states
 
@@ -225,6 +225,19 @@ class TestNewtonSolve:
             state = newton_solve(seed, v_flat, q, origin=origin)
             assert state.residual_sup < 1e-9
             assert residual_fine(state, q) < 1e-9
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_low_mode_seeds_converge_far_past_the_predator_cancellation(self, j):
+        # at (8000, 4000) on 4001 points both members of the j <= 2 pairs
+        # reach a residual below 1e-10 (2.7e-12 to 7.4e-11 measured, in two
+        # iterations)
+        p = ModelParams(mu=8000.0, lam=4000.0)
+        q = p.with_eps(1e-4)
+        v_flat = Profile.constant(p.mu / p.d, 4001)
+        for member in nodal_pair(j, p, 4001):
+            state = newton_solve(member.profile, v_flat, q, origin=member.branch)
+            assert state.residual_sup < 1e-10
+            assert residual_fine(state, q) < 1e-10
 
     # a pair carried as base + fine enters Newton through a ladder's start state
 
@@ -446,6 +459,17 @@ class TestCensus:
         result = census(2, p)
         assert calls == [1, 2]
         assert [s.origin for s in result.states] == [origin for origin, _ in nodal.enumerate_solutions(p)]
+
+    @pytest.mark.parametrize("n_points", [2001, 4001])
+    @pytest.mark.parametrize("mu, lam, kappa", [(700.0, 350.0, 4), (800.0, 400.0, 4), (1200.0, 840.2, 5)])
+    def test_many_states_regime(self, mu, lam, kappa, n_points):
+        # the 2 kappa + 1 states of the paper's many-states regime, certified
+        # on the default grid as on 4001 points
+        p = ModelParams(mu=mu, lam=lam, eps=1e-3)
+        assert len(mode_windows(p)) == kappa
+        result = census(kappa, p, n_points)
+        assert result.distinct_count == 2 * kappa + 1 and not result.shortfall
+        assert all(s.residual_sup < 1e-9 for s in result.states)
 
     def test_window_count_above_the_cap_is_refused(self):
         # about 1.6e149 mode windows are open at mu = 1e300; both refuse
