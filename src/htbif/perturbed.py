@@ -14,7 +14,9 @@ w-block is literally the linearized Sturm-Liouville operator.  Unknowns are
 interleaved (w_i, v_i), giving a narrow banded Jacobian solved by LU with
 partial pivoting (LAPACK dgbtrf, then dgbtrs).  A cold solve factors at every
 Newton step; an eps ladder keeps its LU across rungs and takes chord steps
-against it, re-factoring only when a chord step contracts too little.
+against it, re-factoring only when a chord step contracts too little.  Each
+rung starts from the quadratic extrapolation in eps of the accepted states,
+with the start's tangent standing in for a second node at the start.
 
 One ulp of a nodal value moves the discrete Laplacian by 2 u0 |w|/h^2 with
 u0 the unit roundoff (about 2.4e-9 at the default 2001-point grid), which
@@ -22,10 +24,11 @@ sits above the 1e-9 residual contract, so a plain float64 nodal vector
 cannot converge that far.
 Newton therefore carries each unknown as an unevaluated sum base + fine: the
 frozen base absorbs the bulk, the fine part accumulates the updates, the
-Laplacian acts on the two parts separately, and reaction terms use the
-collapsed value (their ulp sensitivity is harmless).  Converged states store
-the collapsed profiles plus the exact collapse leftovers, so the certified
-residual can be re-evaluated from the state alone.
+Laplacian acts on the two parts separately (the base's second differences
+are formed once per base), and reaction terms use the collapsed value (their
+ulp sensitivity is harmless).  Converged states store the collapsed
+profiles plus the exact collapse leftovers, so the certified residual can be
+re-evaluated from the state alone.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ def residual(w: Profile, v: Profile, p: ModelParams) -> tuple[Profile, Profile]:
     """Both components of the coupled residual on the shared grid."""
     _check_pair(w, v)
     zero = np.zeros(w.n_points)
-    g1, g2, _, _ = _two_part_residual(w.values, zero, v.values, zero, p, _grid_terms(p, w.n_points))
+    g1, g2, _, _ = _two_part_residual(_base(w.values, v.values), zero, zero, p, _grid_terms(p, w.n_points))
     return Profile(g1), Profile(g2)
 
 
@@ -205,7 +208,7 @@ def _factor(ab: np.ndarray):
     bit-identical to solve_banded and keeps its errors."""
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
-    work = np.zeros((7, ab.shape[1]))
+    work = np.zeros((7, ab.shape[1]), order="F")  # f2py would copy a C-order array
     work[2:] = ab
     lu, piv, info = _GBTRF(work, 2, 2, overwrite_ab=True)
     if info > 0:
@@ -241,24 +244,31 @@ def _two_sum(base: np.ndarray, add: np.ndarray):
     return s, err
 
 
-def _two_part_residual(wb, wf, vb, vf, p, terms):
+def _base(wb: np.ndarray, vb: np.ndarray):
+    """The frozen base pair with its second differences, formed once per base."""
+    return wb, vb, _second_difference(wb), _second_difference(vb)
+
+
+def _two_part_residual(base, wf, vf, p, terms):
     """Residual of the pair carried as base + fine, plus collapsed values.
 
     The Laplacian is applied to base and fine separately (differences of the
     frozen base are exact, the fine part is far below one ulp of the base);
     reaction terms see only the collapsed values, whose ulp-level error is
-    orders below the residual contract.  terms is _grid_terms' triple.
+    orders below the residual contract.  base is _base's quadruple, terms
+    _grid_terms' triple.
     The predator's -mu v + d v^2 is formed as d v ((v_b - mu/d) + v_f): near
     the limit v = mu/d its two terms, each about mu^2/d, would cancel to a
     rounding error of eps mu^2/d (3.6e-9 at mu = 4000), while v_b - mu/d is
     exact wherever v_b lies within a factor 2 of mu/d.  The prey's terms are
     about lam w and need no such care.
     """
+    wb, vb, d2_wb, d2_vb = base
     a_vals, c_vals, inv_h2 = terms
     w = wb + wf
     v = vb + vf
-    lap_w = -inv_h2 * (_second_difference(wb) + _second_difference(wf))
-    lap_v = -inv_h2 * (_second_difference(vb) + _second_difference(vf))
+    lap_w = -inv_h2 * (d2_wb + _second_difference(wf))
+    lap_v = -inv_h2 * (d2_vb + _second_difference(vf))
     g1 = lap_w - p.lam * w + p.eps * a_vals * w * w + p.b * w * v / (1.0 + w)
     g2 = lap_v + p.d * v * ((vb - p.mu / p.d) + vf) - p.eps * c_vals * w * v / (1.0 + w)
     return g1, g2, w, v
@@ -291,7 +301,8 @@ def _newton(wb, wf, vb, vf, p, terms, origin, held=None):
     ones, and the damped Newton step is taken.  ``newton_iters`` counts the
     accepted steps of either kind.
     """
-    g1, g2, w, v = _two_part_residual(wb, wf, vb, vf, p, terms)
+    base = _base(wb, vb)
+    g1, g2, w, v = _two_part_residual(base, wf, vf, p, terms)
     res_sup = _sup(g1, g2)
     res_sq = float(np.dot(g1, g1) + np.dot(g2, g2))
 
@@ -313,12 +324,12 @@ def _newton(wb, wf, vb, vf, p, terms, origin, held=None):
         rhs = -_interleave(g1, g2)
         trial = None
         if held is not None:
-            trial = _try_step(wb, wf, vb, vf, _solve(held, rhs), p, terms, CHORD_THETA ** 2 * res_sq, 1)
+            trial = _try_step(base, wf, vf, _solve(held, rhs), p, terms, CHORD_THETA ** 2 * res_sq, 1)
         if trial is None:
             factors = _factor(jacobian_banded(w, v, p, *terms))
             if held is not None:
                 held = factors
-            trial = _try_step(wb, wf, vb, vf, _solve(factors, rhs), p, terms, res_sq, MAX_BACKTRACKS + 1)
+            trial = _try_step(base, wf, vf, _solve(factors, rhs), p, terms, res_sq, MAX_BACKTRACKS + 1)
             if trial is None:
                 raise ConvergenceError(
                     f"Newton line search failed at iteration {iteration} (residual {res_sup:g}); "
@@ -330,17 +341,19 @@ def _newton(wb, wf, vb, vf, p, terms, origin, held=None):
             # renormalize so the fine parts keep their precision headroom
             wb, wf = _two_sum(wb, wf)
             vb, vf = _two_sum(vb, vf)
+            base = _base(wb, vb)
     raise ConvergenceError(
         f"Newton did not reach residual {NEWTON_TOL:g} in {MAX_NEWTON_ITERS} iterations "
         f"(final residual {res_sup:g})"
     )
 
 
-def _try_step(wb, wf, vb, vf, step, p, terms, bound, tries):
+def _try_step(base, wf, vf, step, p, terms, bound, tries):
     """The first of the steps t * step, t = 1, 1/2, ... (``tries`` of them)
     that keeps w > -1 and brings the squared residual norm below ``bound``,
     as (wf, vf, g1, g2, w, v, squared norm) of the new iterate; None when
     none does."""
+    wb = base[0]
     dw = step[0::2]
     dv = step[1::2]
     t = 1.0
@@ -348,7 +361,7 @@ def _try_step(wb, wf, vb, vf, step, p, terms, bound, tries):
         wf_new = wf + t * dw
         vf_new = vf + t * dv
         if float(np.min(wb + wf_new)) > -1.0:
-            g1, g2, w, v = _two_part_residual(wb, wf_new, vb, vf_new, p, terms)
+            g1, g2, w, v = _two_part_residual(base, wf_new, vf_new, p, terms)
             sq = float(np.dot(g1, g1) + np.dot(g2, g2))
             if sq < bound:
                 return wf_new, vf_new, g1, g2, w, v, sq
@@ -359,7 +372,7 @@ def _try_step(wb, wf, vb, vf, step, p, terms, bound, tries):
 def residual_fine(state: CoexistenceState, p: ModelParams) -> float:
     """Re-evaluate the certified sup-norm residual of a stored state."""
     g1, g2, _, _ = _two_part_residual(
-        state.w.values, state.w_fine, state.v.values, state.v_fine, p, _grid_terms(p, state.w.n_points)
+        _base(state.w.values, state.v.values), state.w_fine, state.v_fine, p, _grid_terms(p, state.w.n_points)
     )
     return _sup(g1, g2)
 
@@ -472,19 +485,26 @@ def continue_in_eps(
 ) -> ContinuationResult:
     """Natural continuation of a converged state along a linear eps ladder.
 
-    Euler-Newton predictor-corrector (Allgower & Georg, *Numerical
+    Predictor-corrector continuation (Allgower & Georg, *Numerical
     Continuation Methods*, 1990) on one Jacobian factorization per ladder.
-    The Jacobian is factored once at ``start``; the first rung starts from
-    the tangent prediction start + (eps - start.eps) t, J t = -dG/deps =
-    (-a w^2, c w v/(1+w)), and every later rung from the secant prediction
-    prev + s (prev - older), s = (eps - prev.eps) / (prev.eps - older.eps),
-    through the last two accepted states.  The predicted step goes into the
-    fine parts of the two-part carrier; a prediction that would leave
-    w > -1 falls back to prev.  Each rung corrects by chord steps against
-    the held factors (simplified Newton, Deuflhard, *Newton Methods for
-    Nonlinear Problems*, 2004, sec. 2.1); a chord step that leaves more
-    than CHORD_THETA of the residual norm re-factors at the iterate and
-    takes the damped Newton step, and the ladder keeps the new factors.  The
+    ``start`` must be solved at p's lam and mu.  The Jacobian is factored
+    once at ``start``, and the tangent t, J t = -dG/deps =
+    (-a w^2, c w v/(1+w)), is solved against that LU.  Each rung starts from
+    Newton's divided-difference extrapolation, of degree at most 2, of the
+    accepted states, with the start counted twice and t as its first divided
+    difference: the first rung from the tangent prediction
+    start + (eps - start.eps) t, the second from the Hermite quadratic
+    through start, t and the first rung, and every later rung from the
+    quadratic through the last three states.  Differences are formed from values and fine parts.  A
+    rung whose two newest accepted states share an eps starts from prev;
+    when only the second and third newest share one, it starts from the
+    secant through the newest two.  The predicted step goes into the fine
+    parts of the two-part carrier; a prediction that would leave w > -1
+    falls back to prev.  Each rung corrects by chord steps against the held
+    factors (simplified Newton, Deuflhard, *Newton Methods for Nonlinear
+    Problems*, 2004, sec. 2.1); a chord step that leaves more than
+    CHORD_THETA of the residual norm re-factors at the iterate and takes the
+    damped Newton step, and the ladder keeps the new factors.  The
     certificate is newton_solve's: sup residual below 1e-9 on the two-part
     iterate.  On Newton failure or positivity loss the ladder stops early;
     the breakdown record and the states accepted so far give an empirical
@@ -493,6 +513,11 @@ def continue_in_eps(
     steps = whole(steps, 1, "steps")
     eps_target = p.with_eps(eps_target).eps  # validates eps_target
     _check_pair(start.w, start.v, start.w_fine, start.v_fine)
+    if start.lam != p.lam or start.mu != p.mu:
+        raise DomainError(
+            f"start was solved at lam = {start.lam:g}, mu = {start.mu:g}, "
+            f"but the ladder runs at lam = {p.lam:g}, mu = {p.mu:g}"
+        )
     if eps_target == start.eps:
         return ContinuationResult((start,), None)
     terms = _grid_terms(p, start.w.n_points)
@@ -500,21 +525,24 @@ def continue_in_eps(
     w, v = start.w.values, start.v.values
     held = _factor(jacobian_banded(w, v, p.with_eps(start.eps), *terms))
     tangent = _solve(held, _interleave(-a_vals * w * w, c_vals * w * v / (1.0 + w)))
+    # (spacing, first divided difference in w, in v) of the newest pair of
+    # nodes and of the pair before it; None where a pair shares its eps
+    newest, before = (0.0, tangent[0::2], tangent[1::2]), None
     accepted = [start]
     breakdown = None
     for eps in np.linspace(start.eps, eps_target, steps + 1)[1:]:
         q = p.with_eps(float(eps))
         prev = accepted[-1]
-        if len(accepted) == 1:
+        dw = dv = 0.0
+        if newest is not None:
+            gap, slope_w, slope_v = newest
             s = q.eps - prev.eps
-            dw, dv = s * tangent[0::2], s * tangent[1::2]
-        elif accepted[-2].eps != prev.eps:
-            older = accepted[-2]
-            s = (q.eps - prev.eps) / (prev.eps - older.eps)
-            dw = s * ((prev.w.values - older.w.values) + (prev.w_fine - older.w_fine))
-            dv = s * ((prev.v.values - older.v.values) + (prev.v_fine - older.v_fine))
-        else:
-            dw = dv = 0.0
+            dw, dv = s * slope_w, s * slope_v
+            if before is not None:
+                # second divided difference over the last three nodes
+                r = s * (s + gap) / (gap + before[0])
+                dw = dw + r * (slope_w - before[1])
+                dv = dv + r * (slope_v - before[2])
         w_fine, v_fine = prev.w_fine + dw, prev.v_fine + dv
         if not float(np.min(prev.w.values + w_fine)) > -1.0:
             w_fine, v_fine = prev.w_fine, prev.v_fine
@@ -523,5 +551,13 @@ def continue_in_eps(
         except (ConvergenceError, PositivityError) as exc:
             breakdown = f"eps = {eps:g}: {type(exc).__name__}: {exc} (last good eps = {prev.eps:g})"
             break
+        gap = state.eps - prev.eps
+        before, newest = newest, None
+        if gap != 0.0:
+            newest = (
+                gap,
+                ((state.w.values - prev.w.values) + (state.w_fine - prev.w_fine)) / gap,
+                ((state.v.values - prev.v.values) + (state.v_fine - prev.v_fine)) / gap,
+            )
         accepted.append(state)
     return ContinuationResult(tuple(accepted), breakdown)

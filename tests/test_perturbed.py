@@ -113,6 +113,20 @@ def factors(monkeypatch):
     return spy
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the LAPACK dgbtrs calls (solves against a banded LU) in ``count``."""
+    spy = type("SolveSpy", (), {"count": 0})()
+    gbtrs = perturbed._GBTRS
+
+    def counted(*args, **kwargs):
+        spy.count += 1
+        return gbtrs(*args, **kwargs)
+
+    monkeypatch.setattr(perturbed, "_GBTRS", counted)
+    return spy
+
+
 class TestResidual:
     def test_constant_state_is_exact_zero(self, desk, flat_v):
         g1, g2 = residual(Profile.constant(w0_const(desk), 2001), flat_v, desk)
@@ -496,10 +510,76 @@ class TestContinueInEps:
         assert len(out.states) == 5
         assert all(s.residual_sup < 1e-9 for s in out.states)
         assert out.last_good_eps == pytest.approx(1e-3)
-        # one factorization for the whole ladder, and the tangent (first rung)
-        # and secant predictors put every rung one chord step away
+        # one factorization for the whole ladder; the tangent puts the first
+        # rung one chord step away, and the quadratic predictions through the
+        # accepted states certify every later rung without a step
         assert factors.count - before == 1
-        assert [s.newton_iters for s in out.states[1:]] == [1, 1, 1, 1]
+        assert [s.newton_iters for s in out.states[1:]] == [1, 0, 0, 0]
+
+    def test_start_solved_at_other_parameters_is_refused(self, desk, flat_v):
+        # a start at lam = 25 is no node of the ladder at lam = 26: its
+        # residual there is about 1.5
+        start = newton_solve(Profile.constant(w0_const(desk), 2001), flat_v, desk, origin="constant")
+        with pytest.raises(DomainError, match=r"lam = 25\b.*lam = 26\b"):
+            continue_in_eps(start, desk.with_lam(26.0), 1e-3)
+        other_mu = ModelParams(lam=desk.lam, mu=60.0)
+        with pytest.raises(DomainError, match=r"mu = 50\b.*mu = 60\b"):
+            continue_in_eps(start, other_mu, 1e-3)
+
+    def test_work_per_ladder(self, factors, solves):
+        # one operation shaped like an eps_continuation benchmark one: a
+        # census state with sampled a(x), c(x) solved cold at eps = 5e-4,
+        # then 8 rungs to 1e-2.  One solve gives the tangent, and each chord
+        # step is one more
+        x = np.linspace(0.0, 1.0, 33)
+        p = ModelParams(
+            eps=5e-4,
+            coeff_a=CoeffFn.sampled(x, 1.0 + 0.5 * np.sin(2.0 * np.pi * x)),
+            coeff_c=CoeffFn.sampled(x, 1.0 + 0.5 * np.cos(3.0 * np.pi * x)),
+        )
+        start = census(1, p).states[-1]
+        assert start.origin == "nodal(1,upper)"
+        factors.count = solves.count = 0
+        out = continue_in_eps(start, p, 1e-2, steps=8)
+        assert out.breakdown is None
+        assert factors.count == 1
+        assert solves.count == 10
+        assert [s.newton_iters for s in out.states[1:]] == [2, 1, 1, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "frac, origin, last_good_eps, error",
+        [
+            (0.04, "nodal(1,upper)", 0.5, None),
+            (0.04, "nodal(2,upper)", 0.213075, "ConvergenceError"),
+            (0.048, "constant", 0.2505, "ConvergenceError"),
+            (0.048, "nodal(2,lower)", 0.5, None),
+            (0.985, "constant", 0.4002, "ConvergenceError"),
+            (0.985, "nodal(2,upper)", 0.4002, "ConvergenceError"),
+            (0.99, "nodal(1,lower)", 0.5, None),
+            (0.99, "nodal(2,upper)", 0.27545, "ConvergenceError"),
+        ],
+    )
+    def test_ladders_near_a_window_end_stop_where_secant_ones_did(self, frac, origin, last_good_eps, error):
+        # lam within 5% of an end of the mode-2 window at mu = 170: 40 rungs
+        # to eps = 0.5 from a cold solve at 1e-3.  The last good eps and the
+        # breakdown type were frozen from a first-order (secant) predictor:
+        # a better prediction must not move where a ladder stops
+        x = np.linspace(0.0, 1.0, 33)
+        window = mode_windows(ModelParams(mu=170.0))[1]
+        p = ModelParams(
+            lam=window.lambda_minus + frac * (window.lambda_plus - window.lambda_minus),
+            mu=170.0,
+            coeff_a=CoeffFn.sampled(x, 1.0 + 0.5 * np.sin(2.0 * np.pi * x)),
+            coeff_c=CoeffFn.sampled(x, 1.0 + 0.5 * np.cos(3.0 * np.pi * x)),
+        )
+        seed = dict(nodal.limit_seeds(2, p, 2001))[origin]
+        start = newton_solve(seed, Profile.constant(p.mu / p.d, 2001), p.with_eps(1e-3), origin=origin)
+        out = continue_in_eps(start, p, 0.5, steps=40)
+        assert out.last_good_eps == pytest.approx(last_good_eps, rel=1e-12)
+        if error is None:
+            assert out.breakdown is None
+        else:
+            assert f": {error}: " in out.breakdown
 
     def test_failed_chord_step_refactors_and_certifies(self, desk, flat_v, factors):
         # one rung from eps = 0 to 0.5: the first chord step against the start
