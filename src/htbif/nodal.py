@@ -216,9 +216,12 @@ def _integrate_wz(w_start: float, p: ModelParams, cells: int, n: int):
     d = w_{i+1} - w_i (d += H^2 sum sigma_j a_j, w += d), starting from the
     last start-up interval's increments summed apart from w: a d re-formed
     from rounded nodes, as in w_{i+1} = 2 w_i - w_{i-1} + ..., is a velocity
-    error of ulp(w)/H that z never sees.  When n divides the cells (g = n)
-    the piece repeats the first cells/n + 1 nodes of the n = 1 run over
-    [0, 1] bit for bit.  Plain-float inner loops."""
+    error of ulp(w)/H that z never sees.  The Stormer loop never reads z, so
+    it marches w alone and records each force; z then follows from the
+    recorded forces, the same sums in the same order, one array pass per
+    weight.  When n divides the cells (g = n) the piece repeats the first
+    cells/n + 1 nodes of the n = 1 run over [0, 1] bit for bit.  Plain-float
+    inner loops."""
     g = math.gcd(n, cells)
     m = cells // g
     big_h = 1.0 / (n // g * cells)
@@ -254,18 +257,25 @@ def _integrate_wz(w_start: float, p: ModelParams, cells: int, n: int):
     s0, s1, s2, s3, s4, s5, s6, s7 = (hh * c for c in _STORMER)
     hb = big_h / _ADAMS_DENOMINATOR
     b0, b1, b2, b3, b4, b5, b6, b7 = (hb * c for c in _ADAMS)
-    # forces at nodes 6, 5, ..., 0, newest first
-    a1, a2, a3, a4, a5, a6, a7 = (bmu_d * u / (1.0 + u) - lam * u for u in ws[start - 1::-1])
-    put_w, put_z = ws.append, zs.append
+    # forces at nodes 0, ..., m - 1; the march reads the newest eight
+    forces = [bmu_d * u / (1.0 + u) - lam * u for u in ws[:start]]
+    a7, a6, a5, a4, a3, a2, a1 = forces
+    put_w, put_a = ws.append, forces.append
     for _ in range(start, m):
         a0 = bmu_d * w / (1.0 + w) - lam * w
         d += s0 * a0 + s1 * a1 + s2 * a2 + s3 * a3 + s4 * a4 + s5 * a5 + s6 * a6 + s7 * a7
-        z += b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3 + b4 * a4 + b5 * a5 + b6 * a6 + b7 * a7
         w += d
         put_w(w)
-        put_z(z)
+        put_a(a0)
         a7, a6, a5, a4, a3, a2, a1 = a6, a5, a4, a3, a2, a1, a0
-    return np.array(ws), np.array(zs), g
+    # z's Adams-Bashforth increments, each summed left to right as
+    # b0 a_i + b1 a_{i-1} + ..., then added in sequence from z_7
+    f = np.array(forces)
+    inc = b0 * f[start:]
+    for k, b in enumerate((b1, b2, b3, b4, b5, b6, b7), 1):
+        inc = inc + b * f[start - k:m - k]
+    inc[0] += z
+    return np.array(ws), np.concatenate((zs, np.add.accumulate(inc))), g
 
 
 def _check_energy_drift(ws, zs, w_start, p):

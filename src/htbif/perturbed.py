@@ -1,7 +1,7 @@
 """The full coupled steady-state system at saturation parameter eps > 0:
 finite-difference residual, damped Newton with banded Jacobian, first-order
 corrections in eps, the coexistence-state census seeded from the limit
-states, and continuation in eps on one Jacobian factorization per ladder.
+states, and continuation in eps on one held LU per ladder.
 
 The residual of a pair (w, v) is
 
@@ -13,10 +13,12 @@ mirror ghost nodes), so at eps = 0 and v = mu/d the Newton Jacobian's
 w-block is literally the linearized Sturm-Liouville operator.  Unknowns are
 interleaved (w_i, v_i), giving a narrow banded Jacobian solved by LU with
 partial pivoting (LAPACK dgbtrf, then dgbtrs).  A cold solve factors at every
-Newton step; an eps ladder keeps its LU across rungs and takes chord steps
-against it, re-factoring only when a chord step contracts too little.  Each
-rung starts from the quadratic extrapolation in eps of the accepted states,
-with the start's tangent standing in for a second node at the start.
+Newton step, and its state keeps the last LU when that one was formed past
+the initial guess.  An eps ladder takes that LU over (or factors at its
+start), keeps it across rungs and takes chord steps against it, re-factoring
+only when a chord step contracts too little.  Each rung starts from the
+quadratic extrapolation in eps of the accepted states, with the start's
+tangent standing in for a second node at the start.
 
 One ulp of a nodal value moves the discrete Laplacian by 2 u0 |w|/h^2 with
 u0 the unit roundoff (about 2.4e-9 at the default 2001-point grid), which
@@ -34,7 +36,7 @@ re-evaluated from the state alone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
@@ -81,6 +83,13 @@ class CoexistenceState:
     converged two-part Newton iterate into the stored profiles;
     ``residual_sup`` is certified for the pair (values + fine), which
     ``residual_fine`` re-evaluates.
+
+    ``factored`` is (parameters, LU factors) of the last Jacobian a cold
+    ``newton_solve`` factored, when it factored one past the initial guess
+    (Newton iteration 1 or later), and None otherwise; ladder rungs carry
+    None.  ``continue_in_eps`` takes those factors over instead of factoring
+    at the start.  Nothing writes to them.  At 2001 points they hold about
+    240 KB (a 7 x 4002 band plus pivots).  Left out of repr.
     """
 
     w: Profile
@@ -93,6 +102,7 @@ class CoexistenceState:
     origin: str  # "constant", "nodal(n,branch)", or "continued"
     w_fine: np.ndarray
     v_fine: np.ndarray
+    factored: tuple | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +291,9 @@ def newton_solve(w0: Profile, v0: Profile, p: ModelParams, origin: str = "contin
     otherwise the step is halved (at most 20 times).  Convergence means
     discrete sup-norm residual below 1e-9, evaluated on the two-part
     iterate.  A converged limit outside the open positive cone raises
-    PositivityError carrying the limit.
+    PositivityError carrying the limit.  The state keeps the LU factors of
+    the last Jacobian the solve factored, when that was past the initial
+    guess (see CoexistenceState.factored).
     """
     _check_pair(w0, v0)
     zero = np.zeros(w0.n_points)
@@ -299,8 +311,10 @@ def _newton(wb, wf, vb, vf, p, terms, origin, held=None):
     CHORD_THETA^2 times its old value and w stays > -1; otherwise the
     Jacobian is factored at the iterate, those factors become the held
     ones, and the damped Newton step is taken.  ``newton_iters`` counts the
-    accepted steps of either kind.
+    accepted steps of either kind.  Without held factors the state keeps the
+    last factors formed at iteration 1 or later as its ``factored``.
     """
+    factored = None
     base = _base(wb, vb)
     g1, g2, w, v = _two_part_residual(base, wf, vf, p, terms)
     res_sup = _sup(g1, g2)
@@ -317,7 +331,7 @@ def _newton(wb, wf, vb, vf, p, terms, origin, held=None):
             v_out, v_left = _two_sum(vb, vf)
             return CoexistenceState(
                 Profile(w_out), Profile(v_out), p.lam, p.mu, p.eps,
-                res_sup, iteration, origin, w_left, v_left,
+                res_sup, iteration, origin, w_left, v_left, factored,
             ), held
         if iteration == MAX_NEWTON_ITERS:
             break
@@ -329,6 +343,8 @@ def _newton(wb, wf, vb, vf, p, terms, origin, held=None):
             factors = _factor(jacobian_banded(w, v, p, *terms))
             if held is not None:
                 held = factors
+            elif iteration > 0:
+                factored = (p, factors)
             trial = _try_step(base, wf, vf, _solve(factors, rhs), p, terms, res_sq, MAX_BACKTRACKS + 1)
             if trial is None:
                 raise ConvergenceError(
@@ -480,16 +496,28 @@ def census(n: int, p: ModelParams, n_points: int = 2001) -> CensusResult:
     return CensusResult(p.lam, p.mu, p.eps, tuple(distinct), len(distinct), shortfall)
 
 
+def _factored_at(state: CoexistenceState, p: ModelParams):
+    """The state's kept LU factors when they were formed at p (equal b, d,
+    lam, mu and eps, and the same coefficient objects); None otherwise."""
+    if state.factored is None:
+        return None
+    q, factors = state.factored
+    same = (q.b, q.d, q.lam, q.mu, q.eps) == (p.b, p.d, p.lam, p.mu, p.eps)
+    return factors if same and q.coeff_a is p.coeff_a and q.coeff_c is p.coeff_c else None
+
+
 def continue_in_eps(
     start: CoexistenceState, p: ModelParams, eps_target: float, steps: int = 8
 ) -> ContinuationResult:
     """Natural continuation of a converged state along a linear eps ladder.
 
     Predictor-corrector continuation (Allgower & Georg, *Numerical
-    Continuation Methods*, 1990) on one Jacobian factorization per ladder.
-    ``start`` must be solved at p's lam and mu.  The Jacobian is factored
-    once at ``start``, and the tangent t, J t = -dG/deps =
-    (-a w^2, c w v/(1+w)), is solved against that LU.  Each rung starts from
+    Continuation Methods*, 1990) on one held LU per ladder.
+    ``start`` must be solved at p's lam and mu.  The held LU is the one
+    ``start`` kept from its cold solve (``CoexistenceState.factored``) when
+    that was formed at p.with_eps(start.eps); otherwise the Jacobian is
+    factored once at ``start``.  The tangent t, J t = -dG/deps =
+    (-a w^2, c w v/(1+w)), is solved against the held LU.  Each rung starts from
     Newton's divided-difference extrapolation, of degree at most 2, of the
     accepted states, with the start counted twice and t as its first divided
     difference: the first rung from the tangent prediction
@@ -523,7 +551,10 @@ def continue_in_eps(
     terms = _grid_terms(p, start.w.n_points)
     a_vals, c_vals, _ = terms
     w, v = start.w.values, start.v.values
-    held = _factor(jacobian_banded(w, v, p.with_eps(start.eps), *terms))
+    at_start = p.with_eps(start.eps)
+    held = _factored_at(start, at_start)
+    if held is None:
+        held = _factor(jacobian_banded(w, v, at_start, *terms))
     tangent = _solve(held, _interleave(-a_vals * w * w, c_vals * w * v / (1.0 + w)))
     # (spacing, first divided difference in w, in v) of the newest pair of
     # nodes and of the pair before it; None where a pair shares its eps

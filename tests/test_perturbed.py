@@ -529,8 +529,9 @@ class TestContinueInEps:
     def test_work_per_ladder(self, factors, solves):
         # one operation shaped like an eps_continuation benchmark one: a
         # census state with sampled a(x), c(x) solved cold at eps = 5e-4,
-        # then 8 rungs to 1e-2.  One solve gives the tangent, and each chord
-        # step is one more
+        # then 8 rungs to 1e-2.  The ladder holds the LU the cold solve
+        # formed at its second step and factors nothing; one solve gives the
+        # tangent, and each chord step is one more
         x = np.linspace(0.0, 1.0, 33)
         p = ModelParams(
             eps=5e-4,
@@ -542,9 +543,74 @@ class TestContinueInEps:
         factors.count = solves.count = 0
         out = continue_in_eps(start, p, 1e-2, steps=8)
         assert out.breakdown is None
-        assert factors.count == 1
+        assert factors.count == 0
         assert solves.count == 10
         assert [s.newton_iters for s in out.states[1:]] == [2, 1, 1, 1, 1, 1, 1, 1]
+
+    def test_ladder_takes_over_the_cold_solves_last_factors(self, desk, flat_v, factors):
+        # a 2-step cold solve kept the LU of its second step; the ladder
+        # solves against it and factors nothing
+        lower, _ = nodal_pair(1, desk)
+        p = desk.with_eps(1e-3)
+        start = newton_solve(lower.profile, flat_v, p, origin="nodal(1,lower)")
+        assert start.newton_iters == 2 and start.factored[0] is p
+        before = factors.count
+        out = continue_in_eps(start, desk, 1e-2, steps=4)
+        assert factors.count - before == 0
+        assert out.breakdown is None and len(out.states) == 5
+        for s in out.states[1:]:
+            assert s.factored is None
+            assert residual_fine(s, desk.with_eps(s.eps)) < 1e-9
+
+    def test_one_step_solve_keeps_no_factors(self, desk, flat_v):
+        # its only LU is the seed's, which may sit far from the solution
+        lower, _ = nodal_pair(1, desk)
+        start = newton_solve(lower.profile, flat_v, desk, origin="nodal(1,lower)")
+        assert start.newton_iters == 1 and start.factored is None
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"coeff_a": CoeffFn.constant(1.0)},
+            {"coeff_c": CoeffFn.constant(1.0)},
+            {"b": math.nextafter(1.0, 2.0)},
+            {"d": math.nextafter(1.0, 2.0)},
+        ],
+    )
+    def test_factors_from_other_parameters_are_not_taken_over(self, desk, flat_v, factors, change):
+        # the start is solved at equal lam and mu but other coefficient
+        # objects (equal values) or a b or d one ulp off: the ladder factors
+        # at the start instead
+        lower, _ = nodal_pair(1, desk)
+        solved_at = ModelParams(**{**dict(lam=desk.lam, mu=desk.mu, eps=1e-3), **change})
+        start = newton_solve(lower.profile, flat_v, solved_at, origin="nodal(1,lower)")
+        assert start.factored is not None
+        before = factors.count
+        out = continue_in_eps(start, desk, 1e-2, steps=4)
+        assert factors.count - before == 1
+        assert out.breakdown is None and len(out.states) == 5
+        for s in out.states[1:]:
+            assert residual_fine(s, desk.with_eps(s.eps)) < 1e-9
+
+    def test_kept_factors_are_never_written(self, desk, flat_v):
+        # two ladders from one start give the same bits, and the start's
+        # factors are the same bits after both
+        lower, _ = nodal_pair(1, desk)
+        start = newton_solve(lower.profile, flat_v, desk.with_eps(1e-3), origin="nodal(1,lower)")
+        lu, piv = (a.copy() for a in start.factored[1])
+        first, second = (continue_in_eps(start, desk, 0.2, steps=6) for _ in range(2))
+        assert first.breakdown is None and second.breakdown is None
+        for a, b in zip(first.states, second.states):
+            assert a.eps == b.eps and a.newton_iters == b.newton_iters
+            for name in ("w_fine", "v_fine"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert np.array_equal(a.w.values, b.w.values) and np.array_equal(a.v.values, b.v.values)
+        assert np.array_equal(start.factored[1][0], lu) and np.array_equal(start.factored[1][1], piv)
+
+    def test_repr_leaves_the_factors_out(self, desk, flat_v):
+        state = newton_solve(Profile.constant(0.5, 2001), flat_v, desk.with_eps(1e-3))
+        assert state.factored is not None
+        assert "factored" not in repr(state)
 
     @pytest.mark.parametrize(
         "frac, origin, last_good_eps, error",
@@ -619,7 +685,7 @@ class TestContinueInEps:
                     assert mine.sup_distance(ref) <= 2e-11 * float(np.max(np.abs(ref.values)))
 
     def test_ladder_finer_than_float_spacing(self):
-        # a target one ulp away repeats eps along the ladder; the secant
+        # a target one ulp away repeats eps along the ladder; the quadratic
         # predictor must not divide by the zero spacing
         p = ModelParams(eps=1e-3)
         start = newton_solve(Profile.constant(w0_const(p), 501), Profile.constant(50.0, 501), p)
@@ -662,8 +728,9 @@ class TestContinueInEps:
             out = continue_in_eps(state, p, 1e-2, steps=4)
             assert out.breakdown is None and len(out.states) == 5
             assert out.last_good_eps == pytest.approx(1e-2)
-            # one factorization for the whole ladder; chord steps after it
-            assert factors.count - before == 1
+            # no factorization for the whole ladder: chord steps against the
+            # LU each census state kept from its cold solve
+            assert factors.count - before == 0
             assert all(s.newton_iters <= 3 for s in out.states[2:])
             for s in out.states[1:]:
                 assert residual_fine(s, p.with_eps(s.eps)) < 1e-9
