@@ -35,9 +35,6 @@ from .model import (
     CoeffFn,
     ModelParams,
     Profile,
-    kinetic_d2f,
-    kinetic_d3f,
-    kinetic_df,
     kinetic_f,
     potential_F,
     potential_gap,

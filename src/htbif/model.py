@@ -18,6 +18,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,15 +28,12 @@ __all__ = [
     "CoeffFn",
     "ModelParams",
     "Profile",
+    "TurningGap",
     "grid_points",
-    "kinetic_d2f",
-    "kinetic_d3f",
-    "kinetic_df",
     "kinetic_f",
     "potential_F",
     "potential_gap",
     "w0_const",
-    "w_minus_log1p_over_w",
     "whole",
 ]
 
@@ -281,29 +279,11 @@ def kinetic_f(w, p: ModelParams):
     return _ret(p.lam * w - p.bmu_over_d * w / (1.0 + w))
 
 
-def kinetic_df(w, p: ModelParams):
-    """f'(w) = lam - (b*mu/d)/(1+w)^2."""
-    w = _as_checked(w)
-    return _ret(p.lam - p.bmu_over_d / (1.0 + w) ** 2)
-
-
-def kinetic_d2f(w, p: ModelParams):
-    """f''(w) = 2*(b*mu/d)/(1+w)^3."""
-    w = _as_checked(w)
-    return _ret(2.0 * p.bmu_over_d / (1.0 + w) ** 3)
-
-
-def kinetic_d3f(w, p: ModelParams):
-    """f'''(w) = -6*(b*mu/d)/(1+w)^4."""
-    w = _as_checked(w)
-    return _ret(-6.0 * p.bmu_over_d / (1.0 + w) ** 4)
-
-
 # 1/3, 1/5, ..., 1/21: the odd tail of atanh(u) = u + u^3/3 + u^5/5 + ...
 _ATANH_TAIL = tuple(1.0 / (2 * k + 1) for k in range(1, 11))
 
 
-def w_minus_log1p_over_w(w):
+def _w_minus_log1p_over_w(w):
     """(w - log(1+w))/w elementwise (0 at w = 0), without cancellation for
     small |w| and without underflow: it is w/2 to leading order, where
     w - log1p(w) itself leaves the double range below |w| ~ 1e-154.
@@ -338,18 +318,64 @@ def _atanh_tail_term(u):
 def potential_F(w, p: ModelParams):
     """Potential energy F(w) = (lam/2) w^2 - (b*mu/d) [w - ln(1+w)], F' = f."""
     w = _as_checked(w)
-    return _ret(0.5 * p.lam * w * w - p.bmu_over_d * w * w_minus_log1p_over_w(w))
+    return _ret(0.5 * p.lam * w * w - p.bmu_over_d * w * _w_minus_log1p_over_w(w))
 
 
 def potential_gap(delta, p: ModelParams):
-    """Shifted potential F(w0 + delta) - F(w0), without cancellation as delta -> 0.
-
-    Since b*mu/d = lam (1 + w0), the gap is lam delta [delta/2 - r(delta/(1 + w0))]
-    with r = w_minus_log1p_over_w, two terms of full relative precision.
-    Requires lam in (0, b*mu/d).
+    """Shifted potential F(w0 + delta) - F(w0), without cancellation as delta -> 0:
+    the gap below the center taken as a turning point, lam delta G(-delta) with
+    G = TurningGap.at(w0, w0).over_x.  Requires lam in (0, b*mu/d).
     """
     w0 = w0_const(p)
     delta = np.asarray(delta, dtype=float)
     if np.any(delta <= -(1.0 + w0)):
         raise DomainError("delta must keep w0 + delta > -1")
-    return _ret(p.lam * delta * (0.5 * delta - w_minus_log1p_over_w(delta / (1.0 + w0))))
+    return _ret(p.lam * delta * TurningGap.at(w0, w0).over_x(-delta))
+
+
+class TurningGap(NamedTuple):
+    """The potential below a turning point w_end of the plane with center w0:
+    F(w_end) - F(w) = lam x G(x) at the distance x = |w - w_end|, for w on
+    the center's side of w_end (x < 0 reaches the other side).
+
+    With Delta = w_end - w0 and s = +1 left of the center, -1 otherwise,
+    A = G(0) = w_end |Delta|/(1 + w_end), C = G'(0) =
+    (-Delta/(1 + w_end) - w_end)/(2 (1 + w_end)), scale = s/(1 + w_end) and
+    weight = (1 + w0) scale.  w_end enters itself: w0 + Delta would round a
+    near-saddle turning point to an ulp of w0, which the divergent time map
+    amplifies.  The fields are floats, or arrays that broadcast against x.
+    """
+
+    a: float
+    c: float
+    weight: float
+    scale: float
+
+    @classmethod
+    def at(cls, w0: float, w_end: float) -> "TurningGap":
+        delta = w_end - w0
+        base = 1.0 + w_end
+        scale = (1.0 if delta < 0.0 else -1.0) / base
+        return cls(abs(delta) * (w_end / base), (-delta / base - w_end) / (2.0 * base), (1.0 + w0) * scale, scale)
+
+    def over_x(self, x):
+        """G(x) = A - x/2 + weight r(y), r(y) = (y - log1p(y))/y at y = scale x.
+
+        For |y| <= 1/4 it is A + C x - weight y^2 k(y), from r(y) = y/2 - y^2 k(y)
+        with y^2 k(y) = (y^2/2 + 2u^2 P(u^2))/(2 + y), u = y/(2 + y) and the
+        ten terms of P that _w_minus_log1p_over_w sums: the terms -x/2 and
+        weight y/2, each about 1/w0 times G for small w0, are not formed.
+        Larger |y| keep the first form, where C x and weight y/2 would cancel
+        like w0 near the saddle.  A Python float takes one branch by a plain test.
+        """
+        a, c, weight, scale = self
+        y = scale * x
+        if isinstance(y, float):
+            if abs(y) <= 0.25:
+                t = 2.0 + y
+                return a + c * x - weight * ((0.5 * y * y + _atanh_tail_term(y / t)) / t)
+            return a - 0.5 * x + weight * _w_minus_log1p_over_w(y)
+        small = np.abs(y) <= 0.25
+        t = 2.0 + y
+        num = np.where(small, 0.5 * y * y + _atanh_tail_term(y / t), np.log1p(y) - y)
+        return a + np.where(small, c, -0.5) * x - weight * (num / np.where(small, t, y))

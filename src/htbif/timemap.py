@@ -1,6 +1,6 @@
 """Phase-plane quantities of the limit problem: the homoclinic extent, the
 companion turning point, the half-period time map and its center limit, and
-the pointwise certification of the kinetic term's monotonicity conditions.
+the closed-form certification of the kinetic term's monotonicity conditions.
 
 The half-period map for an orbit with turning points w_- < w0 < w_+ is
 
@@ -9,8 +9,9 @@ The half-period map for an orbit with turning points w_- < w0 < w_+ is
 
 a pair of integrals with square-root turning-point singularities.  Both
 halves take one integrand in the distance x = |w - w_end| from the turning
-point, with a cancellation-free gap F(w_end) - F(w).  Near the saddle that
-gap is linear in x only over a vanishing width, and the substitution
+point, with the model's cancellation-free gap F(w_end) - F(w), TurningGap,
+for every w0 in the double range.  Near the saddle that gap is linear in x
+only over a vanishing width, and the substitution
 x = sigma sinh^2(t), exact for a quadratic gap, turns the endpoint singularity
 and the logarithmic spike alike into a nearly constant integrand for adaptive
 Gauss-Legendre panels.  The two halves are one batch of the quadrature: each
@@ -18,7 +19,7 @@ half orbit's coefficients are a row of a table the integrand reads, so a time
 map makes one integrand call, holding both halves whole and bisected, plus
 one per further refinement level.  The same quadrature runs for every w_- in
 (0, w0), up to one ulp below the center, where it meets the center limit
-pi/sqrt(f'(w0)) to rounding.  Planes with w0 below 1e-6 are refused.
+pi/sqrt(f'(w0)) to rounding.
 """
 
 from __future__ import annotations
@@ -31,15 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import (
-    ModelParams,
-    kinetic_d2f,
-    kinetic_d3f,
-    kinetic_df,
-    kinetic_f,
-    w0_const,
-    w_minus_log1p_over_w,
-)
+from .model import ModelParams, TurningGap, w0_const
 from .quadrature import adaptive_gauss
 
 __all__ = [
@@ -52,12 +45,6 @@ __all__ = [
     "time_map",
     "time_map_center",
 ]
-
-# Smallest center w0 at which time_map runs.  The gap's terms cancel to about
-# eps/w0 relative, so T reads 1.4e-10 off at w0 = 9e-7, and up to 1.3e-10 off
-# near the saddle at 1e-6 itself, against its 1e-10 contract.  The slack admits
-# lam = mu/(1 + 1e-6), whose w0 rounds to 1e-6 (1 - 1.3e-10).
-_W0_FLOOR = 1e-6 * (1.0 - 1e-9)
 
 # A width below the center, as a fraction of w0, that no code here reads:
 # bench/test_inputs.py asserts that its timemap_scan draws stay outside it.
@@ -84,11 +71,11 @@ class TimeMapSample:
 
 @dataclass(frozen=True)
 class ABReport:
-    """Pointwise certificate for the time-map monotonicity conditions.
+    """Certificate for the time-map monotonicity conditions.
 
-    alpha is the unique critical point of f' in (0, w_h).  Margins are the
-    worst (largest) values of the two defining expressions, so negative
-    margins certify the strict inequalities on the sample.
+    alpha is the unique zero of f' in (0, w_h).  Margins are the suprema of
+    the two defining expressions on their ranges, so negative margins
+    certify the strict inequalities.
     """
 
     alpha: float
@@ -125,7 +112,8 @@ class PhasePlane:
                 f"8 lam (1 + w0)^2 must stay below {_FLOAT_MAX:g}"
             )
         q = 1.0 / (1.0 + w0)
-        if not 0.5 * lam * w0 * q * (sys.float_info.epsilon * w0) ** 2 >= sys.float_info.min:
+        ulp = sys.float_info.epsilon * w0  # squared as a product: past w0 ~ 6e169, ** 2 raises OverflowError
+        if not 0.5 * lam * w0 * q * ulp * ulp >= sys.float_info.min:
             raise DomainError(
                 f"the phase plane at lam = {lam:g}, w0 = {w0:g} leaves the double range: the gap one "
                 f"ulp from the center, lam w0 (eps w0)^2/(2 (1 + w0)), must be at least {sys.float_info.min:g}"
@@ -142,22 +130,24 @@ class PhasePlane:
         """Offset d = w_+ - w0 of the turning point on the level of w_minus in [0, w0).
 
         The target F(w_minus) - F(w0) is the left half orbit's gap.  Right of
-        the center, gap(d) = lam d (d/2 - r(q d)) with r = w_minus_log1p_over_w,
-        and 0 < r(y) < y/2 for y > 0 brackets d by lam w0 q d^2/2 < gap < lam d^2/2.
+        the center, gap(d) = F(w0 + d) - F(w0) = lam d G(-d) with G the
+        center's TurningGap, and gap = lam d (d/2 - r(q d)), 0 < r(y) < y/2 for
+        y > 0, brackets d by lam w0 q d^2/2 < gap < lam d^2/2.
         Newton's method on sqrt(gap), with gap' = f(w0 + d) = lam d (w0 + d)/(1 + w0 + d),
         starts from the mirror offset w0 - w_minus, bisects any step that leaves
         the bracket, and stops on a step below 4 ulp of d or not under half the
-        previous one: the gap's rounding (about eps/w0 relative) is reached.
+        previous one: the gap's rounding is reached.
         """
         w0, q, lam = self.w0, self.q, self.p.lam
         span = w0 - w_minus
-        target = lam * span * _gap_over_x(*self._gap_coefficients(w_minus), span)
+        target = lam * span * TurningGap.at(w0, w_minus).over_x(span)
+        right = TurningGap.at(w0, w0)
         sqrt_target = math.sqrt(target)
         lo = sqrt_target * math.sqrt(2.0 / lam)
         hi = lo / math.sqrt(w0 * q)
         d, last = min(max(span, lo), hi), math.inf
         while True:
-            gap = lam * d * (0.5 * d - float(w_minus_log1p_over_w(q * d)))
+            gap = lam * d * right.over_x(-d)
             lo, hi = (d, hi) if gap < target else (lo, d)
             slope = lam * d * ((w0 + d) / (1.0 + w0 + d))
             step = 2.0 * (math.sqrt(gap) - sqrt_target) * (math.sqrt(gap) / slope)
@@ -182,67 +172,40 @@ class PhasePlane:
         return max(w0 + self._offset(w_minus), math.nextafter(w0, math.inf))
 
     def time_map(self, w_minus: float) -> TimeMapSample:
-        """Half-period map at the left turning point w_minus in (0, w0), for w0 >= _W0_FLOOR."""
-        if self.w0 < _W0_FLOOR:
-            raise DomainError(f"the time map is refused below w0 = 1e-06, where it leaves its 1e-10 relative "
-                              f"contract; w0 = {self.w0:g} at lam = {self.p.lam!r}, mu = {self.p.mu!r}")
+        """Half-period map at the left turning point w_minus in (0, w0)."""
         w_plus = self.companion(w_minus)
         left, right = self._half_orbit_times(w_minus, w_plus)
         return TimeMapSample(w_minus, w_plus, left + right)
-
-    def _gap_coefficients(self, w_end: float) -> tuple[float, float, float]:
-        """(A, weight, scale) with F(w_end) - F(w) = lam x G(x) at x = |w - w_end|
-        from the turning point w_end, G = _gap_over_x(A, weight, scale, x) and A = G(0).
-
-        With Delta = w_end - w0 and s = +1 on the left half, -1 on the right,
-        A = w_end |Delta|/(1 + w_end), scale = s/(1 + w_end) and
-        weight = (1 + w0) scale.  w_end enters itself: w0 + Delta would round
-        a near-saddle turning point to an ulp of w0, which the divergent time
-        map amplifies.
-        """
-        delta = w_end - self.w0
-        base = 1.0 + w_end
-        scale = (1.0 if delta < 0.0 else -1.0) / base
-        return abs(delta) * (w_end / base), (1.0 + self.w0) * scale, scale
 
     def _half_orbit_times(self, *w_ends: float) -> list[float]:
         """Travel times from the center ordinate to each turning point w_end,
         integrated as one batch.
 
-        The gap F(w_end) - F(w) is lam x G(x) (see _gap_coefficients), and
-        G = A + C x + O(x^2), C = ((1 + w0)/(1 + w_end)^2 - 1)/2, so as A -> 0
-        the integrand spikes over a width A/C.  The sinh map (Johnston &
-        Elliott, Int. J. Numer. Meth. Eng. 62, 2005) x = sigma sinh^2(t),
-        sigma = A/(A/|Delta| + max(C, 0)), exact for a quadratic x G, leaves
-        sqrt(2 sigma/(lam G)) cosh(t), nearly constant on
-        [0, asinh(sqrt(|Delta|/sigma))]; each step stays in the double range
-        for w_end down to the smallest normal double.  Each half orbit is one
-        row (sqrt(sigma), A, weight, scale) of the table the integrand reads.
+        The gap F(w_end) - F(w) is lam x G(x) with G = A + C x + O(x^2) (the
+        model's TurningGap), so as A -> 0 the integrand spikes over a width
+        A/C.  The sinh map (Johnston & Elliott, Int. J. Numer. Meth. Eng. 62,
+        2005) x = sigma sinh^2(t), sigma = A/(A/|Delta| + max(C, 0)), exact
+        for a quadratic x G, leaves sqrt(2 sigma/(lam G)) cosh(t), nearly
+        constant on [0, asinh(sqrt(|Delta|/sigma))]; each step stays in the
+        double range for w_end down to the smallest normal double.  Each half
+        orbit is one row (sqrt(sigma), A, C, weight, scale) of the table the
+        integrand reads.
         """
         rows, ends = [], []
         for w_end in w_ends:
-            a, weight, scale = self._gap_coefficients(w_end)
-            base = 1.0 + w_end
-            c = 0.5 * ((1.0 + self.w0) / (base * base) - 1.0)
-            root = math.sqrt(a / (w_end / base + max(c, 0.0)))
-            rows.append((root, a, weight, scale))
+            gap = TurningGap.at(self.w0, w_end)
+            root = math.sqrt(gap.a / (w_end / (1.0 + w_end) + max(gap.c, 0.0)))
+            rows.append((root, *gap))
             ends.append(math.asinh(math.sqrt(abs(w_end - self.w0)) / root))
         table = np.array(rows)
 
         def integrand(t, which):
-            root, a, weight, scale = table[which].T[:, :, None]
+            root, *gap = table[which].T[:, :, None]
             rx = root * np.sinh(t)
-            return np.cosh(t) / np.sqrt(_gap_over_x(a, weight, scale, rx * rx))
+            return np.cosh(t) / np.sqrt(TurningGap(*gap).over_x(rx * rx))
 
         times = adaptive_gauss(integrand, [0.0] * len(ends), ends)
         return [root * math.sqrt(2.0 / self.p.lam) * time for (root, *_), time in zip(rows, times)]
-
-
-def _gap_over_x(a, weight, scale, x):
-    """G(x) = A - x/2 + weight r(scale x), r = w_minus_log1p_over_w, on floats
-    or broadcasting arrays.  No term cancels (their sum loses about
-    log10(1/w0) digits for small w0)."""
-    return a - 0.5 * x + weight * w_minus_log1p_over_w(scale * x)
 
 
 def homoclinic_extent(p: ModelParams) -> float:
@@ -263,38 +226,28 @@ def time_map(w_minus: float, p: ModelParams) -> TimeMapSample:
 
 
 def ab_certify(p: ModelParams) -> ABReport:
-    """Check the pointwise inequalities behind the time-map monotonicity.
+    """Certify the inequalities behind the time-map monotonicity (the A-B
+    conditions of Schaaf, LNM 1458, 1990) from their closed forms.
 
-    On 10,000 evenly spaced points of [0, w_h]: f' f''' - (5/3) f''^2 < 0
-    past the critical point alpha = sqrt(1 + w0) - 1 = w0/(1 + sqrt(1 + w0)) of
-    f', and f f'' - 3 f'^2 <= 0 up to alpha; also that f' has only the simple
-    zero alpha in (0, w_h).  Violations are reported, never raised.
+    With y = 1 + w, y0 = 1 + w0, B = b mu/d = lam y0 and s = sqrt(y0):
+    f' = lam (y^2 - y0)/y^2 has the one zero alpha = s - 1 = w0/(1 + s), and
+    f'' = 2 B/y^3 > 0 there, so the zero is simple.  f' f''' - (5/3) f''^2
+    = -6 B lam/y^4 - (2/3) B^2/y^6 rises with y, so its supremum past alpha
+    is its value at w_h.  f f'' - 3 f'^2 = lam^2 N(y)/y^4 with
+    N = 2 (y - 1) y0 (y - y0) - 3 (y^2 - y0)^2, and (N/y^4)' =
+    2 y0 (-8 y^2 + 3 (1 + y0) y + 2 y0)/y^5, whose concave quadratic is 5 w0
+    at y = 1 and 3 s (s - 1)^2 at y = s: N/y^4 rises on [1, s], so the
+    supremum up to alpha is lam^2 N(s)/s^4 = -2 lam^2 alpha^2/(1 + alpha).
+    The margins are the two suprema.  Violations are reported, never raised.
     """
     w_h = homoclinic_extent(p)  # validates the phase-plane domain
     w0 = w0_const(p)
+    lam, bmu_d = p.lam, p.bmu_over_d
     alpha = w0 / (1.0 + math.sqrt(1.0 + w0))
-    grid = np.linspace(0.0, w_h, 10_000)
-
-    fp = kinetic_df(grid, p)
-    a_expr = fp * kinetic_d3f(grid, p) - (5.0 / 3.0) * kinetic_d2f(grid, p) ** 2
-    b_expr = kinetic_f(grid, p) * kinetic_d2f(grid, p) - 3.0 * fp * fp
-
-    above = grid > alpha
-    below = grid <= alpha
-    a_margin = float(np.max(a_expr[above])) if np.any(above) else -math.inf
-    b_margin = float(np.max(b_expr[below])) if np.any(below) else -math.inf
-    a_ok = a_margin < 0.0
-    b_ok = b_margin <= 0.0
-
-    inner = (grid > 0.0) & (grid < w_h)
-    neg_side = fp[inner & (grid < alpha)]
-    pos_side = fp[inner & (grid > alpha)]
-    simple = (
-        bool(np.all(neg_side < 0.0))
-        and bool(np.all(pos_side > 0.0))
-        and float(kinetic_d2f(alpha, p)) > 0.0
-    )
-    return ABReport(alpha, a_ok, b_ok, max(a_margin, b_margin), simple)
+    y2 = (1.0 + w_h) * (1.0 + w_h)
+    a_margin = -(bmu_d / y2) * (6.0 * lam + (2.0 / 3.0) * bmu_d / y2) / y2
+    b_margin = -2.0 * (lam * alpha) * (lam * alpha) / (1.0 + alpha)
+    return ABReport(alpha, a_margin < 0.0, b_margin <= 0.0, max(a_margin, b_margin), 0.0 < alpha < w_h)
 
 
 def monotone_check(p: ModelParams, grid) -> bool:

@@ -302,10 +302,6 @@ def _refusals():
     # the n-crossing amplitude lies below the smallest normal double
     for mu in ("1e7", "1e100"):
         yield pytest.param("nodal", ["--mu", mu, "--lambda", "25", "--n", "1"], id=f"nodal --mu {mu}")
-    # the plane's center lies below the time map's 1e-6 floor: a QuadratureError
-    # at w0 = 2e-10, and values about 1e-9 off with exit 0 at w0 = 1e-7, before
-    for mu, lam in (("50", "49.99999999"), ("1", "0.9999999")):
-        yield pytest.param("timemap", ["--mu", mu, "--lambda", lam], id=f"timemap --mu {mu} --lambda {lam}")
     # eta2 overflows (plus side) or underflows (minus side), so the ladder
     # cannot move lam off the window end
     for mu, side in (("1e300", "plus"), ("1e120", "minus"), ("1e150", "minus"), ("1e300", "minus")):
@@ -330,3 +326,38 @@ def test_refusal_is_one_line_and_writes_nothing(tmp_path, monkeypatch, capsys, c
     assert re.fullmatch(rf"htbif {cmd}: (?:{TYPED}): [^\n]+\n", captured.err)
     assert list(out_dir.iterdir()) == []
 
+
+
+@pytest.mark.parametrize("mu, lam", [("50", "49.99999999"), ("1", "0.9999999")])
+def test_timemap_near_the_window_top(tmp_path, mu, lam):
+    # centers w0 = 2e-10 and 1e-7, where the gap's x terms are 1/w0 times
+    # the gap: every sample has w_- < w0 < w_+ and T above the center limit
+    out = tmp_path / "tm.csv"
+    assert run_cli(["timemap", "--mu", mu, "--lambda", lam, "-o", str(out)]) == 0
+    from htbif.model import ModelParams, w0_const
+    from htbif.timemap import time_map_center
+
+    p = ModelParams(mu=float(mu), lam=float(lam))
+    rows = [list(map(float, line.split(","))) for line in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 50
+    for wm, wp, t, _ in rows:
+        assert wm < w0_const(p) < wp
+        assert t > time_map_center(p)
+
+
+EXTREME = ("1e-300", "1e-200", "1e-100", "1e-30", "1e-8", "1", "50", "1e8", "1e30", "1e100", "1e200", "1e300")
+
+
+def test_extreme_planes_answer_or_refuse_by_name(tmp_path, capsys):
+    # every (mu, lam) of the grid, mu/lam from 1e-600 to 1e600: timemap and
+    # nodal exit 0, or exit 1 with one line naming a library error, never a
+    # built-in one such as OverflowError
+    out = str(tmp_path / "out.csv")
+    for mu in EXTREME:
+        for lam in EXTREME:
+            for args in (["timemap", "--samples", "5"], ["nodal", "--n", "1", "--n-points", "201"]):
+                cmd = args + ["--mu", mu, "--lambda", lam, "-o", out]
+                code = run_cli(cmd)
+                err = capsys.readouterr().err
+                if code != 0:
+                    assert code == 1 and re.fullmatch(rf"htbif {args[0]}: (?:{TYPED}): [^\n]+\n", err), (cmd, err)

@@ -11,14 +11,12 @@ from htbif.model import (
     CoeffFn,
     ModelParams,
     Profile,
-    kinetic_d2f,
-    kinetic_d3f,
-    kinetic_df,
+    TurningGap,
+    _w_minus_log1p_over_w,
     kinetic_f,
     potential_F,
     potential_gap,
     w0_const,
-    w_minus_log1p_over_w,
 )
 
 
@@ -139,7 +137,10 @@ class TestKinetics:
         assert kinetic_f(w0_const(desk), desk) == pytest.approx(0.0, abs=1e-14)
 
     def test_df_at_zero(self, desk):
-        assert kinetic_df(0.0, desk) == -25.0
+        # the saddle's slope f'(0) = lam - b mu/d
+        h = 1e-6
+        fd = (kinetic_f(h, desk) - kinetic_f(-h, desk)) / (2 * h)
+        assert fd == pytest.approx(-25.0, rel=1e-9)
 
     def test_domain(self, desk):
         with pytest.raises(DomainError):
@@ -148,15 +149,22 @@ class TestKinetics:
             potential_F(np.array([0.5, -2.0]), desk)
 
     def test_derivatives_match_finite_differences(self, desk):
+        # the closed forms ab_certify's certificate rests on, with y = 1 + w,
+        # y0 = 1 + w0 and B = b mu/d = lam y0: f' = lam (y^2 - y0)/y^2,
+        # f'' = 2 B/y^3 and f''' = -6 B/y^4, against differences of kinetic_f
         rng = np.random.default_rng(7)
         w = rng.uniform(-0.5, 5.0, size=40)
         h = 1e-6
-        fd1 = (kinetic_f(w + h, desk) - kinetic_f(w - h, desk)) / (2 * h)
-        fd2 = (kinetic_df(w + h, desk) - kinetic_df(w - h, desk)) / (2 * h)
-        fd3 = (kinetic_d2f(w + h, desk) - kinetic_d2f(w - h, desk)) / (2 * h)
-        assert np.allclose(fd1, kinetic_df(w, desk), rtol=1e-6, atol=1e-6)
-        assert np.allclose(fd2, kinetic_d2f(w, desk), rtol=1e-6, atol=1e-6)
-        assert np.allclose(fd3, kinetic_d3f(w, desk), rtol=1e-5, atol=1e-5)
+        lam, bmu_d, y0 = desk.lam, desk.bmu_over_d, 1.0 + w0_const(desk)
+        closed = (
+            lambda w: kinetic_f(w, desk),
+            lambda w: lam * ((1.0 + w) ** 2 - y0) / (1.0 + w) ** 2,
+            lambda w: 2.0 * bmu_d / (1.0 + w) ** 3,
+            lambda w: -6.0 * bmu_d / (1.0 + w) ** 4,
+        )
+        for f, df in zip(closed, closed[1:]):
+            fd = (f(w + h) - f(w - h)) / (2 * h)
+            assert np.allclose(fd, df(w), rtol=1e-6, atol=1e-6)
 
 
 class TestPotential:
@@ -183,10 +191,12 @@ class TestPotential:
         assert changes.size == 2  # only the saddle at 0 and the center at w0
 
     def test_curvature_signs(self, desk):
-        w0 = w0_const(desk)
-        assert kinetic_df(0.0, desk) < 0.0 < kinetic_df(w0, desk)
+        # F'' = f' is lam - b mu/d < 0 at the saddle and lam w0/(1 + w0) > 0 at the center
+        w0, h = w0_const(desk), 1e-6
+        slope = [(kinetic_f(w + h, desk) - kinetic_f(w - h, desk)) / (2 * h) for w in (0.0, w0)]
+        assert slope[0] < 0.0 < slope[1]
         exact = desk.lam * (1.0 - desk.d * desk.lam / (desk.b * desk.mu))
-        assert kinetic_df(w0, desk) == pytest.approx(exact, rel=1e-14)
+        assert slope[1] == pytest.approx(exact, rel=1e-9)
 
     def test_gap_matches_direct_difference(self, desk):
         w0 = w0_const(desk)
@@ -211,6 +221,43 @@ class TestPotential:
                 exact = F(w0 + mpmath.mpf(delta)) - F(w0)
                 err = abs(mpmath.mpf(float(potential_gap(delta, desk))) / exact - 1)
                 assert err <= 1e-14, delta
+
+
+class TestTurningGap:
+    """F(w_end) - F(w) = lam x G(x) at the distance x from a turning point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_w0=st.floats(-12.0, 100.0),
+        log_ratio=st.floats(-8.0, math.log10(1.0 - 1e-6)),
+        right=st.booleans(),
+        near_quarter=st.booleans(),
+        log_x=st.floats(-12.0, 0.0),
+    )
+    def test_matches_the_potential_at_60_digits(self, log_w0, log_ratio, right, near_quarter, log_x):
+        # a left turning point w_- = ratio w0, or its mirror w0 + (w0 - w_-)
+        # on the right; x log-uniform in (0, |Delta|], or within a factor 3.2
+        # of |y| = 1/4, where the branches meet.  The potential's terms reach
+        # about 1e36 times the gap here, so 160 working digits leave more than
+        # 60.  The float path equals the array path bit for bit
+        w0 = 10.0 ** log_w0
+        w_minus = 10.0 ** log_ratio * w0
+        w_end = w0 + (w0 - w_minus) if right else w_minus
+        span = abs(w_end - w0)
+        x = span * 10.0 ** log_x
+        if near_quarter:
+            x = min(span, 0.25 * (1.0 + w_end) * 10.0 ** (log_x / 12.0 + 0.5))
+        gap = TurningGap.at(w0, w_end)
+        value = gap.over_x(x)
+        assert np.array_equal(np.array([value]).view(np.int64), gap.over_x(np.array([x])).view(np.int64))
+        with mpmath.workdps(160):
+            y0, we = 1 + mpmath.mpf(w0), mpmath.mpf(w_end)
+
+            def F(w):  # lam = 1, b mu/d = 1 + w0
+                return w * w / 2 - y0 * (w - mpmath.log1p(w))
+
+            exact = (F(we) - F(we + (-x if right else x))) / x
+            assert abs(mpmath.mpf(value) / exact - 1) <= 1e-14
 
 
 class TestEnergy:
@@ -277,7 +324,7 @@ class TestPotentialKernel:
                     pts.append(w)
             pts = np.array(pts)
             assert np.count_nonzero(np.abs(pts) <= 0.25) == 201
-            for w, v in zip(pts, w_minus_log1p_over_w(pts)):
+            for w, v in zip(pts, _w_minus_log1p_over_w(pts)):
                 ref = _w_minus_log1p_ref(float(w)) / float(w)
                 assert abs(mpmath.mpf(float(v)) - ref) <= 5.0 * np.spacing(abs(float(ref)))
 
@@ -318,6 +365,6 @@ class TestPotentialKernel:
             [1e-300, -1e-300, 5e-324],
             10.0 ** rng.uniform(-1.0, 300.0, 2000),
         ])
-        singles = [w_minus_log1p_over_w(x) for x in w.tolist()]
+        singles = [_w_minus_log1p_over_w(x) for x in w.tolist()]
         assert all(type(v) is float for v in singles)
-        assert np.array_equal(np.array(singles).view(np.int64), w_minus_log1p_over_w(w).view(np.int64))
+        assert np.array_equal(np.array(singles).view(np.int64), _w_minus_log1p_over_w(w).view(np.int64))

@@ -352,18 +352,21 @@ class TestNodalPair:
         for member in nodal_pair(n, ModelParams(mu=mu, lam=lam), 2001):
             assert np.array_equal(member.profile.values, member.profile.values[::-1])
 
-    def test_window_top_below_the_time_map_floor(self):
+    def test_window_top_with_w0_below_1e6(self):
         # at mu = 1e7 the mode-1 window ends at w0 = 9.87e-7, so its top 0.13
-        # of lam lies below the time map's 1e-6 floor: the pair solves just
-        # above the floor and is refused by name inside that sliver
+        # of lam has w0 below 1e-6; across that sliver the pair solves and
+        # certifies, with n T(w_-) = 1
+        # (BVP residuals at most 1.4e-13 measured)
         p = ModelParams(mu=1e7)
         top = lambda_roots(1, p).lambda_plus
-        floor_lam = p.mu / (1.0 + 1e-6)
-        assert w0_const(p.with_lam(top)) < 1e-6 and floor_lam < top
-        lower, upper = nodal_pair(1, p.with_lam(floor_lam - 1.0))
-        assert lower.crossings == upper.crossings == 1
-        with pytest.raises(DomainError, match="refused below w0 = 1e-06"):
-            nodal_pair(1, p.with_lam(0.5 * (floor_lam + top)))
+        lam_1e6 = p.mu / (1.0 + 1e-6)
+        assert w0_const(p.with_lam(top)) < 1e-6 and lam_1e6 < top
+        for lam in (lam_1e6 - 1.0, 0.5 * (lam_1e6 + top), top - 1e-4):
+            q = p.with_lam(lam)
+            lower, upper = nodal_pair(1, q)
+            assert lower.crossings == upper.crossings == 1
+            assert time_map(lower.w_minus, q).T == pytest.approx(1.0, rel=1e-10)
+            assert max(bvp_residual(lower.profile, q), bvp_residual(upper.profile, q)) < 1e-12
 
     def test_misaligned_grid_reflects_one_piece(self):
         # 3 does not divide 2000: the piece has 2000 intervals of 1/6000, and

@@ -81,10 +81,9 @@ class TestCompanion:
     @pytest.mark.parametrize("ratio", [1e-8, 0.3, 0.9, 1.0 - 1e-6])
     @pytest.mark.parametrize("w0", [1e-3, 1e-4, 1e-6])
     def test_offset_against_100_digit_references(self, w0, ratio):
-        # lam near b mu/d, where the gap's terms are 1/w0 times larger than the
-        # gap: the offset w_+ - w0 stays within 1e-9 (at most 2.6e-10
-        # measured, at w_-/w0 = 1 - 1e-6, where the rounding of w0 itself
-        # is that large against the offset)
+        # lam near b mu/d: the offset w_+ - w0 stays within 1e-9 (at most
+        # 2.6e-10 measured, at w_-/w0 = 1 - 1e-6, where the rounding of w0
+        # itself is that large against the offset; 2.7e-15 elsewhere)
         plane = PhasePlane(ModelParams(mu=200.0, lam=200.0 / (1.0 + w0)))
         w_minus = ratio * plane.w0
         center, ref = _companion_reference(plane, w_minus)
@@ -93,18 +92,17 @@ class TestCompanion:
     def test_gap_evaluations_per_companion(self, monkeypatch):
         # 200 companions drawn from the timemap_scan ranges (mu log-uniform on
         # [20, 400], lam/mu on [0.05, 0.95], w_-/w0 near the saddle, mid-orbit
-        # and near the center): Newton takes at most 6 gap evaluations
-        # (measured at this bound), where a bisection took 50 to 73; building
+        # and near the center): Newton takes at most 6 gap evaluations (5
+        # measured), where a bisection took 50 to 73; building
         # the plane takes none, since w_h is solved for only when read
         calls = Counter()
-        original = timemap.w_minus_log1p_over_w
+        original = model.TurningGap.over_x
 
-        def counted(w):
+        def counted(gap, x):
             calls["gap"] += 1
-            return original(w)
+            return original(gap, x)
 
-        for module in (timemap, model):
-            monkeypatch.setattr(module, "w_minus_log1p_over_w", counted)
+        monkeypatch.setattr(model.TurningGap, "over_x", counted)
         rng = np.random.default_rng(21)
         worst = 0
         for i in range(200):
@@ -416,9 +414,21 @@ class TestTimeMapAcrossParameters:
 #     |D| sin(psi) / sqrt(2 (F(w_end) - F(w_end - 2 D sin^2(psi/2))))
 #     by mpmath.quad(..., [0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, pi/2],
 #     method="gauss-legendre"); tanh-sinh at 70 digits agrees to 1e-27.
-# Below w0 = 1e-3, both halves from _half_orbit_reference, with w_+ from
-# _companion_reference.
+# Below w0 = 1e-3, down to w0 = 1e-12, both halves from
+# _half_orbit_reference, with w_+ from _companion_reference.
 T_STRESS_REF = (
+    (1e-12, 1e-8, 1478235.0708550713025),
+    (1e-12, 0.3, 271561.13578358956147),
+    (1e-12, 0.9, 223019.23759817771497),
+    (1e-12, 1.0 - 1e-6, 222142.16470813509659),
+    (1e-9, 1e-8, 46746.312598311182228),
+    (1e-9, 0.3, 8587.5934057977992779),
+    (1e-9, 0.9, 7052.5501703278796413),
+    (1e-9, 1.0 - 1e-6, 7024.8144439381903794),
+    (1e-7, 1e-8, 4674.6317126577196177),
+    (1e-7, 0.3, 858.75944925467968005),
+    (1e-7, 0.9, 705.25511579998726575),
+    (1e-7, 1.0 - 1e-6, 702.48154305697141808),
     (1e-6, 1e-8, 1478.2490889226307900),
     (1e-6, 0.3, 271.56379240483471449),
     (1e-6, 0.9, 223.02144974780043185),
@@ -454,24 +464,21 @@ class TestTimeMapStress:
     @pytest.mark.parametrize("w0, ratio, ref", T_STRESS_REF)
     def test_frozen_across_the_window(self, w0, ratio, ref):
         # lam near b mu/d (w0 -> 0) and small lam (large w0) keep the 1e-10
-        # time-map contract; the error is at most 2.7e-11 at w0 = 1e-6, where
-        # the gap's terms are 1/w0 times larger than the gap, 3.4e-14 at
-        # w0 = 1e-3 and 6.7e-16 from w0 = 0.1 on
+        # time-map contract; the error is at most 1.3e-14 (at w0 = 1e-3) and
+        # 6.7e-16 elsewhere
         plane = PhasePlane(ModelParams(mu=200.0, lam=200.0 / (1.0 + w0)))
         assert plane.time_map(ratio * plane.w0).T == pytest.approx(ref, rel=1e-10)
 
-
     @pytest.mark.parametrize("mu", [20.0, 200.0, 2e5])
-    def test_refused_just_below_the_floor(self, mu):
-        # at w0 = 9.99e-7 the map ran on without error, about 1e-10 off
-        # (1.4e-10 at 9e-7); the refusal names the floor and the contract,
-        # and the companion and the homoclinic extent still answer
+    def test_just_below_w0_1e6(self, mu):
+        # w0 = 9.99e-7 over four decades of mu: T at w_- = w0/2 against
+        # 50-digit references from the same doubles
+        # (both halves from _half_orbit_reference, w_+ from
+        # _companion_reference), 3.3e-16 off at most
+        ref = {20.0: 772.01402914533787225, 200.0: 244.13227177462920281, 2e5: 7.7201402916829016121}[mu]
         plane = PhasePlane(ModelParams(mu=mu, lam=mu / (1.0 + 0.999e-6)))
-        floor = r"refused below w0 = 1e-06, where it leaves its 1e-10 relative contract"
-        for call in (lambda: plane.time_map(0.5 * plane.w0), lambda: time_map(0.5 * plane.w0, plane.p)):
-            with pytest.raises(DomainError, match=floor):
-                call()
-        assert plane.w0 < plane.companion(0.5 * plane.w0) < plane.w_h
+        assert plane.time_map(0.5 * plane.w0).T == pytest.approx(ref, rel=1e-10)
+        assert time_map(0.5 * plane.w0, plane.p) == plane.time_map(0.5 * plane.w0)
 
 
 def _mp_potential(plane):
@@ -563,11 +570,10 @@ class TestRoutes:
         left, _ = plane._half_orbit_times(w_minus, plane.companion(w_minus))
         assert left == pytest.approx(ref, rel=rel)
 
-    @pytest.mark.parametrize("w0_range, rel", [((0.1, 50.0), 1e-13), ((1e-5, 0.1), 1e-10)])
+    @pytest.mark.parametrize("w0_range, rel", [((0.1, 50.0), 1e-13), ((1e-5, 0.1), 1e-13)])
     def test_both_halves_match_50_digit_references(self, w0_range, rel):
-        # at the code's own turning points, saddle to center; the cancellation
-        # in the gap's x^2 coefficient, about 1/w0, sets the looser bound
-        # (at most 1.6e-14 and 1.3e-11 measured on 150 and 60 points)
+        # at the code's own turning points, saddle to center (at most 2.2e-16
+        # and 4.4e-16 measured on these 24 points each)
         rng = np.random.default_rng(20)
         lo, hi = np.log(w0_range)
         worst = 0.0
@@ -660,33 +666,71 @@ class TestRoutes:
         assert abs((w_plus - center) / (ref - center) - 1) < 1e-9
 
 
+def _termwise(w, p):
+    """f, f', f'' and f''' of the kinetics term by term, B = b mu/d."""
+    bmu_d, y = p.bmu_over_d, 1.0 + w
+    return p.lam * w - bmu_d * w / y, p.lam - bmu_d / y ** 2, 2.0 * bmu_d / y ** 3, -6.0 * bmu_d / y ** 4
+
+
+def _ab_planes():
+    """200 seeded planes: b, d in [0.3, 3], mu log-uniform up to 1.6e5, lam in (0.02, 0.98) b mu/d."""
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        b, d, mu = np.exp(rng.uniform(np.log([0.3, 0.3, 5.0]), np.log([3.0, 3.0, 1.6e5]))).tolist()
+        yield ModelParams(b=b, d=d, mu=mu, lam=rng.uniform(0.02, 0.98) * b * mu / d)
+
+
 class TestABCertify:
     def test_desk_certificate(self, desk):
         report = ab_certify(desk)
         assert report.alpha == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
         assert report.a_condition_ok and report.b_condition_ok
-        assert report.worst_margin < 0.0
+        # -2 lam^2 alpha^2/(1 + alpha) at lam = 25, alpha = sqrt(2) - 1
+        assert report.worst_margin == pytest.approx(-1250.0 * (3.0 / math.sqrt(2.0) - 2.0), rel=1e-14)
         assert report.fprime_simple_zero_ok
 
-    def test_a_expression_termwise(self, desk):
-        # f' f''' - (5/3) f''^2 collapses to two negative terms
-        from htbif.model import kinetic_d2f, kinetic_d3f, kinetic_df
+    def test_a_expression_termwise(self):
+        # f' f''' - (5/3) f''^2 collapses to -6 B lam/y^4 - (2/3) B^2/y^6,
+        # which rises with y = 1 + w (2.9e-15 apart at most)
+        for p in _ab_planes():
+            w = np.linspace(0.0, homoclinic_extent(p), 400)
+            _, f1, f2, f3 = _termwise(w, p)
+            y, bmu_d = 1.0 + w, p.bmu_over_d
+            closed = -6.0 * bmu_d * p.lam / y ** 4 - (2.0 / 3.0) * bmu_d ** 2 / y ** 6
+            assert np.allclose(f1 * f3 - (5.0 / 3.0) * f2 ** 2, closed, rtol=1e-13, atol=0.0)
+            assert np.all(np.diff(closed) > 0.0)
 
-        w = np.linspace(0.0, 1.6, 500)
-        expr = kinetic_df(w, desk) * kinetic_d3f(w, desk) - (5.0 / 3.0) * kinetic_d2f(w, desk) ** 2
-        bmu_d = desk.bmu_over_d
-        closed = (
-            -6.0 * bmu_d * desk.lam / (1.0 + w) ** 4
-            - (2.0 / 3.0) * bmu_d ** 2 / (1.0 + w) ** 6
-        )
-        assert np.allclose(expr, closed, rtol=1e-12)
-        assert np.all(closed < 0.0)
+    def test_b_expression_termwise(self):
+        # f f'' - 3 f'^2 = lam^2 N(y)/y^4, N = 2 (y - 1) y0 (y - y0) - 3 (y^2 - y0)^2,
+        # which rises on [0, alpha] (2.4e-14 apart at most: both forms cancel)
+        for p in _ab_planes():
+            alpha = ab_certify(p).alpha
+            w = np.linspace(0.0, alpha, 400)
+            f, f1, f2, _ = _termwise(w, p)
+            y, y0 = 1.0 + w, 1.0 + w0_const(p)
+            closed = p.lam ** 2 * (2.0 * (y - 1.0) * y0 * (y - y0) - 3.0 * (y * y - y0) ** 2) / y ** 4
+            assert np.allclose(f * f2 - 3.0 * f1 * f1, closed, rtol=1e-12, atol=0.0)
+            assert np.all(np.diff(closed) > 0.0)
 
-    def test_second_derivative_positive_at_alpha(self, desk):
-        from htbif.model import kinetic_d2f
+    def test_margins_are_the_termwise_suprema(self):
+        # the suprema sit at w_h and at alpha, so the worst margin is the
+        # larger termwise value there (6.4e-15 apart at most)
+        for p in _ab_planes():
+            report = ab_certify(p)
+            f, f1, f2, f3 = _termwise(np.array([homoclinic_extent(p), report.alpha]), p)
+            a_expr, b_expr = f1 * f3 - (5.0 / 3.0) * f2 ** 2, f * f2 - 3.0 * f1 * f1
+            assert report.worst_margin == pytest.approx(max(a_expr[0], b_expr[1]), rel=1e-12)
+            assert report.a_condition_ok and report.b_condition_ok
 
-        report = ab_certify(desk)
-        assert float(kinetic_d2f(report.alpha, desk)) > 0.0
+    def test_second_derivative_positive_at_alpha(self):
+        # alpha is the zero of f' to rounding (1.5 eps B at most), and
+        # f'' > 0 there: the zero is simple
+        for p in _ab_planes():
+            report = ab_certify(p)
+            _, f1, f2, _ = _termwise(report.alpha, p)
+            assert abs(f1) <= 4.0 * sys.float_info.epsilon * p.bmu_over_d
+            assert f2 > 0.0
+            assert report.fprime_simple_zero_ok
 
 
 class TestMonotoneCheck:
