@@ -279,35 +279,13 @@ def kinetic_f(w, p: ModelParams):
     return _ret(p.lam * w - p.bmu_over_d * w / (1.0 + w))
 
 
-# 1/3, 1/5, ..., 1/21: the odd tail of atanh(u) = u + u^3/3 + u^5/5 + ...
+# 1/3, 1/5, ..., 1/21: P(v) = 1/3 + v/5 + ..., atanh(u) = u + u^3 P(u^2)
 _ATANH_TAIL = tuple(1.0 / (2 * k + 1) for k in range(1, 11))
 
 
-def _w_minus_log1p_over_w(w):
-    """(w - log(1+w))/w elementwise (0 at w = 0), without cancellation for
-    small |w| and without underflow: it is w/2 to leading order, where
-    w - log1p(w) itself leaves the double range below |w| ~ 1e-154.
-
-    For |w| <= 1/4, u = w/(2+w) satisfies log1p(w) = 2 atanh(u) and
-    u w = 2u^2/(1-u), so (w - log1p(w))/w = (w - 2u^2 P(u^2))/(2+w) with
-    P(v) = sum_{k>=1} v^(k-1)/(2k+1).  Since |u| <= 1/7, ten terms of P
-    leave a truncation below 1e-19 relative; the cost is fixed and each
-    element depends on itself alone.  Larger |w| need no care.
-
-    A Python float takes one branch by a plain test and returns a float
-    equal bit for bit to the array's element; on a float, the two np.where
-    calls on 0-d arrays would take most of the time.
-    """
-    if isinstance(w, float):
-        if abs(w) <= 0.25:
-            return (w - _atanh_tail_term(w / (2.0 + w))) / (2.0 + w)
-        return float((w - np.log1p(w)) / w)
-    small = np.abs(w) <= 0.25
-    return np.where(small, w - _atanh_tail_term(w / (2.0 + w)), w - np.log1p(w)) / np.where(small, 2.0 + w, w)
-
-
 def _atanh_tail_term(u):
-    """2 u^2 P(u^2) = (2 atanh(u) - 2u)/u, with the ten terms of P."""
+    """2 u^2 P(u^2) = (2 atanh(u) - 2u)/u, with the ten terms of P: below 1e-19
+    relative truncation for |u| <= 1/7, which u = y/(2 + y) keeps at |y| <= 1/4."""
     v = u * u
     tail = _ATANH_TAIL[-1]
     for c in _ATANH_TAIL[-2::-1]:
@@ -316,9 +294,11 @@ def _atanh_tail_term(u):
 
 
 def potential_F(w, p: ModelParams):
-    """Potential energy F(w) = (lam/2) w^2 - (b*mu/d) [w - ln(1+w)], F' = f."""
+    """Potential energy F(w) = (lam/2) w^2 - (b*mu/d) [w - ln(1+w)], F' = f, for w > -1, as
+    the gap below the saddle -lam w G(w), G = TurningGap.at(w0, 0).over_x: near the
+    saddle its two terms, which cancel like w0, are not formed.  Requires lam in (0, b*mu/d)."""
     w = _as_checked(w)
-    return _ret(0.5 * p.lam * w * w - p.bmu_over_d * w * _w_minus_log1p_over_w(w))
+    return _ret(-p.lam * w * TurningGap.at(w0_const(p), 0.0).over_x(w))
 
 
 def potential_gap(delta, p: ModelParams):
@@ -363,10 +343,11 @@ class TurningGap(NamedTuple):
 
         For |y| <= 1/4 it is A + C x - weight y^2 k(y), from r(y) = y/2 - y^2 k(y)
         with y^2 k(y) = (y^2/2 + 2u^2 P(u^2))/(2 + y), u = y/(2 + y) and the
-        ten terms of P that _w_minus_log1p_over_w sums: the terms -x/2 and
-        weight y/2, each about 1/w0 times G for small w0, are not formed.
-        Larger |y| keep the first form, where C x and weight y/2 would cancel
-        like w0 near the saddle.  A Python float takes one branch by a plain test.
+        ten terms of P in _ATANH_TAIL: the terms -x/2 and weight y/2, each
+        about 1/w0 times G for small w0, are not formed.  Larger |y| keep the
+        first form, where C x and weight y/2 would cancel like w0 near the
+        saddle.  A Python float takes one branch by a plain test, with the
+        array branch's terms (negated where the array's are), bit for bit.
         """
         a, c, weight, scale = self
         y = scale * x
@@ -374,7 +355,7 @@ class TurningGap(NamedTuple):
             if abs(y) <= 0.25:
                 t = 2.0 + y
                 return a + c * x - weight * ((0.5 * y * y + _atanh_tail_term(y / t)) / t)
-            return a - 0.5 * x + weight * _w_minus_log1p_over_w(y)
+            return a - 0.5 * x - weight * float((np.log1p(y) - y) / y)
         small = np.abs(y) <= 0.25
         t = 2.0 + y
         num = np.where(small, 0.5 * y * y + _atanh_tail_term(y / t), np.log1p(y) - y)

@@ -174,53 +174,39 @@ def residual(w: Profile, v: Profile, p: ModelParams) -> tuple[Profile, Profile]:
 
 
 def jacobian_banded(w: np.ndarray, v: np.ndarray, p: ModelParams, a_vals, c_vals, inv_h2):
-    """Banded (l=u=2) Jacobian in solve_banded layout for interleaved unknowns.
+    """Banded (l=u=2) Jacobian for interleaved unknowns, in the storage LAPACK
+    dgbtrf factors: a Fortran-order 7 x 2n array whose rows 2..6 hold the
+    diagonals +2..-2 (A[i, j] at row 4 + i - j, column j) and whose rows 0-1
+    are zero, left for the pivoting fill-in.  ``ab[2:]`` is the layout of
+    solve_banded((2, 2), ...).
 
     Row 2i is the w-equation at node i, row 2i+1 the v-equation.  The only
     couplings are w_i <-> v_i (offset 1) and same-field neighbors (offset 2);
     the mirror ghost closure doubles the boundary neighbor entries.
     """
-    n = w.size
-    m = 2 * n
-    ab = np.zeros((5, m))  # rows: offsets +2, +1, 0, -1, -2
+    ab = np.zeros((7, 2 * w.size), order="F")
     one_w = 1.0 + w
-    dg1_dw = 2.0 * inv_h2 - p.lam + 2.0 * p.eps * a_vals * w + p.b * v / one_w ** 2
-    dg1_dv = p.b * w / one_w
-    dg2_dv = 2.0 * inv_h2 - p.mu + 2.0 * p.d * v - p.eps * c_vals * w / one_w
-    dg2_dw = -p.eps * c_vals * v / one_w ** 2
-
-    ab[2, 0::2] = dg1_dw
-    ab[2, 1::2] = dg2_dv
-    # superdiagonal +1: A[2i, 2i+1] = dG1_i/dv_i
-    ab[1, 1::2] = dg1_dv
-    # subdiagonal -1: A[2i+1, 2i] = dG2_i/dw_i
-    ab[3, 0::2] = dg2_dw
-    # +/-2: same-field neighbor couplings
-    neighbor = np.full(n - 1, -inv_h2)
-    up = np.empty(n - 1)
-    up[:] = neighbor
-    up[0] = -2.0 * inv_h2  # row 0 ghost doubling: A[0, 2]
-    lo = np.empty(n - 1)
-    lo[:] = neighbor
-    lo[-1] = -2.0 * inv_h2  # last row ghost doubling: A[2n-2, 2n-4]
-    ab[0, 2::2] = up
-    ab[0, 3::2] = up
-    ab[4, 0:-2:2] = lo
-    ab[4, 1:-2:2] = lo
+    ab[4, 0::2] = 2.0 * inv_h2 - p.lam + 2.0 * p.eps * a_vals * w + p.b * v / one_w ** 2  # dG1_i/dw_i
+    ab[4, 1::2] = 2.0 * inv_h2 - p.mu + 2.0 * p.d * v - p.eps * c_vals * w / one_w  # dG2_i/dv_i
+    ab[3, 1::2] = p.b * w / one_w  # +1: A[2i, 2i+1] = dG1_i/dv_i
+    ab[5, 0::2] = -p.eps * c_vals * v / one_w ** 2  # -1: A[2i+1, 2i] = dG2_i/dw_i
+    # +/-2: same-field neighbor couplings, doubled by the ghost nodes at
+    # A[0, 2], A[1, 3] and A[2n-2, 2n-4], A[2n-1, 2n-3]
+    ab[2, 2:] = -inv_h2
+    ab[2, 2:4] = -2.0 * inv_h2
+    ab[6, :-2] = -inv_h2
+    ab[6, -4:-2] = -2.0 * inv_h2
     return ab
 
 
 def _factor(ab: np.ndarray):
-    """LU factors of the (l=u=2) banded system of ``jacobian_banded`` by one
-    LAPACK dgbtrf call on the 7-row layout that solve_banded((2, 2), ...)
-    builds (kl = 2 extra rows above the band for the pivoting fill-in).
-    dgbsv is dgbtrf followed by dgbtrs, so ``_solve(_factor(ab), rhs)`` is
-    bit-identical to solve_banded and keeps its errors."""
+    """LU factors of ``jacobian_banded``'s band by one LAPACK dgbtrf call on a
+    copy, so ``ab`` is left unchanged.  dgbsv is dgbtrf followed by dgbtrs, so
+    ``_solve(_factor(ab), rhs)`` is bit-identical to
+    solve_banded((2, 2), ab[2:], rhs) and keeps its errors."""
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
-    work = np.zeros((7, ab.shape[1]), order="F")  # f2py would copy a C-order array
-    work[2:] = ab
-    lu, piv, info = _GBTRF(work, 2, 2, overwrite_ab=True)
+    lu, piv, info = _GBTRF(ab, 2, 2)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:

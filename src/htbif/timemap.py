@@ -75,7 +75,8 @@ class ABReport:
 
     alpha is the unique zero of f' in (0, w_h).  Margins are the suprema of
     the two defining expressions on their ranges, so negative margins
-    certify the strict inequalities.
+    certify the strict inequalities.  A margin below the double range reads
+    -0.0; a_condition_ok reads the sign of its closed form, so it stays True.
     """
 
     alpha: float
@@ -238,7 +239,9 @@ def ab_certify(p: ModelParams) -> ABReport:
     2 y0 (-8 y^2 + 3 (1 + y0) y + 2 y0)/y^5, whose concave quadratic is 5 w0
     at y = 1 and 3 s (s - 1)^2 at y = s: N/y^4 rises on [1, s], so the
     supremum up to alpha is lam^2 N(s)/s^4 = -2 lam^2 alpha^2/(1 + alpha).
-    The margins are the two suprema.  Violations are reported, never raised.
+    The margins are the two suprema.  Both terms of the first are negative when
+    lam, B > 0, so that sign, not the value that may underflow, decides the A
+    condition.  Violations are reported, never raised.
     """
     w_h = homoclinic_extent(p)  # validates the phase-plane domain
     w0 = w0_const(p)
@@ -247,7 +250,7 @@ def ab_certify(p: ModelParams) -> ABReport:
     y2 = (1.0 + w_h) * (1.0 + w_h)
     a_margin = -(bmu_d / y2) * (6.0 * lam + (2.0 / 3.0) * bmu_d / y2) / y2
     b_margin = -2.0 * (lam * alpha) * (lam * alpha) / (1.0 + alpha)
-    return ABReport(alpha, a_margin < 0.0, b_margin <= 0.0, max(a_margin, b_margin), 0.0 < alpha < w_h)
+    return ABReport(alpha, lam > 0.0 and bmu_d > 0.0, b_margin <= 0.0, max(a_margin, b_margin), 0.0 < alpha < w_h)
 
 
 def monotone_check(p: ModelParams, grid) -> bool:

@@ -345,6 +345,22 @@ def test_timemap_near_the_window_top(tmp_path, mu, lam):
         assert t > time_map_center(p)
 
 
+def test_timemap_energy_levels_near_the_window_top(tmp_path):
+    # w0 = 2e-10: each energy level F(w_-) is the gap below the saddle, within
+    # 1e-14 of 80 digits (the two-term form was 3.4e-6 off)
+    import mpmath
+
+    out = tmp_path / "tm.csv"
+    assert run_cli(["timemap", "--mu", "50", "--lambda", "49.99999999", "-o", str(out)]) == 0
+    rows = [list(map(float, line.split(","))) for line in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 50
+    with mpmath.workdps(80):
+        lam = mpmath.mpf(49.99999999)
+        for wm, _, _, level in rows:
+            exact = lam / 2 * mpmath.mpf(wm) ** 2 - 50 * (wm - mpmath.log1p(wm))
+            assert abs(mpmath.mpf(level) / exact - 1) <= 1e-14
+
+
 EXTREME = ("1e-300", "1e-200", "1e-100", "1e-30", "1e-8", "1", "50", "1e8", "1e30", "1e100", "1e200", "1e300")
 
 

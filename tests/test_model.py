@@ -12,7 +12,6 @@ from htbif.model import (
     ModelParams,
     Profile,
     TurningGap,
-    _w_minus_log1p_over_w,
     kinetic_f,
     potential_F,
     potential_gap,
@@ -175,6 +174,25 @@ class TestPotential:
         assert potential_F(1.0, desk) == pytest.approx(-2.8426409720027345, rel=1e-14)
         assert potential_F(1e3, desk) > 1e5  # grows without bound
 
+    @pytest.mark.parametrize("w0", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_near_the_saddle_at_80_digits(self, w0):
+        # on (0, 1.4 w0), where (lam/2) w^2 and (b mu/d)(w - log1p(w)) cancel
+        # like w0, F is the gap below the saddle and keeps every digit
+        # (4.3e-15 at most; the two-term form was 5e-3 off at w0 = 1e-12)
+        p = ModelParams(mu=50.0, lam=50.0 / (1.0 + w0))
+        w = w0_const(p) * np.concatenate([np.geomspace(1e-8, 1.0, 120), np.linspace(0.01, 1.4, 140)])
+        with mpmath.workdps(80):
+            lam, bmu_d = mpmath.mpf(p.lam), mpmath.mpf(p.mu)
+            for x, v in zip(w.tolist(), potential_F(w, p).tolist()):
+                exact = lam / 2 * mpmath.mpf(x) ** 2 - bmu_d * (x - mpmath.log1p(x))
+                assert abs(mpmath.mpf(v) / exact - 1) <= 1e-14, x
+
+    @pytest.mark.parametrize("lam", [50.0, 60.0, 0.0, -1.0])
+    def test_refuses_a_plane_without_a_center(self, lam):
+        # like potential_gap, F needs lam in (0, b mu/d)
+        with pytest.raises(DomainError):
+            potential_F(0.5, ModelParams(mu=50.0, lam=lam))
+
     def test_gradient_is_kinetic_f(self, desk):
         rng = np.random.default_rng(11)
         w = rng.uniform(-0.9, 8.0, size=60)
@@ -299,7 +317,7 @@ def _small_w():
 
 
 class TestPotentialKernel:
-    """The cancellation-free (w - log1p(w))/w inside potential_F."""
+    """potential_F read through TurningGap.over_x's two branches."""
 
     @settings(max_examples=300, deadline=None)
     @given(w=_small_w())
@@ -311,10 +329,11 @@ class TestPotentialKernel:
             err = abs(mpmath.mpf(float(potential_F(w, p))) - exact)
         assert err <= 4.0 * np.spacing(float(p.bmu_over_d * g))
 
-    def test_branches_agree_across_quarter(self):
-        # |w| <= 1/4 takes the atanh form, |w| > 1/4 takes (w - log1p(w))/w,
-        # which loses about 3 bits to cancellation there; both stay within
-        # 5 ulp of the reference on 200 ulp either side, so they agree to 10 ulp
+    def test_branches_agree_across_quarter(self, desk):
+        # |w| <= 1/4 takes the atanh form, |w| > 1/4 takes log1p, where F's
+        # two terms cancel about 3 bits; on 200 ulp either side of each edge
+        # both stay within 8 ulp of the reference (1.6 and 7.4 measured), so
+        # they agree to 16 ulp
         for edge in (0.25, -0.25):
             pts = [edge]
             for toward in (0.0, 2.0 * edge):
@@ -324,9 +343,11 @@ class TestPotentialKernel:
                     pts.append(w)
             pts = np.array(pts)
             assert np.count_nonzero(np.abs(pts) <= 0.25) == 201
-            for w, v in zip(pts, _w_minus_log1p_over_w(pts)):
-                ref = _w_minus_log1p_ref(float(w)) / float(w)
-                assert abs(mpmath.mpf(float(v)) - ref) <= 5.0 * np.spacing(abs(float(ref)))
+            with mpmath.workdps(50):
+                lam, bmu_d = mpmath.mpf(desk.lam), mpmath.mpf(desk.bmu_over_d)
+                for w, v in zip(pts.tolist(), potential_F(pts, desk).tolist()):
+                    ref = lam / 2 * mpmath.mpf(w) ** 2 - bmu_d * (w - mpmath.log1p(w))
+                    assert abs(mpmath.mpf(v) - ref) <= 8.0 * np.spacing(abs(float(ref)))
 
     def test_pointwise(self, desk):
         rng = np.random.default_rng(3)
@@ -348,10 +369,11 @@ class TestPotentialKernel:
         assert potential_F(np.array([]), desk).shape == (0,)
         assert kinetic_f(np.empty((0, 3)), desk).shape == (0, 3)
 
-    def test_float_path_equals_array_path_bit_for_bit(self):
+    def test_float_path_equals_array_path_bit_for_bit(self, desk):
         # a Python float takes one branch by a plain test; on seeded points
         # across |w| = 1/4, negative w down to near -1, w near 1e-300 and large
-        # w, it returns a float equal to the array's element
+        # w, it returns a float equal to the array's element.  Past w ~ 1e154
+        # F leaves the double range, and both paths read inf
         rng = np.random.default_rng(22)
         quarter = 0.25 * (1.0 + rng.uniform(-1e-12, 1e-12, 2000))
         w = np.concatenate([
@@ -365,6 +387,8 @@ class TestPotentialKernel:
             [1e-300, -1e-300, 5e-324],
             10.0 ** rng.uniform(-1.0, 300.0, 2000),
         ])
-        singles = [_w_minus_log1p_over_w(x) for x in w.tolist()]
+        with np.errstate(over="ignore"):
+            singles = [potential_F(x, desk) for x in w.tolist()]
+            whole = potential_F(w, desk)
         assert all(type(v) is float for v in singles)
-        assert np.array_equal(np.array(singles).view(np.int64), _w_minus_log1p_over_w(w).view(np.int64))
+        assert np.array_equal(np.array(singles).view(np.int64), whole.view(np.int64))

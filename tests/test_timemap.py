@@ -543,20 +543,21 @@ def _half_orbit_reference(plane, w_end):
 # with b = d = 1 and w_- = ratio * w0 in doubles: three near-saddle
 # amplitudes of nodal pairs, where the march needs T to about 1e-13, and
 # w0 = 1e-5, 1e-4 and 3e-4 (lam = 200/(1 + w0)), where the gap's terms are
-# about 1/w0 times larger than the gap.
+# about 1/w0 times larger than the gap.  All twelve within 1e-13 (3.3e-15
+# measured).
 HALF_ORBIT_REF = (
     (360.0, 44.09085826361496, 3.055582374498613e-5, 0.7538114035385475920205, 1e-13),
     (360.0, 209.11904448882018, 1.2226791893357272e-4, 0.8493959910425666229019, 1e-13),
     (170.0, 43.21892503787035, 1.9595350012396413e-3, 0.7369544895877300979537, 1e-13),
-    (200.0, 200.0 / (1.0 + 1e-5), 1e-6, 335.0421040803832007981, 1e-10),
-    (200.0, 200.0 / (1.0 + 1e-5), 0.3, 55.96865046578745874795, 1e-10),
-    (200.0, 200.0 / (1.0 + 1e-5), 0.49, 46.83022143342971459055, 1e-10),
-    (200.0, 200.0 / (1.0 + 1e-4), 1e-6, 105.954628042119748728, 1e-10),
-    (200.0, 200.0 / (1.0 + 1e-4), 0.3, 17.69996616514576952789, 1e-10),
-    (200.0, 200.0 / (1.0 + 1e-4), 0.49, 14.81006280275987642023, 1e-10),
-    (200.0, 200.0 / (1.0 + 3e-4), 1e-6, 61.17936294300355165861, 1e-10),
-    (200.0, 200.0 / (1.0 + 3e-4), 0.3, 10.22052339938690303126, 1e-10),
-    (200.0, 200.0 / (1.0 + 3e-4), 0.49, 8.551936389104148023271, 1e-10),
+    (200.0, 200.0 / (1.0 + 1e-5), 1e-6, 335.0421040802942301898, 1e-13),
+    (200.0, 200.0 / (1.0 + 1e-5), 0.3, 55.96865046571039296073, 1e-13),
+    (200.0, 200.0 / (1.0 + 1e-5), 0.49, 46.83022143335883819186, 1e-13),
+    (200.0, 200.0 / (1.0 + 1e-4), 1e-6, 105.954628042115282208, 1e-13),
+    (200.0, 200.0 / (1.0 + 1e-4), 0.3, 17.69996616514190128033, 1e-13),
+    (200.0, 200.0 / (1.0 + 1e-4), 0.49, 14.81006280275631875778, 1e-13),
+    (200.0, 200.0 / (1.0 + 3e-4), 1e-6, 61.179362943003002822, 1e-13),
+    (200.0, 200.0 / (1.0 + 3e-4), 0.3, 10.22052339938642746972, 1e-13),
+    (200.0, 200.0 / (1.0 + 3e-4), 0.49, 8.55193638910371084267, 1e-13),
 )
 
 
@@ -721,6 +722,18 @@ class TestABCertify:
             a_expr, b_expr = f1 * f3 - (5.0 / 3.0) * f2 ** 2, f * f2 - 3.0 * f1 * f1
             assert report.worst_margin == pytest.approx(max(a_expr[0], b_expr[1]), rel=1e-12)
             assert report.a_condition_ok and report.b_condition_ok
+
+    @pytest.mark.parametrize("edge", [False, True])
+    def test_margin_below_the_double_range_still_certifies(self, edge):
+        # at lam = 1e-3 the A expression at w_h, -(6 B lam + (2/3) B^2/y^2)/y^4,
+        # lies below the smallest double from w0 = 1e106 up to the plane of
+        # test_time_map_at_the_edge_of_the_double_range: the margin reads
+        # -0.0, and the closed form's sign keeps the A condition true
+        lam = 1e-3
+        w0 = 0.999 * (math.sqrt(sys.float_info.max / 8.0) / math.sqrt(lam) - 1.0) if edge else 1e106
+        report = ab_certify(ModelParams(mu=lam * (1.0 + w0), lam=lam))
+        assert report.a_condition_ok and report.b_condition_ok and report.fprime_simple_zero_ok
+        assert report.worst_margin == 0.0 and math.copysign(1.0, report.worst_margin) == -1.0
 
     def test_second_derivative_positive_at_alpha(self):
         # alpha is the zero of f' to rounding (1.5 eps B at most), and
