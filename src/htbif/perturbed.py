@@ -20,6 +20,16 @@ only when a chord step contracts too little.  Each rung starts from the
 quadratic extrapolation in eps of the accepted states, with the start's
 tangent standing in for a second node at the start.
 
+With a(x), c(x) and every input profile exact palindromes on the
+n_points = 2c + 1 grid (the constant seed and every even-n limit member at
+constant coefficients), the system is fixed by the reflection x -> 1 - x, and
+Newton and the ladder run on nodes 0..c alone: the full grid's 1/h^2, and the
+mirror ghost at node c, which there is the reflection at x = 1/2.  At every
+node the half residual is formed from the same operands as the full residual
+of the mirrored state (node N-1-i only swaps them), so the two agree bit for
+bit and the certificate is the full grid's.  States come back mirrored onto
+the full grid.
+
 One ulp of a nodal value moves the discrete Laplacian by 2 u0 |w|/h^2 with
 u0 the unit roundoff (about 2.4e-9 at the default 2001-point grid), which
 sits above the 1e-9 residual contract, so a plain float64 nodal vector
@@ -88,8 +98,10 @@ class CoexistenceState:
     ``newton_solve`` factored, when it factored one past the initial guess
     (Newton iteration 1 or later), and None otherwise; ladder rungs carry
     None.  ``continue_in_eps`` takes those factors over instead of factoring
-    at the start.  Nothing writes to them.  At 2001 points they hold about
-    240 KB (a 7 x 4002 band plus pivots).  Left out of repr.
+    at the start, when its ladder runs on as many nodes.  Nothing writes to
+    them.  At 2001 points they hold about 240 KB (a 7 x 4002 band plus
+    pivots); a solve on the half grid (see newton_solve) keeps the half
+    band, 7 x 2(c + 1) on 2c + 1 points.  Left out of repr.
     """
 
     w: Profile
@@ -133,6 +145,32 @@ def _grid_terms(p: ModelParams, n_points: int):
     """(a(x), c(x), 1/h^2) on the closed n_points grid, 1/h^2 = (n_points - 1)^2."""
     x = np.linspace(0.0, 1.0, n_points)
     return p.coeff_a(x), p.coeff_c(x), (n_points - 1.0) ** 2
+
+
+def _fold(terms, *arrays):
+    """(terms, m): the solve runs on nodes 0..m-1 with the returned terms.
+
+    When a(x), c(x) and every array read the same reversed, bit for bit, on
+    the n_points = 2c + 1 grid, the reflection x -> 1 - x fixes the problem
+    and m = c + 1: the terms are cut to nodes 0..c, 1/h^2 stays the full
+    grid's, and the mirror ghost at node c is the reflection at x = 1/2.
+    Otherwise m = n_points and the terms are returned as they are.
+    """
+    a_vals, c_vals, inv_h2 = terms
+    # the end nodes first: they refuse an odd-n member or a sampled
+    # coefficient without a pass over the array
+    if not all(u[0] == u[-1] and np.array_equal(u, u[::-1]) for u in (*arrays, a_vals, c_vals)):
+        return terms, a_vals.size
+    m = a_vals.size // 2 + 1
+    return (a_vals[:m], c_vals[:m], inv_h2), m
+
+
+def _unfold(arrays: tuple, n_points: int) -> tuple:
+    """The arrays on the n_points grid: as they are, or nodes 0..c mirrored
+    about node c."""
+    if arrays[0].size == n_points:
+        return arrays
+    return tuple(np.concatenate((u, u[-2::-1])) for u in arrays)
 
 
 def _check_pair(w: Profile, v: Profile, w_fine: np.ndarray | None = None, v_fine: np.ndarray | None = None) -> None:
@@ -280,16 +318,27 @@ def newton_solve(w0: Profile, v0: Profile, p: ModelParams, origin: str = "contin
     PositivityError carrying the limit.  The state keeps the LU factors of
     the last Jacobian the solve factored, when that was past the initial
     guess (see CoexistenceState.factored).
+
+    When a(x), c(x), w0 and v0 all read the same reversed, bit for bit, on
+    the 2c + 1 grid, the solve runs on nodes 0..c with the mirror ghost at
+    node c, and the state (or the PositivityError's limit) is that half
+    mirrored onto the full grid.  Each half residual is the full residual of
+    the mirrored iterate, operands swapped at the mirrored node, so
+    ``residual_sup`` is the full grid's certificate and residual_fine
+    recomputes it exactly.  Any other input takes the full grid.
     """
     _check_pair(w0, v0)
-    zero = np.zeros(w0.n_points)
-    state, _ = _newton(w0.values, zero, v0.values, zero, p, _grid_terms(p, w0.n_points), origin)
+    terms, m = _fold(_grid_terms(p, w0.n_points), w0.values, v0.values)
+    zero = np.zeros(m)
+    state, _ = _newton(w0.values[:m], zero, v0.values[:m], zero, p, terms, origin, w0.n_points)
     return state
 
 
-def _newton(wb, wf, vb, vf, p, terms, origin, held=None):
+def _newton(wb, wf, vb, vf, p, terms, origin, n_points, held=None):
     """Newton iteration on the pair carried as base + fine; returns the
-    converged state and the LU factors held at the end.
+    converged state and the LU factors held at the end.  The arrays hold
+    the nodes _fold kept; the state and a PositivityError carry them
+    unfolded onto the n_points grid.
 
     With ``held`` None every step factors the Jacobian at the iterate
     (damped Newton).  With held factors each step is first tried as a chord
@@ -309,12 +358,12 @@ def _newton(wb, wf, vb, vf, p, terms, origin, held=None):
     for iteration in range(MAX_NEWTON_ITERS + 1):
         if res_sup < NEWTON_TOL:
             if float(np.min(w)) <= 0.0 or float(np.min(v)) <= 0.0:
+                w, v = _unfold((w, v), n_points)
                 raise PositivityError(
                     "Newton converged to a limit outside the positive cone",
                     w=Profile(w), v=Profile(v), residual_sup=res_sup, iterations=iteration,
                 )
-            w_out, w_left = _two_sum(wb, wf)
-            v_out, v_left = _two_sum(vb, vf)
+            w_out, w_left, v_out, v_left = _unfold((*_two_sum(wb, wf), *_two_sum(vb, vf)), n_points)
             return CoexistenceState(
                 Profile(w_out), Profile(v_out), p.lam, p.mu, p.eps,
                 res_sup, iteration, origin, w_left, v_left, factored,
@@ -482,14 +531,16 @@ def census(n: int, p: ModelParams, n_points: int = 2001) -> CensusResult:
     return CensusResult(p.lam, p.mu, p.eps, tuple(distinct), len(distinct), shortfall)
 
 
-def _factored_at(state: CoexistenceState, p: ModelParams):
+def _factored_at(state: CoexistenceState, p: ModelParams, m: int):
     """The state's kept LU factors when they were formed at p (equal b, d,
-    lam, mu and eps, and the same coefficient objects); None otherwise."""
+    lam, mu and eps, and the same coefficient objects) on m nodes; None
+    otherwise."""
     if state.factored is None:
         return None
     q, factors = state.factored
     same = (q.b, q.d, q.lam, q.mu, q.eps) == (p.b, p.d, p.lam, p.mu, p.eps)
-    return factors if same and q.coeff_a is p.coeff_a and q.coeff_c is p.coeff_c else None
+    same = same and q.coeff_a is p.coeff_a and q.coeff_c is p.coeff_c
+    return factors if same and factors[0].shape[1] == 2 * m else None
 
 
 def continue_in_eps(
@@ -523,6 +574,12 @@ def continue_in_eps(
     iterate.  On Newton failure or positivity loss the ladder stops early;
     the breakdown record and the states accepted so far give an empirical
     lower bound for the perturbation range.
+
+    When a(x), c(x) and start's w, v, w_fine and v_fine all read the same
+    reversed, the whole ladder (tangent, predictions, chord and Newton
+    steps) runs on nodes 0..c as newton_solve does, and takes start's
+    factors over only when they are half-grid ones too; the certificate is
+    still the full grid's.
     """
     steps = whole(steps, 1, "steps")
     eps_target = p.with_eps(eps_target).eps  # validates eps_target
@@ -534,11 +591,18 @@ def continue_in_eps(
         )
     if eps_target == start.eps:
         return ContinuationResult((start,), None)
-    terms = _grid_terms(p, start.w.n_points)
+    n_points = start.w.n_points
+    terms, m = _fold(_grid_terms(p, n_points), start.w.values, start.v.values, start.w_fine, start.v_fine)
     a_vals, c_vals, _ = terms
-    w, v = start.w.values, start.v.values
+
+    def nodes(state):
+        arrays = state.w.values, state.w_fine, state.v.values, state.v_fine
+        return arrays if m == n_points else tuple(u[:m] for u in arrays)
+
+    prev_nodes = nodes(start)
+    w, _, v, _ = prev_nodes
     at_start = p.with_eps(start.eps)
-    held = _factored_at(start, at_start)
+    held = _factored_at(start, at_start, m)
     if held is None:
         held = _factor(jacobian_banded(w, v, at_start, *terms))
     tangent = _solve(held, _interleave(-a_vals * w * w, c_vals * w * v / (1.0 + w)))
@@ -550,6 +614,7 @@ def continue_in_eps(
     for eps in np.linspace(start.eps, eps_target, steps + 1)[1:]:
         q = p.with_eps(float(eps))
         prev = accepted[-1]
+        prev_w, prev_wf, prev_v, prev_vf = prev_nodes
         dw = dv = 0.0
         if newest is not None:
             gap, slope_w, slope_v = newest
@@ -560,21 +625,18 @@ def continue_in_eps(
                 r = s * (s + gap) / (gap + before[0])
                 dw = dw + r * (slope_w - before[1])
                 dv = dv + r * (slope_v - before[2])
-        w_fine, v_fine = prev.w_fine + dw, prev.v_fine + dv
-        if not float(np.min(prev.w.values + w_fine)) > -1.0:
-            w_fine, v_fine = prev.w_fine, prev.v_fine
+        w_fine, v_fine = prev_wf + dw, prev_vf + dv
+        if not float(np.min(prev_w + w_fine)) > -1.0:
+            w_fine, v_fine = prev_wf, prev_vf
         try:
-            state, held = _newton(prev.w.values, w_fine, prev.v.values, v_fine, q, terms, "continued", held)
+            state, held = _newton(prev_w, w_fine, prev_v, v_fine, q, terms, "continued", n_points, held)
         except (ConvergenceError, PositivityError) as exc:
             breakdown = f"eps = {eps:g}: {type(exc).__name__}: {exc} (last good eps = {prev.eps:g})"
             break
         gap = state.eps - prev.eps
         before, newest = newest, None
+        prev_nodes = w, wf, v, vf = nodes(state)
         if gap != 0.0:
-            newest = (
-                gap,
-                ((state.w.values - prev.w.values) + (state.w_fine - prev.w_fine)) / gap,
-                ((state.v.values - prev.v.values) + (state.v_fine - prev.v_fine)) / gap,
-            )
+            newest = (gap, ((w - prev_w) + (wf - prev_wf)) / gap, ((v - prev_v) + (vf - prev_vf)) / gap)
         accepted.append(state)
     return ContinuationResult(tuple(accepted), breakdown)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from htbif.model import CoeffFn, ModelParams, Profile, w0_const
 from htbif.nodal import crossing_count, nodal_pair
 from htbif.perturbed import (
     CoexistenceState,
+    ContinuationResult,
     _factor,
     _solve,
     census,
@@ -101,12 +103,15 @@ def flat_v(desk):
 
 @pytest.fixture
 def factors(monkeypatch):
-    """Counts the LAPACK dgbtrf calls (banded LU factorizations) in ``count``."""
+    """Counts the LAPACK dgbtrf calls (banded LU factorizations) in ``count``
+    and records the unknowns of each factored band in ``sizes``."""
     spy = type("FactorSpy", (), {"count": 0})()
+    spy.sizes = []
     gbtrf = perturbed._GBTRF
 
     def counted(*args, **kwargs):
         spy.count += 1
+        spy.sizes.append(args[0].shape[1])
         return gbtrf(*args, **kwargs)
 
     monkeypatch.setattr(perturbed, "_GBTRF", counted)
@@ -761,6 +766,132 @@ class TestCertificate:
             certificate = residual_fine(state, p.with_eps(state.eps))
             assert certificate == state.residual_sup
             assert certificate < 1e-9
+
+
+def _sampled(eps: float) -> ModelParams:
+    x = np.linspace(0.0, 1.0, 33)
+    return ModelParams(
+        eps=eps,
+        coeff_a=CoeffFn.sampled(x, 1.0 + 0.5 * np.sin(2.0 * np.pi * x)),
+        coeff_c=CoeffFn.sampled(x, 1.0 + 0.5 * np.cos(3.0 * np.pi * x)),
+    )
+
+
+def _assert_palindromic(state: CoexistenceState) -> None:
+    for u in (state.w.values, state.v.values, state.w_fine, state.v_fine):
+        assert np.array_equal(u, u[::-1])
+
+
+def _assert_same_ladder(out: ContinuationResult, ref: ContinuationResult) -> None:
+    """Both ladders accepted the same states, bit for bit."""
+    assert len(out.states) == len(ref.states)
+    for a, b in zip(out.states, ref.states):
+        for name in ("w", "v"):
+            assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+        for name in ("w_fine", "v_fine"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestReflectionFold:
+    """Inputs fixed by x -> 1 - x are solved on nodes 0..c of the 2c + 1 grid."""
+
+    def _seed(self, origin: str, n_points: int) -> tuple[ModelParams, Profile]:
+        p = ModelParams(mu=170.0, lam=85.0)
+        return p, dict(nodal.limit_seeds(2, p, n_points))[origin]
+
+    @pytest.mark.parametrize("origin", ["constant", "nodal(2,lower)", "nodal(2,upper)"])
+    def test_symmetric_seeds_factor_half_bands(self, origin, factors):
+        p, seed = self._seed(origin, 2001)
+        q = p.with_eps(1e-3)
+        state = newton_solve(seed, Profile.constant(p.mu / p.d, 2001), q, origin=origin)
+        out = continue_in_eps(state, p, 2e-2, steps=4)
+        assert out.breakdown is None
+        assert factors.count >= 1 and set(factors.sizes) == {2 * 1001}
+        for s in out.states:
+            assert s.w.n_points == 2001
+            _assert_palindromic(s)
+            assert residual_fine(s, p.with_eps(s.eps)) == s.residual_sup < 1e-9
+
+    @pytest.mark.parametrize("case", ["nodal(1,lower)", "nodal(1,upper)", "sampled", "one ulp"])
+    def test_other_inputs_factor_full_bands(self, case, factors):
+        p, seed = self._seed("constant" if case in ("sampled", "one ulp") else case, 2001)
+        if case == "sampled":
+            sampled = _sampled(0.0)
+            p = ModelParams(mu=p.mu, lam=p.lam, coeff_a=sampled.coeff_a, coeff_c=sampled.coeff_c)
+        if case == "one ulp":
+            values = seed.values.copy()
+            values[700] = math.nextafter(values[700], 2.0)
+            seed = Profile(values)
+        q = p.with_eps(1e-3)
+        state = newton_solve(seed, Profile.constant(p.mu / p.d, 2001), q)
+        out = continue_in_eps(state, p, 2e-2, steps=4)
+        assert out.breakdown is None
+        assert factors.count >= 1 and set(factors.sizes) == {2 * 2001}
+        assert all(residual_fine(s, p.with_eps(s.eps)) == s.residual_sup < 1e-9 for s in out.states)
+
+    def test_half_grid_with_an_even_node_count(self, factors):
+        # 203 = 4 * 50 + 3 points: nodes 0..101 are 102, an even count no
+        # Profile takes; the solves still return certified 203-point states
+        p, seed = self._seed("constant", 203)
+        q = p.with_eps(1e-3)
+        start = newton_solve(seed, Profile.constant(p.mu / p.d, 203), q, origin="constant")
+        out = continue_in_eps(start, p, 1e-2, steps=3)
+        assert out.breakdown is None and len(out.states) == 4
+        assert set(factors.sizes) == {2 * 102}
+        for s in out.states:
+            assert s.w.n_points == s.v.n_points == 203
+            _assert_palindromic(s)
+            assert residual_fine(s, p.with_eps(s.eps)) == s.residual_sup < 1e-9
+        factors.sizes.clear()
+        result = census(2, q, n_points=203)
+        assert result.distinct_count == 5 and not result.shortfall
+        # the constant and both 2-crossing seeds solve on the half grid
+        assert factors.sizes.count(2 * 102) >= 3 and set(factors.sizes) <= {2 * 102, 2 * 203}
+        for s in result.states:
+            assert s.w.n_points == 203
+            assert residual_fine(s, q) == s.residual_sup < 1e-9
+            if not s.origin.startswith("nodal(1,"):
+                _assert_palindromic(s)
+
+    def test_half_size_factors_are_not_taken_over_by_a_full_ladder(self, factors):
+        # a start on sampled coefficients whose kept factors were swapped for
+        # a half-grid solve's: the ladder runs on all nodes and factors once
+        p = _sampled(1e-3)
+        sampled_start = census(1, p).states[-1]
+        desk = ModelParams(eps=1e-3)
+        half = newton_solve(Profile.constant(0.5, 2001), Profile.constant(50.0, 2001), desk)
+        assert half.factored[1][0].shape[1] == 2 * 1001
+        start = replace(sampled_start, factored=(sampled_start.factored[0], half.factored[1]))
+        factors.sizes.clear()
+        out = continue_in_eps(start, p, 1e-2, steps=4)
+        assert out.breakdown is None
+        assert factors.sizes == [2 * 2001]
+        _assert_same_ladder(out, continue_in_eps(replace(start, factored=None), p, 1e-2, steps=4))
+
+    def test_full_size_factors_are_not_taken_over_by_a_half_ladder(self, factors):
+        # a half-grid state whose kept factors were swapped for the LU of its
+        # full-grid Jacobian: the ladder runs on nodes 0..c and factors once
+        desk = ModelParams(eps=1e-3)
+        half = newton_solve(Profile.constant(0.5, 2001), Profile.constant(50.0, 2001), desk)
+        x = np.linspace(0.0, 1.0, 2001)
+        full = _factor(jacobian_banded(half.w.values, half.v.values, desk, desk.coeff_a(x), desk.coeff_c(x), 2000.0 ** 2))
+        start = replace(half, factored=(desk, full))
+        factors.sizes.clear()
+        out = continue_in_eps(start, desk, 1e-2, steps=4)
+        assert out.breakdown is None
+        assert factors.sizes == [2 * 1001]
+        _assert_same_ladder(out, continue_in_eps(replace(start, factored=None), desk, 1e-2, steps=4))
+        assert all(residual_fine(s, desk.with_eps(s.eps)) == s.residual_sup < 1e-9 for s in out.states)
+
+    def test_positivity_error_carries_full_grid_profiles(self, factors):
+        # from w = -0.01 Newton falls onto the semitrivial state w = 0 in
+        # three half-grid steps; the error carries the limit on 203 points
+        q = ModelParams(eps=1e-3)
+        with pytest.raises(PositivityError) as err:
+            newton_solve(Profile.constant(-0.01, 203), Profile.constant(50.0, 203), q)
+        assert factors.count >= 1 and set(factors.sizes) == {2 * 102}
+        assert err.value.w.n_points == err.value.v.n_points == 203
+        assert float(np.max(np.abs(err.value.w.values))) < 1e-9
 
 
 class TestConstantStates:
