@@ -176,7 +176,7 @@ def _run_morse(p, args):
         try:
             lower, upper = nodal.nodal_pair(n, q, args.n_points)
         except (NoSolutionError, ConvergenceError, IntegrationError) as exc:
-            warnings.warn(f"morse skipped lam = {lam:g}: {exc}", stacklevel=2)
+            warnings.warn(f"morse skipped lam = {lam!r}: {exc}", stacklevel=2)
             continue
         for sol in (lower, upper):
             spec = linstab.sturm_spectrum(linstab.nodal_potential(sol.profile, q), n + 1)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, IntegrationError, NoSolutionError
 from .model import ModelParams, Profile, grid_points, kinetic_f, potential_F, w0_const
-from .spectral import eta2_closed_form, lambda_roots, mode_windows, mu_threshold, window_holds, window_lambdas
+from .spectral import lambda_roots, mode_windows, mu_threshold, window_holds, window_lambdas
 from .timemap import PhasePlane
 
 __all__ = [
@@ -418,30 +418,15 @@ def enumerate_solutions(p: ModelParams) -> list[tuple[str, Profile]]:
 def trace_loop(n: int, p: ModelParams, n_lambda: int = 41) -> list[LoopPoint]:
     """Sample the closed loop of n-crossing solutions over its lam window.
 
-    Near the window ends, where the predicted branch amplitude
-    sqrt(|lam - lam_n^(+/-)| / |eta2|) falls below 1e-6, the analytic limit
-    point (lam, w0) is reported instead of running the ill-conditioned
-    solve.  Failures at individual points are warned about and skipped.
+    Every point is a pair that nodal_pair certifies at one of window_lambdas'
+    samples.  A sample it refuses is one warning and no point.
     """
-    lams = window_lambdas(n, p, n_lambda)  # validates n
-    eta2 = {side: eta2_closed_form(n, side, p) for side in ("minus", "plus")}
-    root = lambda_roots(n, p)
-    lam_lo, lam_hi = root.lambda_minus, root.lambda_plus
     points: list[LoopPoint] = []
-    for lam in lams:
-        q = p.with_lam(lam)
-        w0 = w0_const(q)
-        s_pred = min(
-            math.sqrt(max(lam - lam_lo, 0.0) / abs(eta2["minus"])),
-            math.sqrt(max(lam_hi - lam, 0.0) / abs(eta2["plus"])),
-        )
-        if s_pred < 1e-6:
-            points.append(LoopPoint(lam, w0, w0, w0))
-            continue
+    for lam in window_lambdas(n, p, n_lambda):  # validates n
         try:
-            lower, upper = nodal_pair(n, q)
+            lower, upper = nodal_pair(n, p.with_lam(lam))
         except (NoSolutionError, ConvergenceError, IntegrationError) as exc:
-            warnings.warn(f"trace_loop skipped lam = {lam:g}: {exc}", stacklevel=2)
+            warnings.warn(f"trace_loop skipped lam = {lam!r}: {exc}", stacklevel=2)
             continue
         points.append(
             LoopPoint(lam, lower.w_minus, lower.profile.sup_norm(), upper.profile.sup_norm())

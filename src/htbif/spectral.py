@@ -71,6 +71,12 @@ def mu_threshold(kappa: int, p: ModelParams) -> float:
     return (p.d / p.b) * (2.0 * kappa * math.pi) ** 2
 
 
+def _disc(ell: int, p: ModelParams) -> float:
+    """Scaled discriminant 1 - 4 (ell pi)^2 / (b mu/d) of tau0(ell, .), the one
+    spelling that both the roots and the transversality at them read."""
+    return 1.0 - 4.0 * (ell * math.pi) ** 2 / p.bmu_over_d
+
+
 def lambda_roots(ell: int, p: ModelParams) -> EigencurveRoot:
     """Real roots of tau0(ell, .), or is_real=False when they are complex.
 
@@ -81,7 +87,7 @@ def lambda_roots(ell: int, p: ModelParams) -> EigencurveRoot:
     ell = whole(ell, 0, "mode number")
     _require_mu(p)
     bmu_d = p.bmu_over_d
-    disc = 1.0 - 4.0 * (ell * math.pi) ** 2 / bmu_d
+    disc = _disc(ell, p)
     if disc < 0.0:
         return EigencurveRoot(ell, p.mu, math.nan, math.nan, False)
     if disc == 0.0:
@@ -174,15 +180,15 @@ def eigencurve_table(p: ModelParams, ell_max: int | None = None) -> list[Eigencu
 
 
 def _side_root(n: int, side: str, p: ModelParams) -> tuple[int, float, float]:
-    """(n, lam_n^side, d tau/d lam there); the derivative is +/- sqrt(disc)."""
+    """(n, lam_n^side, d tau/d lam there); the derivative is +/- sqrt(disc),
+    zero exactly where lambda_roots returns a double root."""
     if side not in ("minus", "plus"):
         raise DomainError(f"side must be 'minus' or 'plus', got {side!r}")
     n = whole(n, 1, "crossing count")
     root = lambda_roots(n, p)
     if not root.is_real:
         raise DomainError(f"mode {n} roots are complex at mu = {p.mu:g} (below the threshold)")
-    disc = 1.0 - 4.0 * p.d * (n * math.pi) ** 2 / (p.b * p.mu)
-    s = math.sqrt(max(disc, 0.0))
+    s = math.sqrt(_disc(n, p))
     if side == "minus":
         return n, root.lambda_minus, -s
     return n, root.lambda_plus, s
@@ -209,8 +215,9 @@ def eta2_closed_form(n: int, side: str, p: ModelParams) -> float:
         eta2 = 2 [2 lam r^2 int(cos^2 y1) - (3/8) lam r^3] / (d tau0/d lam).
 
     The sign is opposite to the side: positive at the minus root, negative at
-    the plus root (branches open into the window).  Degenerate exactly at the
-    mode threshold, where the root is double and the derivative vanishes.
+    the plus root (branches open into the window).  Degenerate exactly where
+    lambda_roots returns a double root (the mode threshold, up to rounding) and
+    the derivative vanishes, a window that mode_windows never lists.
     """
     n, lam, taudot = _side_root(n, side, p)
     if taudot == 0.0:

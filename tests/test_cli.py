@@ -7,6 +7,8 @@ import pytest
 
 from htbif import errors
 from htbif.cli import main
+from htbif.model import ModelParams
+from htbif.nodal import nodal_pair
 
 
 def run_cli(args):
@@ -174,6 +176,30 @@ class TestDiagram:
         assert lines[0] == "n,lambda,w_minus_lower,sup_norm_lower,sup_norm_upper"
         modes = {line.split(",")[0] for line in lines[1:]}
         assert modes == {"1", "2"}
+
+
+    def test_one_double_above_a_threshold_draws_only_certified_pairs(self, tmp_path, capsys):
+        # mu one double above mu_3: the mode-3 window is about 7e-6 wide, so
+        # of its five samples two solve and three are refused by name, each
+        # its own stderr line; every mode-3 row is the pair nodal_pair returns
+        mu = "3434.622331579097"
+        out = tmp_path / "d.svg"
+        assert run_cli(["diagram", "--b", "0.3", "--d", "2.9", "--mu", mu, "--n-lambda", "5", "-o", str(out)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "d.csv").read_text().strip().splitlines()[1:]]
+        mode3 = [[float(cell) for cell in row[1:]] for row in rows if row[0] == "3"]
+        assert len(mode3) == 2
+        p = ModelParams(b=0.3, d=2.9, mu=float(mu))
+        for lam, w_minus, sup_lower, sup_upper in mode3:
+            lower, upper = nodal_pair(3, p.with_lam(lam))
+            assert (w_minus, sup_lower, sup_upper) == (
+                lower.w_minus, lower.profile.sup_norm(), upper.profile.sup_norm()
+            )
+        lines = capsys.readouterr().err.splitlines()
+        pattern = (r"htbif diagram: UserWarning: trace_loop skipped lam = (\S+): no 3-crossing solution: "
+                   r"amplitude window is below numerical resolution at lam = \S+")
+        skipped = {float(re.fullmatch(pattern, line).group(1)) for line in lines}
+        assert len(lines) == len(skipped) == 3
+        assert skipped.isdisjoint(row[0] for row in mode3)
 
 
 class TestErrorsAndDeterminism:

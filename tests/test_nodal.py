@@ -11,6 +11,7 @@ from htbif.acceptance import _rk4_march
 from htbif.errors import ConvergenceError, DomainError, IntegrationError, NoSolutionError
 from htbif.model import ModelParams, Profile, kinetic_f, potential_F, w0_const
 from htbif.nodal import (
+    LoopPoint,
     bvp_residual,
     crossing_count,
     enumerate_solutions,
@@ -636,7 +637,8 @@ class TestNodalPair:
     def test_pairs_across_windows(self, n_points):
         # 3 does not divide the 2000 cells of 2001 points and every mode
         # divides 2400, so both kinds of piece run; lam keeps to the inner
-        # 96% of its window and to trace_loop's predicted amplitude >= 1e-6
+        # 96% of its window, and to a predicted branch amplitude
+        # sqrt(dist / |eta2|) >= 1e-6 from the nearer window end
         rng = np.random.default_rng(n_points)
         cells = n_points - 1
         misaligned = 0
@@ -855,3 +857,16 @@ class TestTraceLoop:
     def test_requires_real_window(self, desk):
         with pytest.raises(NoSolutionError):
             trace_loop(2, desk)
+
+    def test_every_point_of_a_thin_window_is_a_solved_pair(self, desk):
+        # at mu = mu_1 (1 + 1e-12) the window is 4e-5 wide and the branch
+        # amplitude stays below 1e-6 at 12 of the 61 samples; each is still
+        # the pair nodal_pair certifies there, not the constant state
+        p = ModelParams(mu=mu_threshold(1, desk) * (1.0 + 1e-12))
+        pts = trace_loop(1, p, n_lambda=61)
+        assert [pt.lam for pt in pts] == window_lambdas(1, p, 61)
+        for pt in pts:
+            q = p.with_lam(pt.lam)
+            lower, upper = nodal_pair(1, q)
+            assert pt == LoopPoint(pt.lam, lower.w_minus, lower.profile.sup_norm(), upper.profile.sup_norm())
+            assert pt.w_minus_lower < w0_const(q) < pt.sup_norm_upper

@@ -3,9 +3,12 @@ with DomainError, and accepts an integral float as the integer it equals.
 The profile builders reject a grid size that is not an odd integer >= 3 the
 same way, before any solve or integration; sturm_spectrum's eigenvalue
 count, the window sweeps' lam sample counts and continue_in_eps's steps
-must be integers >= 1.  Every one of these goes through model.whole."""
+must be integers >= 1.  Every one of these goes through model.whole.
+The other input checks of the entry points each refuse one bad input with a
+DomainError whose message names it."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +16,11 @@ import pytest
 from htbif.cli import main
 from htbif.errors import DomainError
 from htbif.linstab import fit_expansion, sturm_spectrum
-from htbif.model import ModelParams, Profile, w0_const
+from htbif.model import CoeffFn, ModelParams, Profile, potential_gap, w0_const
 from htbif.nodal import limit_seeds, nodal_pair, solve_amplitude, trace_loop
-from htbif.perturbed import admissible_lambda, census, continue_in_eps, newton_solve
-from htbif.spectral import eta2_closed_form, window_lambdas, y1_closed_form
+from htbif.perturbed import admissible_lambda, census, continue_in_eps, first_order_corrections, newton_solve
+from htbif.spectral import eta2_closed_form, lambda_roots, window_lambdas, y1_closed_form
+from htbif.timemap import monotone_check
 
 DESK = ModelParams()
 TWO_MODES = ModelParams(mu=170.0, lam=30.0)
@@ -106,3 +110,99 @@ def test_cli_reports_a_bad_grid(tmp_path, capsys):
     assert main(args) == 1
     assert "DomainError" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _csv(path, text):
+    path.write_text(text)
+    return CoeffFn.from_csv(path)
+
+
+REFUSALS = {
+    "census at mu = mu_2": (
+        lambda tmp: census(1, ModelParams(mu=16.0 * math.pi ** 2, lam=79.0, eps=1e-3), n_points=501),
+        "census requires mu strictly between consecutive mode thresholds; mu = 157.914",
+    ),
+    "admissible_lambda near lam_1^-": (
+        lambda tmp: admissible_lambda(1, DESK.with_lam(lambda_roots(1, DESK).lambda_minus + 1e-3)),
+        "lam = 13.5328 is within 0.005 of the bifurcation value lam_1 = 13.5318",
+    ),
+    "first_order_corrections at mu = -1": (
+        lambda tmp: first_order_corrections(Profile.constant(1.0, 5), ModelParams(mu=-1.0)),
+        "corrections require mu > 0",
+    ),
+    "sturm_spectrum with m above the grid": (
+        lambda tmp: sturm_spectrum(Profile(np.zeros(5)), 6),
+        "m = 6 exceeds the 5-point discretization size",
+    ),
+    "monotone_check on a 2-d grid": (
+        lambda tmp: monotone_check(DESK, [[0.2, 0.4], [0.6, 0.8]]),
+        "grid must be a 1-d array with at least two points",
+    ),
+    "monotone_check on one point": (
+        lambda tmp: monotone_check(DESK, [0.5]),
+        "grid must be a 1-d array with at least two points",
+    ),
+    "CoeffFn with neither form": (
+        lambda tmp: CoeffFn(),
+        "CoeffFn must be either constant or sampled",
+    ),
+    "CoeffFn with both forms": (
+        lambda tmp: CoeffFn(value=1.0, xs=[0.0, 1.0], ys=[1.0, 1.0]),
+        "CoeffFn must be either constant or sampled",
+    ),
+    "CoeffFn.sampled with mismatched shapes": (
+        lambda tmp: CoeffFn.sampled([0.0, 0.5, 1.0], [1.0, 1.0]),
+        "sampled coefficient needs matching 1-d xs, ys with >= 2 samples",
+    ),
+    "CoeffFn.sampled with a NaN sample": (
+        lambda tmp: CoeffFn.sampled([0.0, 1.0], [1.0, math.nan]),
+        "coefficient samples must be finite",
+    ),
+    "from_csv with a text row after data": (
+        lambda tmp: _csv(tmp / "a.csv", "x,a\n0,1\nhalf,2\n1,1\n"),
+        "malformed coefficient row ['half', '2'] in ",
+    ),
+    "from_csv with one sample": (
+        lambda tmp: _csv(tmp / "a.csv", "x,a\n0,1\n"),
+        "has fewer than 2 samples",
+    ),
+    "ModelParams with lam = nan": (
+        lambda tmp: ModelParams(lam=math.nan),
+        "lam and mu must be finite",
+    ),
+    "ModelParams with a float coefficient": (
+        lambda tmp: ModelParams(coeff_a=1.0),
+        "coeff_a must be a CoeffFn",
+    ),
+    "Profile of a 2-d array": (
+        lambda tmp: Profile(np.zeros((3, 3))),
+        "Profile needs a 1-d array, got 2 dimensions",
+    ),
+    "Profile with a NaN value": (
+        lambda tmp: Profile(np.array([0.0, math.nan, 0.0])),
+        "Profile values must be finite",
+    ),
+    "sup_distance across grids": (
+        lambda tmp: Profile(np.zeros(3)).sup_distance(Profile(np.zeros(5))),
+        "profiles live on different grids",
+    ),
+    "w0_const at mu = 0": (
+        lambda tmp: w0_const(ModelParams(mu=0.0)),
+        "constant state requires mu > 0, got mu = 0.0",
+    ),
+    "potential_gap below w = -1": (
+        lambda tmp: potential_gap(-2.0, DESK),
+        "delta must keep w0 + delta > -1",
+    ),
+    "eta2_closed_form on a middle side": (
+        lambda tmp: eta2_closed_form(1, "middle", DESK),
+        "side must be 'minus' or 'plus', got 'middle'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_bad_input_is_refused_by_name(name, tmp_path):
+    call, message = REFUSALS[name]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(tmp_path)

@@ -1,13 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from htbif.errors import DomainError, NoSolutionError
+from htbif.errors import DegenerateError, DomainError, NoSolutionError
 from htbif.model import ModelParams
 from htbif.spectral import (
     MAX_MODES,
     eigencurve_table,
+    eta2_closed_form,
     lambda_roots,
     mode_windows,
     morse_index_w0,
@@ -184,6 +186,46 @@ class TestModeWindows:
         assert [w.ell for w in mode_windows(p)] == [1]
         with pytest.raises(NoSolutionError):
             window_lambdas(2, p, 5)
+
+    def test_threshold_is_closed_when_the_rounded_roots_coincide(self):
+        # one double above mu_1 for these b, d the discriminant rounds to zero
+        # and both roots read 19.739208802178716: no window, no samples and
+        # no transversality
+        base = ModelParams(b=9.54, d=0.15)
+        p = ModelParams(b=9.54, d=0.15, mu=math.nextafter(mu_threshold(1, base), math.inf))
+        assert p.mu > mu_threshold(1, p)
+        root = lambda_roots(1, p)
+        assert root.is_real and root.lambda_minus == root.lambda_plus == 19.739208802178716
+        assert mode_windows(p) == []
+        with pytest.raises(NoSolutionError, match="mode 1 has no real root window"):
+            window_lambdas(1, p, 5)
+        for side in ("minus", "plus"):
+            with pytest.raises(DegenerateError, match="eta2 undefined at mu = mu_1"):
+                eta2_closed_form(1, side, p)
+
+    def test_eta2_is_finite_on_every_listed_window_near_its_threshold(self):
+        # mu at mu_n and the next two doubles, where the discriminant rounds to
+        # zero or just above it; a window that mode_windows lists is a simple
+        # root pair, so eta2 reads a nonzero transversality there.  (0.3, 2.9, 3)
+        # one double above mu_3 is a listed window that a second rounding of
+        # the discriminant once read as a double root
+        rng = random.Random(5)
+        cases = [(0.3, 2.9, 3)] + [
+            (round(10 ** rng.uniform(-1, 1), 2), round(10 ** rng.uniform(-1, 1), 2), rng.randint(1, 8))
+            for _ in range(300)
+        ]
+        listed = []
+        for b, d, n in cases:
+            mu = mu_threshold(n, ModelParams(b=b, d=d))
+            for _ in range(3):
+                p = ModelParams(b=b, d=d, mu=mu)
+                if len(mode_windows(p)) >= n:
+                    listed.append((b, d, n, mu))
+                    for side in ("minus", "plus"):
+                        assert math.isfinite(eta2_closed_form(n, side, p))
+                mu = math.nextafter(mu, math.inf)
+        assert (0.3, 2.9, 3, 3434.622331579097) in listed
+        assert len(listed) > 500
 
     def test_more_windows_than_the_cap_are_refused_before_the_walk(self):
         # the windows open in order of their thresholds, so mu above
