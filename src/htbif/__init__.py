@@ -17,6 +17,12 @@ linstab     Neumann operator, Sturm spectra, Morse indices, expansion checks
 perturbed   coupled-system Newton solves, corrections, coexistence census
 acceptance  the 15 acceptance criteria behind --seed-check
 cli         command-line front end (CSV/JSON/SVG emission)
+
+The package namespace re-exports names from errors, model, spectral,
+timemap and nodal, which need numpy alone, so ``import htbif`` loads no
+scipy module.  linstab and perturbed call LAPACK and load ``scipy.linalg``,
+as do acceptance and cli, which import them; reach them by name
+(``from htbif import perturbed``).
 """
 
 from .errors import (
@@ -68,24 +74,6 @@ from .nodal import (
     nodal_pair,
     solve_amplitude,
     trace_loop,
-)
-from .linstab import (
-    ExpansionCheck,
-    Spectrum,
-    fit_expansion,
-    morse_index_nodal,
-    sturm_spectrum,
-)
-from .perturbed import (
-    CensusResult,
-    CoexistenceState,
-    ContinuationResult,
-    census,
-    continue_in_eps,
-    first_order_corrections,
-    newton_solve,
-    residual,
-    residual_fine,
 )
 
 __version__ = "0.1.0"

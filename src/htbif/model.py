@@ -357,6 +357,7 @@ class TurningGap(NamedTuple):
                 return a + c * x - weight * ((0.5 * y * y + _atanh_tail_term(y / t)) / t)
             return a - 0.5 * x - weight * float((np.log1p(y) - y) / y)
         small = np.abs(y) <= 0.25
-        t = 2.0 + y
-        num = np.where(small, 0.5 * y * y + _atanh_tail_term(y / t), np.log1p(y) - y)
+        ys = np.minimum(y, 0.5)  # y > -1; y^2 past 1e154 would overflow in the unused branch
+        t = 2.0 + ys
+        num = np.where(small, 0.5 * ys * ys + _atanh_tail_term(ys / t), np.log1p(y) - y)
         return a + np.where(small, c, -0.5) * x - weight * (num / np.where(small, t, y))

@@ -3,9 +3,10 @@
 Each module may import only from layers strictly below its own, imports sit
 at module level, no module takes another module's ``_private`` name, and
 the only third-party imports are ``numpy`` and ``scipy.linalg``.  The
-checker parses the sources with ``ast``; it is exercised on the real
-package and on small snippets that break each rule.  A fresh interpreter
-checks what ``import htbif`` loads.
+package facade imports only the layers below ``linstab``, which need numpy
+alone.  The checker parses the sources with ``ast``; it is exercised on the
+real package and on small snippets that break each rule.  Fresh
+interpreters check what ``import htbif`` and ``import htbif.cli`` load.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ LAYERS = (
 )
 RANK = {name: i for i, name in enumerate(LAYERS)}
 RANK["__init__"] = len(LAYERS)
+# the first layer that loads scipy.linalg; the facade imports only those below
+LAPACK_LAYER = "linstab"
 # third-party packages the modules may import, each with its submodules
 THIRD_PARTY = ("numpy", "scipy.linalg")
 
@@ -50,6 +53,8 @@ def layering_findings(module: str, source: str) -> list[str]:
             report(node, f"imports unknown module .{target}; place it in LAYERS")
         elif RANK[target] >= rank:
             report(node, f"imports same-rank or later layer .{target}")
+        elif module == "__init__" and RANK[target] >= RANK[LAPACK_LAYER]:
+            report(node, f"facade imports .{target}, a layer that loads scipy.linalg")
 
     for scope in ast.walk(tree):
         if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -113,6 +118,8 @@ def test_package_import_graph_is_layered():
         ("nodal", "from scipy.optimize import brentq\n", "third-party scipy.optimize"),
         ("linstab", "import scipy.integrate\n", "third-party scipy.integrate"),
         ("linstab", "import scipy\n", "third-party scipy outside"),
+        ("__init__", "from .perturbed import census\n", "facade imports .perturbed"),
+        ("__init__", "from . import nodal, linstab\n", "facade imports .linstab"),
     ],
 )
 def test_checker_reports_each_rule(module, source, expected):
@@ -133,11 +140,20 @@ def test_checker_accepts_the_standard_library_and_the_allowed_packages():
     assert layering_findings("quadrature", source) == []
 
 
-def test_import_loads_no_scipy_optimize_or_integrate():
-    probe = "import sys, htbif; print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))"
+def _scipy_modules_loaded_by(statement: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running statement."""
+    probe = f"import sys; {statement}; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = done.stdout.split()
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.split(".")[1] in ("optimize", "integrate", "sparse")]
+    return done.stdout.split()
+
+
+def test_import_loads_no_scipy_optimize_or_integrate():
+    # the facade loads no scipy module at all; the command line reaches the
+    # LAPACK layers and so loads scipy.linalg, and still none of optimize,
+    # integrate or sparse
+    assert _scipy_modules_loaded_by("import htbif") == []
+    subpackages = {m.split(".")[1] for m in _scipy_modules_loaded_by("import htbif.cli") if m != "scipy"}
+    assert "linalg" in subpackages
+    assert not subpackages & {"optimize", "integrate", "sparse"}

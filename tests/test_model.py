@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -276,6 +277,18 @@ class TestTurningGap:
 
             exact = (F(we) - F(we + (-x if right else x))) / x
             assert abs(mpmath.mpf(value) / exact - 1) <= 1e-14
+
+    def test_far_from_a_turning_point_on_a_huge_plane_warns_nothing(self):
+        # w0 = 1e200 with the turning point near the saddle: y = x reaches
+        # 1e200, whose square overflows; the near-turning-point branch, which
+        # the array path evaluates for every element, must not square it
+        gap = TurningGap.at(1e200, 1e-100)
+        x = np.array([1e-3, 0.1, 1e100, 1e160, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = gap.over_x(x)
+        assert np.all(np.isfinite(values))
+        assert np.array_equal(values, [gap.over_x(v) for v in x.tolist()])
 
 
 class TestEnergy:

@@ -689,6 +689,36 @@ class TestContinueInEps:
                 for mine, ref in ((state.w, plain.w), (state.v, plain.v)):
                     assert mine.sup_distance(ref) <= 2e-11 * float(np.max(np.abs(ref.values)))
 
+    @pytest.mark.parametrize("margin, certified", [(1e-3, True), (1e-2, False)])
+    def test_prediction_past_w_minus_one_starts_from_the_previous_fine_parts(
+        self, desk, margin, certified, monkeypatch
+    ):
+        # w = 0.5 + w_fine reads -1 + margin at one node, and at v = 60 the
+        # tangent's w part is -0.21 everywhere, so the one rung's prediction
+        # would leave w > -1 there; Newton starts from the start's fine parts
+        # instead, and the rung then certifies (margin 1e-3) or is reported
+        # as a breakdown (1e-2, a positivity loss)
+        w_fine = np.zeros(2001)
+        w_fine[700] = -1.5 + margin
+        start = _start_state(desk, Profile.constant(60.0, 2001), w_fine=w_fine)
+        starts = []
+        newton = perturbed._newton
+
+        def spy(w, w_fine, v, v_fine, *args):
+            starts.append((w_fine, v_fine))
+            return newton(w, w_fine, v, v_fine, *args)
+
+        monkeypatch.setattr(perturbed, "_newton", spy)
+        out = continue_in_eps(start, desk, 1.0, steps=1)
+        assert len(starts) == 1
+        assert np.array_equal(starts[0][0], start.w_fine) and np.array_equal(starts[0][1], start.v_fine)
+        if certified:
+            assert out.breakdown is None and len(out.states) == 2
+            assert residual_fine(out.states[-1], desk.with_eps(1.0)) < 1e-9
+        else:
+            assert len(out.states) == 1 and out.states[0] is start
+            assert out.breakdown.startswith("eps = 1: PositivityError: ")
+
     def test_ladder_finer_than_float_spacing(self):
         # a target one ulp away repeats eps along the ladder; the quadratic
         # predictor must not divide by the zero spacing

@@ -414,9 +414,18 @@ class TestTimeMapAcrossParameters:
 #     |D| sin(psi) / sqrt(2 (F(w_end) - F(w_end - 2 D sin^2(psi/2))))
 #     by mpmath.quad(..., [0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, pi/2],
 #     method="gauss-legendre"); tanh-sinh at 70 digits agrees to 1e-27.
-# Below w0 = 1e-3, down to w0 = 1e-12, both halves from
-# _half_orbit_reference, with w_+ from _companion_reference.
+# Below w0 = 1e-3, down to w0 = 1e-15 (9.9e-15 and 1.1e-15 as doubles at
+# the last two), both halves from _half_orbit_reference, with w_+ from
+# _companion_reference.
 T_STRESS_REF = (
+    (1e-15, 1e-8, 43842194.420947909355),
+    (1e-15, 0.3, 8054088.5187544506043),
+    (1e-15, 0.9, 6614409.9589863140136),
+    (1e-15, 1.0 - 1e-6, 6588397.316663891077),
+    (1e-14, 1e-8, 14821366.860599590465),
+    (1e-14, 0.3, 2722778.8718341765925),
+    (1e-14, 0.9, 2236078.6877423920669),
+    (1e-14, 1.0 - 1e-6, 2227284.8096081814729),
     (1e-12, 1e-8, 1478235.0708550713025),
     (1e-12, 0.3, 271561.13578358956147),
     (1e-12, 0.9, 223019.23759817771497),
@@ -468,6 +477,33 @@ class TestTimeMapStress:
         # 6.7e-16 elsewhere
         plane = PhasePlane(ModelParams(mu=200.0, lam=200.0 / (1.0 + w0)))
         assert plane.time_map(ratio * plane.w0).T == pytest.approx(ref, rel=1e-10)
+
+    def test_small_lam_up_to_the_double_range(self):
+        # w0 = mu/lam - 1 from 9 to 1e304: every map answers, from the
+        # smallest normal double and 1e-12 w0 up to (1 - 1e-12) w0, with no
+        # floating-point warning (near the saddle the kernel's y reaches w0,
+        # whose square overflows past 1e154), or the plane is refused by name
+        tiny = sys.float_info.min
+        answered, refused = 0, []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for mu in (1e-3, 1.0, 50.0, 1e4):
+                for lam in (1e-300, 1e-200, 1e-150, 1e-100, 1e-50, 1e-20, 1e-8, 1e-4):
+                    p = ModelParams(mu=mu, lam=lam)
+                    try:
+                        plane = PhasePlane(p)
+                    except DomainError as exc:
+                        assert "leaves the double range" in str(exc)
+                        refused.append((mu, lam))
+                        continue
+                    tc = time_map_center(p)
+                    for w_minus in (tiny, *(r * plane.w0 for r in (1e-12, 1e-6, 0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-12))):
+                        s = plane.time_map(w_minus)
+                        assert s.w_minus < plane.w0 < s.w_plus, (mu, lam, w_minus)
+                        assert math.isfinite(s.T) and s.T >= tc * (1.0 - 1e-10), (mu, lam, w_minus)
+                        answered += 1
+        assert refused == [(1e4, 1e-300)]
+        assert answered == 31 * 7
 
     @pytest.mark.parametrize("mu", [20.0, 200.0, 2e5])
     def test_just_below_w0_1e6(self, mu):
